@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from typing import Sequence
 
 from .. import telemetry
-from ..telemetry import FRAMES_BUCKETS
 from ..detection.detector import Detection, DetectorStats
 from ..video.repository import VideoRepository
 from .plane import CachePlane
@@ -263,9 +261,7 @@ class ShardCoordinator:
         if handle is not None:
             handle.kill()  # reap whatever is left; idempotent on the dead
         self.restarts += 1
-        tel = telemetry.get()
-        if tel.enabled:
-            tel.counter("repro_shard_respawns_total", {"shard": shard_id}).inc()
+        telemetry.get().counter("repro_shard_respawns_total", {"shard": shard_id}).inc()
         return self._spawn(shard_id)
 
     def _request(self, shard_id: int, op: str, payload) -> object:
@@ -357,18 +353,14 @@ class ShardCoordinator:
 
         All shard requests are *sent* before any response is awaited, so
         workers overlap their detection work — that overlap is the whole
-        throughput story (``benchmarks/test_bench_distributed.py``).
+        throughput story (``benchmarks/test_bench_distributed.py``).  What
+        it reports goes through :class:`~repro.telemetry.observers.DispatchObserver`.
         """
         frames = [int(f) for f in frame_indices]
         if not frames:
             return []
-        tel = telemetry.get()
-        batch_start = time.perf_counter() if tel.enabled else 0.0
-        # the tick loop declares which traces ride this batch; an empty
-        # tuple (tracing off, or an untraced call like warm-up) keeps the
-        # wire payload in its plain-list form
-        tracer = tel.tracer
-        contexts = tracer.dispatch_contexts() if tracer.enabled else ()
+        obs = telemetry.get().dispatch_observer
+        obs.begin()
         self._sync()
         # consult the shared plane first: a frame any coordinator on this
         # plane already paid for never reaches a worker.  Plane rows are
@@ -388,27 +380,20 @@ class ShardCoordinator:
         for frame in dispatch:
             groups.setdefault(self._plan.shard_for_frame(frame), []).append(frame)
         # fan out: one in-flight request per shard
-        in_flight: list[tuple[int, int]] = []  # (shard_id, request_id)
-        sent_at: dict[int, float] = {}  # shard_id -> send timestamp
+        in_flight: list[tuple[int, int, dict]] = []  # (shard, request id, payload)
         for shard_id in sorted(groups):
             handle = self._ensure_worker(shard_id)
             request_id = self._next_request
             self._next_request += 1
-            sent_at[shard_id] = time.perf_counter()
-            payload = (
-                {"frames": groups[shard_id], "trace": True}
-                if contexts
-                else groups[shard_id]
-            )
+            payload = {"frames": groups[shard_id]}
+            obs.sent(shard_id)
             try:
                 handle.send(("detect", request_id, payload))
-                in_flight.append((shard_id, request_id))
             except _DEAD_WORKER_ERRORS:
                 self._respawn(shard_id)
-                in_flight.append((shard_id, -1))  # re-issued on collect
-        if tel.enabled:
-            tel.gauge("repro_shard_inflight_requests").set(len(in_flight))
-            tel.gauge("repro_shard_inflight_peak_requests").set_max(len(in_flight))
+                request_id = -1  # re-issued on collect
+            in_flight.append((shard_id, request_id, payload))
+        obs.in_flight(len(in_flight))
         # collect, re-issuing against a fresh worker when one died
         # mid-flight.  Every in-flight request is drained before any
         # failure propagates: a worker answers exactly once per request,
@@ -419,77 +404,26 @@ class ShardCoordinator:
         }
         fresh_items: list[tuple[int, list[dict]]] = []  # plane fill-back
         failures: list[Exception] = []
-        for shard_id, request_id in in_flight:
-            payload = None
+        for shard_id, request_id, payload in in_flight:
+            reply = None
             try:
                 if request_id >= 0:
                     try:
                         response = self._handles[shard_id].recv()
-                        payload = self._check(response, request_id, shard_id)
+                        reply = self._check(response, request_id, shard_id)
                     except _DEAD_WORKER_ERRORS:
                         self._respawn(shard_id)
-                if payload is None:  # the synchronous retry path
-                    retry = (
-                        {"frames": groups[shard_id], "trace": True}
-                        if contexts
-                        else groups[shard_id]
-                    )
-                    payload = self._request(shard_id, "detect", retry)
+                if reply is None:  # the synchronous retry path
+                    reply = self._request(shard_id, "detect", payload)
             except RuntimeError as exc:  # a shard failed; keep draining
                 failures.append(exc)
                 continue
-            worker_span = None
-            if isinstance(payload, dict):
-                worker_span = payload.get("span")
-                payload = payload["rows"]
-            if contexts:
-                # one shard-dispatch span per participating trace: the
-                # batch coalesces many sessions, and each trace's tree
-                # must stand alone (ids are per-trace counters, so the
-                # duplication costs events, never determinism)
-                end = time.perf_counter()
-                start = sent_at[shard_id]
-                for trace_id, parent in contexts:
-                    dispatch_id = tracer.record_span(
-                        trace_id,
-                        "shard-dispatch",
-                        start,
-                        end - start,
-                        parent_id=parent,
-                        shard=shard_id,
-                        frames=len(groups[shard_id]),
-                    )
-                    if worker_span and dispatch_id:
-                        duration = min(
-                            float(worker_span["duration_seconds"]), end - start
-                        )
-                        tracer.record_span(
-                            trace_id,
-                            "worker-detect",
-                            max(start, end - duration),
-                            duration,
-                            parent_id=dispatch_id,
-                            tid=shard_id + 1,
-                            shard=shard_id,
-                            frames=int(worker_span.get("frames", 0)),
-                            detector_calls=int(worker_span.get("detector_calls", 0)),
-                        )
-            if tel.enabled:
-                # send-to-merge latency as the coordinator experiences it
-                # (includes any wait behind earlier shards' responses)
-                tel.histogram(
-                    "repro_shard_request_seconds", {"shard": shard_id}
-                ).observe(time.perf_counter() - sent_at[shard_id])
-                tel.counter("repro_shard_requests_total", {"shard": shard_id}).inc()
-                tel.counter("repro_shard_frames_total", {"shard": shard_id}).inc(
-                    len(groups[shard_id])
-                )
-            for frame, rows in zip(groups[shard_id], payload):
+            obs.answered(shard_id, len(payload["frames"]), reply["span"])
+            for frame, rows in zip(payload["frames"], reply["rows"]):
                 if self._plane is not None and frame not in by_frame:
                     fresh_items.append((frame, rows))
                 by_frame[frame] = decode_rows(rows)
-        if tel.enabled:
-            tel.gauge("repro_shard_inflight_requests").set(0)
+        obs.in_flight(0)
         if failures:
             raise failures[0]
         if self._plane is not None and fresh_items:
@@ -497,18 +431,7 @@ class ShardCoordinator:
         out = [list(by_frame[frame]) for frame in frames]
         self.stats.frames_processed += len(frames)
         self.stats.detections_emitted += sum(len(d) for d in out)
-        if tel.enabled:
-            # the exec-layer view of the same work: in a sharded service
-            # the coordinator IS the execution backend (workers>1 and
-            # shards>1 are mutually exclusive), so it must publish the
-            # exec batch series or sharded runs would lose that layer
-            elapsed = time.perf_counter() - batch_start
-            tel.counter("repro_exec_batches_total").inc()
-            tel.counter("repro_exec_frames_total").inc(len(frames))
-            tel.histogram("repro_exec_batch_frames", buckets=FRAMES_BUCKETS).observe(
-                len(frames)
-            )
-            tel.histogram("repro_exec_batch_seconds").observe(elapsed)
+        obs.finish(len(frames))
         return out
 
     def detect(self, frame_index: int) -> list[Detection]:

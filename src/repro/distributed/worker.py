@@ -12,7 +12,10 @@ cache is lost, costing re-detection, never answers.
 
 The wire format is deliberately plain: requests are
 ``(op, request_id, payload)`` tuples, responses ``("ok", request_id,
-payload)`` or ``("error", request_id, message)``, and detections cross
+payload)`` or ``("error", request_id, message)``.  A ``detect`` payload
+is always ``{"frames": [...]}`` and its reply always ``{"rows": [...],
+"span": {"duration_seconds", "frames", "detector_calls"}}`` — one shape
+each way, traced or not.  Detections cross
 the wire as the same JSON-able rows the
 :class:`~repro.detection.cache.DetectionCache` stores (float-exact under
 encode/decode, so the parent reconstructs detections bit-identical to an
@@ -151,16 +154,12 @@ class ShardWorker:
 
     # -------------------------------------------------------------- handlers
 
-    def _detect(self, payload) -> list[list[dict]] | dict:
-        # the payload is a bare frame list, or (when the parent traces)
-        # ``{"frames": [...], "trace": true}`` — the dict form answers
-        # with ``{"rows": ..., "span": {...}}`` so the coordinator can
-        # file a worker-detect span under its shard-dispatch span.
-        # Same rows either way; tracing never changes an answer.
-        traced = isinstance(payload, dict)
-        frames = payload["frames"] if traced else payload
-        started = time.perf_counter() if traced else 0.0
-        frames = [int(f) for f in frames]
+    def _detect(self, payload: dict) -> dict:
+        # one shape each way: ``{"frames": [...]}`` in, ``{"rows", "span"}``
+        # out.  The span is what this side measured (two clock reads per
+        # batch); the coordinator files it when a trace rides the batch.
+        started = time.perf_counter()
+        frames = [int(f) for f in payload["frames"]]
         horizon = self._repository.horizon
         for frame in frames:
             if not 0 <= frame < horizon:
@@ -188,15 +187,11 @@ class ShardWorker:
             self._cache.backend.put_many(self._spec.dataset, fresh)
         self._served += len(frames)
         tel = telemetry.get()
-        if tel.enabled:
-            tel.counter("repro_detector_batches_total").inc()
-            tel.counter("repro_detector_frames_total").inc(len(frames))
-            tel.counter("repro_detector_calls_total").inc(len(fresh))
-        rows = [rows_by_frame[frame] for frame in frames]
-        if not traced:
-            return rows
+        tel.counter("repro_detector_batches_total").inc()
+        tel.counter("repro_detector_frames_total").inc(len(frames))
+        tel.counter("repro_detector_calls_total").inc(len(fresh))
         return {
-            "rows": rows,
+            "rows": [rows_by_frame[frame] for frame in frames],
             "span": {
                 "duration_seconds": time.perf_counter() - started,
                 "frames": len(frames),

@@ -697,7 +697,7 @@ class AsyncQueryServer:
 
     def _instruments(self) -> dict | None:
         """Memoized ``repro_server_*`` handles, rebuilt per pipeline
-        (identity-checked like ``QueryService._tick_instruments``)."""
+        (identity-checked: a fresh ``telemetry.enable()`` rebuilds them)."""
         tel = telemetry.get()
         if not tel.enabled:
             return None

@@ -33,8 +33,6 @@ from typing import Callable, Iterable, Mapping
 from .. import telemetry
 from ..core.chunking import IncrementalChunker
 from ..core.rng import DecisionRng
-from ..telemetry import FRAMES_BUCKETS
-from ..telemetry.trace import derive_trace_id
 from ..core.sampler import ExSample
 from ..detection.cache import CachingDetector, CategoryFilterDetector, DetectionCache
 from ..detection.detector import Detection, Detector, OracleDetector
@@ -231,9 +229,6 @@ class QueryService:
         # engines commit whole batches); charged against future shares so
         # long-run throughput stays at frames_per_tick
         self._deficits: dict[str, int] = {}
-        # memoized telemetry instrument handles, rebuilt per pipeline
-        # (see _tick_instruments)
-        self._tel_memo: tuple | None = None
 
     # ------------------------------------------------------------ properties
 
@@ -344,8 +339,7 @@ class QueryService:
         exist yet — the objects it searches for may not have been
         recorded).
         """
-        tracer = telemetry.get().tracer
-        admit_start = time.perf_counter() if tracer.enabled else 0.0
+        admit_start = time.perf_counter()
         repo = self._repository(dataset)
         if not follow and category not in repo.categories():
             raise ValueError(
@@ -370,20 +364,7 @@ class QueryService:
         warm_frames = self._cache.frames(dataset) if warm_start else []
         session = self._build_session(session_id, spec, warm_frames)
         self._sessions[session_id] = session
-        if tracer.enabled:
-            # the trace is born here: admission covers validation, session
-            # construction, and the warm-start replay — the first answer
-            # to "why was this query's first result slow"
-            trace_id = tracer.begin_trace(session_id)
-            tracer.record_span(
-                trace_id,
-                "admission",
-                admit_start,
-                time.perf_counter() - admit_start,
-                dataset=dataset,
-                category=category,
-                warm_frames=len(warm_frames),
-            )
+        telemetry.get().tick_observer.admitted(session, admit_start, len(warm_frames))
         return session_id
 
     def pause(self, session_id: str) -> None:
@@ -393,7 +374,9 @@ class QueryService:
         self._session(session_id).resume()
 
     def cancel(self, session_id: str) -> None:
-        self._session(session_id).cancel()
+        session = self._session(session_id)
+        session.cancel()
+        telemetry.get().tick_observer.session_closed(session)
 
     def status(self, session_id: str) -> SessionStatus:
         return self._session(session_id).status()
@@ -452,50 +435,12 @@ class QueryService:
             if grew:
                 absorbed[session.session_id] = grew
         if absorbed:
-            tel = telemetry.get()
-            if tel.enabled:
-                tel.counter("repro_serving_absorbed_frames_total").inc(
-                    sum(absorbed.values())
-                )
+            telemetry.get().counter("repro_serving_absorbed_frames_total").inc(
+                sum(absorbed.values())
+            )
         return absorbed
 
     # ------------------------------------------------------------- execution
-
-    def _tick_instruments(self, tel) -> dict:
-        """Memoized instrument handles for the tick loop's emissions.
-
-        The tick path must not pay a series-key lookup per emission, so
-        handles are resolved once per pipeline (identity-checked: a
-        fresh ``telemetry.enable()`` rebuilds them) and per-session
-        gauges get-or-create into the memo's ``grant``/``deficit`` maps.
-        """
-        memo = self._tel_memo
-        if memo is None or memo[0] is not tel:
-            handles = {
-                "schedulable": tel.gauge("repro_serving_sessions_schedulable"),
-                "ticks": tel.counter("repro_serving_ticks_total"),
-                "frames": tel.counter("repro_serving_frames_total"),
-                "tick_seconds": tel.histogram("repro_serving_tick_seconds"),
-                "tick_frames": tel.histogram(
-                    "repro_serving_tick_frames", buckets=FRAMES_BUCKETS
-                ),
-                "stage": {
-                    name: tel.histogram(
-                        "repro_serving_stage_seconds", {"stage": name}
-                    )
-                    for name in ("plan", "coalesce", "detect", "commit")
-                },
-                "plan_split": {
-                    name: tel.histogram(
-                        "repro_serving_plan_seconds", {"stage": name}
-                    )
-                    for name in ("draw", "score")
-                },
-                "grant": {},
-                "deficit": {},
-            }
-            self._tel_memo = memo = (tel, handles)
-        return memo[1]
 
     def tick(self) -> dict[str, int]:
         """One scheduling round: split the frames-per-tick budget across
@@ -532,227 +477,97 @@ class QueryService:
         so a transient detector error loses at most the tick in flight —
         the same durability the state layer promises.
 
-        Telemetry (no-op unless :mod:`repro.telemetry` is enabled; never
-        consulted for any decision): the whole tick runs under a ``tick``
-        trace span with child spans per stage (``plan``/``coalesce``/
-        ``detect``/``commit``), feeding the slow-tick ring buffer, plus
-        tick-latency/frame histograms, per-session grant and deficit
-        gauges, and per-stage duration histograms.
+        What the tick reports (the ``tick`` trace and its stage children,
+        the per-tick series, per-session spans and gauges) goes through
+        :class:`~repro.telemetry.observers.TickObserver` — a no-op twin
+        unless telemetry is on, and never consulted for a decision.
         """
-        tel = telemetry.get()
-        tick_start = time.perf_counter() if tel.enabled else 0.0
-        with tel.span("tick", tick=self._ticks + 1) as tick_span:
-            # pick up footage appended out-of-band since the last round; a
-            # session holding a pending (failed-tick) batch defers absorption
-            # until that batch commits, so this is always replay-safe
-            with tel.span("sync"):
-                self.sync()
-            # allocate over sessions a tick can actually advance: a follow
-            # session idling for footage is ACTIVE but handing it budget
-            # would silently waste its share (plans come back empty and the
-            # remainder is never redistributed within the tick)
-            active = self.schedulable_sessions()
-            if not active:
-                return {}
-            self._ticks += 1
-            # trace contexts for this tick's sessions.  begin_trace is
-            # idempotent and registers restored sessions (which never
-            # passed through submit in this process), so every traced
-            # session's spans have a home.  Tracing is observation only:
-            # the decision stream is byte-identical on or off.
-            tracer = tel.tracer
-            traced = tracer.enabled
-            trace_ctx: dict[str, tuple[str, str]] = {}
-            if traced:
-                for session in active:
-                    trace_id = tracer.begin_trace(session.session_id)
-                    trace_ctx[session.session_id] = (
-                        trace_id,
-                        tracer.root_span_id(trace_id),
-                    )
-            allocation = self._scheduler.allocate(
-                active, self._frames_per_tick, self._rng
-            )
-            if tel.enabled:
-                inst = self._tick_instruments(tel)
-                inst["schedulable"].set(len(active))
-                grants = inst["grant"]
-                for session in active:
-                    session_id = session.session_id
-                    gauge = grants.get(session_id)
-                    if gauge is None:
-                        gauge = grants[session_id] = tel.gauge(
-                            "repro_serving_session_grant_frames",
-                            {"session": session_id},
-                        )
-                    gauge.set(allocation.get(session_id, 0))
-            processed: dict[str, int] = {s.session_id: 0 for s in active}
-            # forget debt only for sessions that are gone for good; paused
-            # sessions keep theirs and pay it on resume
-            self._deficits = {
-                sid: debt for sid, debt in self._deficits.items()
-                if sid in self._sessions and not self._sessions[sid].state.terminal
-            }
-            remaining = {
-                s.session_id: allocation.get(s.session_id, 0)
-                - self._deficits.get(s.session_id, 0)
-                for s in active
-            }
-            completed = False
-            # stage timing accumulates with bare perf_counter arithmetic —
-            # a span per stage per *round* would tax the hot loop, so one
-            # summed span per stage is filed at tick end instead
-            enabled = tel.enabled
-            stage_seconds = {"plan": 0.0, "coalesce": 0.0, "detect": 0.0,
-                             "commit": 0.0}
-            # the plan stage split by what the engine spent drawing
-            # (Thompson sampling) vs scoring (frame pick + bookkeeping)
-            plan_split = {"draw": 0.0, "score": 0.0}
-            rounds = 0
-            detect_frames = 0
-            try:
-                while True:
-                    mark = time.perf_counter() if enabled else 0.0
-                    # stage 1, all sessions: plan one engine iteration each
-                    plans: list[tuple[QuerySession, list[tuple[int, int]]]] = []
-                    for session in active:  # submission order, policy-free
-                        if remaining[session.session_id] <= 0:
-                            continue
-                        plan_start = time.perf_counter() if traced else 0.0
-                        pending = session.plan_step()
-                        if traced:
-                            trace_id, _root = trace_ctx[session.session_id]
-                            tracer.record_span(
-                                trace_id,
-                                "plan",
-                                plan_start,
-                                time.perf_counter() - plan_start,
-                                tick=self._ticks,
-                                frames=len(pending),
-                            )
-                        if enabled:
-                            timings = session.last_plan_timings
-                            plan_split["draw"] += timings["draw"]
-                            plan_split["score"] += timings["score"]
-                        if pending:
-                            plans.append((session, pending))
-                        else:  # not schedulable (satisfied/exhausted/capped)
-                            remaining[session.session_id] = 0
-                    if enabled:
-                        now = time.perf_counter()
-                        stage_seconds["plan"] += now - mark
-                        mark = now
-                    if not plans:
-                        break
-                    rounds += 1
-                    # stage 2, once per dataset: one batched detector call over
-                    # the union of planned frames, duplicates coalesced
-                    frames_by_dataset: dict[str, dict[int, None]] = {}
-                    for session, pending in plans:
-                        ordered = frames_by_dataset.setdefault(
-                            session.spec.dataset, {}
-                        )
-                        for _, frame in pending:
-                            ordered[frame] = None
-                    if enabled:
-                        now = time.perf_counter()
-                        stage_seconds["coalesce"] += now - mark
-                        mark = now
-                    detections: dict[str, dict[int, list[Detection]]] = {}
-                    for dataset, ordered in frames_by_dataset.items():
-                        frames = list(ordered)
-                        if traced:
-                            # declare which traces ride this coalesced
-                            # batch so the shard coordinator can parent
-                            # its dispatch spans; cleared in the finally
-                            # so a detector error never leaks contexts
-                            # into an unrelated later batch
-                            tracer.begin_dispatch(
-                                trace_ctx[session.session_id]
-                                for session, _pending in plans
-                                if session.spec.dataset == dataset
-                            )
-                        try:
-                            per_frame = self._shared_detector(dataset).detect_many(
-                                frames
-                            )
-                        finally:
-                            if traced:
-                                tracer.end_dispatch()
-                        detections[dataset] = dict(zip(frames, per_frame))
-                        detect_frames += len(frames)
-                    if enabled:
-                        now = time.perf_counter()
-                        stage_seconds["detect"] += now - mark
-                        mark = now
-                    # stage 3, all sessions: commit in submission order
-                    for session, pending in plans:
-                        commit_start = time.perf_counter() if traced else 0.0
-                        count = session.commit_step(
-                            pending, detections[session.spec.dataset]
-                        )
-                        if traced:
-                            trace_id, _root = trace_ctx[session.session_id]
-                            tracer.record_span(
-                                trace_id,
-                                "commit",
-                                commit_start,
-                                time.perf_counter() - commit_start,
-                                tick=self._ticks,
-                                frames=count,
-                            )
-                            if session.state.terminal:
-                                tracer.finish_trace(
-                                    trace_id, session.state.value
-                                )
-                        processed[session.session_id] += count
-                        remaining[session.session_id] -= count
-                    if enabled:
-                        stage_seconds["commit"] += time.perf_counter() - mark
-                completed = True
-            finally:
-                # settle the books even if the detector raised mid-tick: every
-                # committed frame is charged, old debt survives, and the tick's
-                # share is only credited when the quantum actually completed
-                for session in active:
-                    session_id = session.session_id
-                    debt = self._deficits.pop(session_id, 0)
-                    credit = allocation.get(session_id, 0) if completed else 0
-                    new_debt = debt + processed[session_id] - credit
-                    if new_debt > 0:
-                        self._deficits[session_id] = new_debt
-                if tel.enabled:
-                    deficits = self._tick_instruments(tel)["deficit"]
-                    for session in active:
-                        session_id = session.session_id
-                        gauge = deficits.get(session_id)
-                        if gauge is None:
-                            gauge = deficits[session_id] = tel.gauge(
-                                "repro_serving_session_deficit_frames",
-                                {"session": session_id},
-                            )
-                        gauge.set(self._deficits.get(session_id, 0))
-                self._cache.flush()  # one durability point per scheduling quantum
-            if tel.enabled:
-                inst = self._tick_instruments(tel)
-                stage_hists = inst["stage"]
-                for name in ("plan", "coalesce", "detect", "commit"):
-                    if name == "detect":
-                        tel.record_span(
-                            name, stage_seconds[name],
-                            rounds=rounds, frames=detect_frames,
-                        )
-                    else:
-                        tel.record_span(name, stage_seconds[name], rounds=rounds)
-                    stage_hists[name].observe(stage_seconds[name])
-                for name in ("draw", "score"):
-                    inst["plan_split"][name].observe(plan_split[name])
-                frames_done = sum(processed.values())
-                tick_span.note(frames=frames_done, sessions=len(active))
-                inst["ticks"].inc()
-                inst["frames"].inc(frames_done)
-                inst["tick_seconds"].observe(time.perf_counter() - tick_start)
-                inst["tick_frames"].observe(frames_done)
+        obs = telemetry.get().tick_observer
+        obs.begin()
+        # pick up footage appended out-of-band since the last round; a
+        # session holding a pending (failed-tick) batch defers absorption
+        # until that batch commits, so this is always replay-safe
+        self.sync()
+        obs.synced()
+        # allocate over sessions a tick can actually advance: a follow
+        # session idling for footage is ACTIVE but handing it budget
+        # would silently waste its share (plans come back empty and the
+        # remainder is never redistributed within the tick)
+        active = self.schedulable_sessions()
+        if not active:
+            return {}
+        self._ticks += 1
+        allocation = self._scheduler.allocate(active, self._frames_per_tick, self._rng)
+        obs.scheduled(self._ticks, active, allocation)
+        processed: dict[str, int] = {s.session_id: 0 for s in active}
+        # forget debt only for sessions that are gone for good; paused
+        # sessions keep theirs and pay it on resume
+        self._deficits = {
+            sid: debt for sid, debt in self._deficits.items()
+            if sid in self._sessions and not self._sessions[sid].state.terminal
+        }
+        remaining = {
+            s.session_id: allocation.get(s.session_id, 0)
+            - self._deficits.get(s.session_id, 0)
+            for s in active
+        }
+        completed = False
+        try:
+            while True:
+                # stage 1, all sessions: plan one engine iteration each
+                plans: list[tuple[QuerySession, list[tuple[int, int]]]] = []
+                for session in active:  # submission order, policy-free
+                    if remaining[session.session_id] <= 0:
+                        continue
+                    pending = session.plan_step()
+                    obs.planned(session, pending)
+                    if pending:
+                        plans.append((session, pending))
+                    else:  # not schedulable (satisfied/exhausted/capped)
+                        remaining[session.session_id] = 0
+                obs.lap("plan")
+                if not plans:
+                    break
+                # stage 2, once per dataset: one batched detector call over
+                # the union of planned frames, duplicates coalesced
+                frames_by_dataset: dict[str, dict[int, None]] = {}
+                for session, pending in plans:
+                    ordered = frames_by_dataset.setdefault(session.spec.dataset, {})
+                    for _, frame in pending:
+                        ordered[frame] = None
+                obs.lap("coalesce")
+                detections: dict[str, dict[int, list[Detection]]] = {}
+                for dataset, ordered in frames_by_dataset.items():
+                    frames = list(ordered)
+                    obs.begin_dispatch(dataset, plans, frames)
+                    try:
+                        per_frame = self._shared_detector(dataset).detect_many(frames)
+                    finally:
+                        obs.end_dispatch()
+                    detections[dataset] = dict(zip(frames, per_frame))
+                obs.lap("detect")
+                # stage 3, all sessions: commit in submission order
+                for session, pending in plans:
+                    count = session.commit_step(pending, detections[session.spec.dataset])
+                    obs.committed(session, count)
+                    processed[session.session_id] += count
+                    remaining[session.session_id] -= count
+                obs.lap("commit")
+            completed = True
+        finally:
+            # settle the books even if the detector raised mid-tick: every
+            # committed frame is charged, old debt survives, and the tick's
+            # share is only credited when the quantum actually completed
+            for session in active:
+                session_id = session.session_id
+                debt = self._deficits.pop(session_id, 0)
+                credit = allocation.get(session_id, 0) if completed else 0
+                new_debt = debt + processed[session_id] - credit
+                if new_debt > 0:
+                    self._deficits[session_id] = new_debt
+            obs.settled(self._deficits)
+            self._cache.flush()  # one durability point per scheduling quantum
+        obs.finish(processed)
         return processed
 
     def run_until_idle(self, max_ticks: int | None = None) -> int:
@@ -795,14 +610,7 @@ class QueryService:
         sharded execution each coordinator harvests its workers'
         telemetry before shutting them down; open traces are closed so
         the export carries a root span for every session."""
-        tracer = telemetry.get().tracer
-        if tracer.enabled:
-            tracer.finish_all(
-                {
-                    derive_trace_id(session_id): session.state.value
-                    for session_id, session in self._sessions.items()
-                }
-            )
+        telemetry.get().tick_observer.service_closed(self._sessions)
         for detector in self._detectors.values():
             closer = getattr(detector.wrapped, "close", None)
             if closer is not None:

@@ -6,13 +6,15 @@ runs: detector calls, cache savings, scheduler fairness, tick latency.
 This package is that measurement plane, and the substrate every later
 performance PR cites its deltas from.
 
-Three pieces:
+Four pieces:
 
 * :mod:`~repro.telemetry.registry` — counters, gauges, and fixed-bucket
   histograms behind a get-or-create registry (deterministic snapshot
   structure, thread-safe mutation, stdlib only);
-* :mod:`~repro.telemetry.spans` — structured per-tick trace spans
-  (plan/detect/commit) and the bounded slow-tick ring buffer;
+* :mod:`~repro.telemetry.trace` — the one span model: per-query causal
+  traces (opt-in) and per-tick traces, slow ones kept in bounded rings;
+* :mod:`~repro.telemetry.observers` — the seam the tick loop and the
+  shard coordinator report through, each with a null twin;
 * the surfaces — a stable JSON snapshot (``--metrics-out``, validated
   against :mod:`~repro.telemetry.schema` in CI), the Prometheus text
   format (:mod:`~repro.telemetry.prometheus`), and the ``repro stats``
@@ -55,19 +57,18 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     merge_snapshot_bodies,
+    null_twin,
     parse_series_key,
     series_key,
 )
-from .spans import NULL_SPAN, SpanCollector, SpanRecord
-from .trace import NULL_TRACER, Tracer
+from .observers import NULL_DISPATCH_OBSERVER, NULL_TICK_OBSERVER, DispatchObserver, TickObserver
+from .trace import NULL_TRACER, SlowRing, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SpanCollector",
-    "SpanRecord",
     "Telemetry",
     "NullTelemetry",
     "Tracer",
@@ -92,8 +93,9 @@ WORKER_PREFIX = "repro_worker_"
 
 
 class Telemetry:
-    """A live telemetry pipeline: one registry, one span collector, and
-    (opt-in) one query tracer plus externally ingested worker bodies."""
+    """A live telemetry pipeline: one registry, the slow-tick ring, the
+    tick/dispatch observers, and (opt-in) one query tracer plus
+    externally ingested worker bodies."""
 
     enabled = True
 
@@ -106,10 +108,9 @@ class Telemetry:
         trace_capacity: int = 8192,
     ):
         self.registry = MetricsRegistry()
-        self.spans = SpanCollector(
-            slow_tick_threshold=slow_tick_threshold,
-            slow_tick_capacity=slow_tick_capacity,
-        )
+        self.slow_ticks = SlowRing(slow_tick_threshold, slow_tick_capacity, "slow_tick")
+        self.tick_observer = TickObserver(self)
+        self.dispatch_observer = DispatchObserver(self)
         self.tracer = (
             Tracer(
                 capacity=trace_capacity,
@@ -173,12 +174,6 @@ class Telemetry:
     ) -> Histogram:
         return self.registry.histogram(name, labels, buckets)
 
-    def span(self, name: str, **meta):
-        return self.spans.span(name, **meta)
-
-    def record_span(self, name: str, duration: float, **meta) -> None:
-        self.spans.record(name, duration, **meta)
-
     # ------------------------------------------------------------ output
 
     def snapshot(self) -> dict:
@@ -192,43 +187,21 @@ class Telemetry:
         return {
             "version": SNAPSHOT_VERSION,
             "enabled": True,
-            "counters": body["counters"],
-            "gauges": body["gauges"],
-            "histograms": body["histograms"],
-            "slow_ticks": self.spans.slow_ticks(),
+            **body,
+            "slow_ticks": self.slow_ticks.entries(),
             "slow_queries": self.tracer.slow_queries(),
         }
 
 
-class _NullInstrument:
-    """One shared object standing in for every disabled instrument."""
-
-    __slots__ = ()
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def set_max(self, value) -> None:
-        pass
-
-    def observe(self, value) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
+# one shared object standing in for every disabled instrument
+_NULL_INSTRUMENT = null_twin(Counter, Gauge, Histogram)
 
 
 class NullTelemetry:
     """The module default: every operation is a shared no-op.
 
     ``counter``/``gauge``/``histogram`` hand back one preallocated
-    instrument and ``span`` one preallocated context manager, so the
+    instrument and the observers are preallocated null twins, so the
     disabled path allocates nothing and branches nowhere — the property
     the overhead benchmark (``test_bench_telemetry_overhead``) holds the
     *enabled* path to within 3% of.
@@ -236,21 +209,17 @@ class NullTelemetry:
 
     enabled = False
     tracer = NULL_TRACER
+    tick_observer = NULL_TICK_OBSERVER
+    dispatch_observer = NULL_DISPATCH_OBSERVER
 
-    def counter(self, name, labels=None) -> _NullInstrument:
+    def counter(self, name, labels=None):
         return _NULL_INSTRUMENT
 
-    def gauge(self, name, labels=None) -> _NullInstrument:
+    def gauge(self, name, labels=None):
         return _NULL_INSTRUMENT
 
-    def histogram(self, name, labels=None, buckets=SECONDS_BUCKETS) -> _NullInstrument:
+    def histogram(self, name, labels=None, buckets=SECONDS_BUCKETS):
         return _NULL_INSTRUMENT
-
-    def span(self, name, **meta):
-        return NULL_SPAN
-
-    def record_span(self, name, duration, **meta) -> None:
-        pass
 
     def ingest_external(self, body, labels, prefix=WORKER_PREFIX) -> None:
         pass

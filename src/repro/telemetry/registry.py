@@ -30,6 +30,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "null_twin",
     "SECONDS_BUCKETS",
     "FRAMES_BUCKETS",
     "series_key",
@@ -280,6 +281,21 @@ class Histogram:
         }
 
 
+def null_twin(*classes):
+    """The off switch of ``classes``: one shared, allocation-free object
+    with every public method they define, each an empty call — so a
+    disabled call site reads (and branches) exactly like an enabled one."""
+
+    def noop(self, *args) -> None:
+        pass
+
+    names = [
+        name for cls in classes for name, member in vars(cls).items()
+        if callable(member) and not name.startswith("_")
+    ]
+    return type("Null" + classes[0].__name__, (), {"__slots__": (), **dict.fromkeys(names, noop)})()
+
+
 class MetricsRegistry:
     """Get-or-create instrument store, keyed by series identity.
 
@@ -357,6 +373,15 @@ class MetricsRegistry:
                     for key in sorted(self._histograms)
                 },
             }
+
+    def drop(self, name: str, labels: Mapping[str, object] | None = None) -> None:
+        """Forget one series (whatever its kind; absent is fine) — how a
+        per-entity series ends when its entity does, so a long-lived
+        process's snapshot stays bounded.  Handles to it go stale."""
+        key = series_key(name, labels)
+        with self._lock:
+            for table in (self._counters, self._gauges, self._histograms):
+                table.pop(key, None)
 
     def reset(self) -> None:
         """Drop every series (a fresh registry, not zeroed instruments —

@@ -26,9 +26,12 @@ bounded ring.  ``repro serve --trace-out FILE`` dumps them as JSONL and
 document (see :func:`validate_trace`, the shipped checker CI runs).
 
 Traces whose admission-to-terminal extent meets ``slow_query_threshold``
-are retained as full span *trees* in a bounded slow-query ring — the
-per-query upgrade of the slow-tick log: it names the cause, not just
-the tick.
+are retained as full span *trees* in a bounded slow-query ring.
+
+A tick is one more trace (:func:`tick_tree`): same span record, same
+tree builder, same :class:`SlowRing` type, ids derived from the tick
+number.  Tick traces feed only the slow-tick ring — never the event ring
+or the export — and exist whether or not query tracing is on.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from collections import deque
 __all__ = [
     "derive_trace_id",
     "derive_span_id",
+    "SlowRing",
+    "tick_tree",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -63,6 +68,47 @@ def derive_span_id(trace_id: str, seq: int) -> str:
     return hashlib.blake2b(
         f"{trace_id}:{seq}".encode("utf-8"), digest_size=_ID_BYTES
     ).hexdigest()
+
+
+def _span(name, span_id, parent_id, start, duration, tid=0, args=None) -> dict:
+    """The one span record: every span of every trace is this dict."""
+    args = args or {}
+    return {
+        "name": name,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "start": float(start),
+        "duration": float(duration),
+        "tid": int(tid),
+        "args": {k: args[k] for k in sorted(args)},
+    }
+
+
+class SlowRing:
+    """The retention behind ``slow_ticks`` and ``slow_queries``: entries
+    lasting at least ``threshold`` seconds, the newest ``capacity`` of
+    them — sized in entries, so it can never grow without bound."""
+
+    def __init__(self, threshold: float, capacity: int, what: str):
+        if threshold < 0.0:
+            raise ValueError(f"{what}_threshold must be non-negative")
+        if capacity < 1:
+            raise ValueError(f"{what}_capacity must be at least 1")
+        self.threshold = threshold
+        self._entries: deque[dict] = deque(maxlen=capacity)
+        self._lock = threading.Lock()
+
+    def offer(self, duration: float, build) -> None:
+        """Retain ``build()`` — built only when ``duration`` qualifies."""
+        if duration >= self.threshold:
+            entry = build()
+            with self._lock:
+                self._entries.append(entry)
+
+    def entries(self) -> list[dict]:
+        """The retained entries, oldest first."""
+        with self._lock:
+            return list(self._entries)
 
 
 # one retained-span cap per trace: a pathological million-tick session
@@ -92,14 +138,9 @@ class Tracer:
     ):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if slow_query_threshold < 0.0:
-            raise ValueError("slow_query_threshold must be non-negative")
-        if slow_query_capacity < 1:
-            raise ValueError("slow_query_capacity must be at least 1")
-        self.slow_query_threshold = slow_query_threshold
         self._origin = time.perf_counter()
         self._events: deque[dict] = deque(maxlen=capacity)
-        self._slow_queries: deque[dict] = deque(maxlen=slow_query_capacity)
+        self._slow_queries = SlowRing(slow_query_threshold, slow_query_capacity, "slow_query")
         self._traces: dict[str, dict] = {}
         self._lock = threading.Lock()
         # the in-flight detect batch's participating traces, set by the
@@ -129,12 +170,8 @@ class Tracer:
         return trace_id
 
     def root_span_id(self, trace_id: str) -> str:
-        """The (reserved, seq-0) root span id of a registered trace."""
-        with self._lock:
-            state = self._traces.get(trace_id)
-        if state is None:
-            return derive_span_id(trace_id, 0)
-        return state["root"]
+        """The (reserved, seq-0) root span id of a trace."""
+        return derive_span_id(trace_id, 0)
 
     def record_span(
         self,
@@ -163,15 +200,7 @@ class Tracer:
             state["seq"] = seq + 1
             span_id = derive_span_id(trace_id, seq)
             parent = parent_id if parent_id is not None else state["root"]
-            span = {
-                "name": name,
-                "span_id": span_id,
-                "parent_id": parent,
-                "start": float(start),
-                "duration": float(duration),
-                "tid": int(tid),
-                "args": {k: args[k] for k in sorted(args)},
-            }
+            span = _span(name, span_id, parent, start, duration, tid, args)
             if len(state["spans"]) < _MAX_SPANS_PER_TRACE:
                 state["spans"].append(span)
             else:
@@ -189,29 +218,25 @@ class Tracer:
                 return
             first = min(span["start"] for span in state["spans"])
             last = max(span["start"] + span["duration"] for span in state["spans"])
-            root = {
-                "name": self.ROOT_SPAN,
-                "span_id": state["root"],
-                "parent_id": "",
-                "start": first,
-                "duration": max(0.0, last - first),
-                "tid": 0,
-                "args": {"session": state["session"]},
-            }
+            root_args = {"session": state["session"]}
             if state_name:
-                root["args"]["state"] = state_name
+                root_args["state"] = state_name
             if state["dropped"]:
-                root["args"]["dropped_spans"] = state["dropped"]
+                root_args["dropped_spans"] = state["dropped"]
+            root = _span(
+                self.ROOT_SPAN, state["root"], "", first,
+                max(0.0, last - first), args=root_args,
+            )
             self._events.append(self._event(trace_id, root))
-            if root["duration"] >= self.slow_query_threshold:
-                self._slow_queries.append(
-                    {
-                        "session": state["session"],
-                        "trace_id": trace_id,
-                        "duration_seconds": root["duration"],
-                        "spans": _span_tree(root, state["spans"]),
-                    }
-                )
+            self._slow_queries.offer(
+                root["duration"],
+                lambda: {
+                    "session": state["session"],
+                    "trace_id": trace_id,
+                    "duration_seconds": root["duration"],
+                    "spans": _span_tree(root, state["spans"]),
+                },
+            )
 
     # -------------------------------------------------- dispatch propagation
 
@@ -252,17 +277,17 @@ class Tracer:
 
     def slow_queries(self) -> list[dict]:
         """Retained slow-query span trees, oldest first."""
-        with self._lock:
-            return list(self._slow_queries)
+        return self._slow_queries.entries()
 
-    def finish_all(self, state_names=None) -> None:
+    def finish_all(self, states=None) -> None:
         """Close every open trace (end of a serving run): sessions that
-        never reached terminal still get a root span in the export."""
-        names = dict(state_names or {})
+        never reached terminal still get a root span in the export, with
+        the state ``states`` (session id -> state name) gives them."""
+        states = states or {}
         with self._lock:
-            open_ids = list(self._traces)
-        for trace_id in open_ids:
-            self.finish_trace(trace_id, names.get(trace_id, ""))
+            open_traces = [(tid, trace["session"]) for tid, trace in self._traces.items()]
+        for trace_id, session_id in open_traces:
+            self.finish_trace(trace_id, states.get(session_id, ""))
 
 
 def _span_tree(root: dict, spans: list[dict]) -> dict:
@@ -287,6 +312,18 @@ def _span_tree(root: dict, spans: list[dict]) -> dict:
     return build(root)
 
 
+def tick_tree(number: int, duration: float, stages, **args) -> dict:
+    """Tick ``number`` as a span tree: root ``tick``, one child per
+    ``(name, seconds, args)`` stage (seconds summed over its rounds)."""
+    trace_id = derive_trace_id(f"tick:{number}")
+    root = _span("tick", derive_span_id(trace_id, 0), "", 0.0, duration, args=args)
+    spans = [
+        _span(name, derive_span_id(trace_id, seq), root["span_id"], 0.0, seconds, args=stage_args)
+        for seq, (name, seconds, stage_args) in enumerate(stages, 1)
+    ]
+    return _span_tree(root, spans)
+
+
 class NullTracer:
     """The off switch: every operation a no-op, ``enabled`` false —
     instrumented sites guard their timing work on this one attribute."""
@@ -306,7 +343,7 @@ class NullTracer:
     def finish_trace(self, trace_id, state_name=""):
         pass
 
-    def finish_all(self, state_names=None):
+    def finish_all(self, states=None):
         pass
 
     def begin_dispatch(self, contexts):

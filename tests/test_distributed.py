@@ -74,28 +74,52 @@ def test_worker_detect_matches_raw_detector_exactly():
     worker, repo = _worker()
     raw = OracleDetector(repo)
     frames = [5, 145, 310, 25, 310]
-    status, request_id, rows = worker.handle(("detect", 7, frames))
+    status, request_id, reply = worker.handle(("detect", 7, {"frames": frames}))
     assert (status, request_id) == ("ok", 7)
     from repro.distributed.worker import decode_rows
 
-    assert [decode_rows(r) for r in rows] == [raw.detect(f) for f in frames]
+    assert [decode_rows(r) for r in reply["rows"]] == [raw.detect(f) for f in frames]
+
+
+def test_worker_detect_speaks_one_payload_shape():
+    """Requests are ``{"frames": [...]}``, replies always carry ``rows``
+    and ``span``; the removed bare-list request and a payload without
+    ``frames`` are answered as errors, never raised."""
+    worker, _ = _worker()
+    status, _, reply = worker.handle(("detect", 0, {"frames": [5, 25, 5]}))
+    assert status == "ok" and set(reply) == {"rows", "span"}
+    assert len(reply["rows"]) == 3
+    span = reply["span"]
+    assert set(span) == {"duration_seconds", "frames", "detector_calls"}
+    assert span["frames"] == 3 and span["detector_calls"] == 2
+    assert span["duration_seconds"] >= 0.0
+    # an all-hit batch still answers in the same shape
+    _, _, again = worker.handle(("detect", 1, {"frames": [5]}))
+    assert set(again) == {"rows", "span"} and again["span"]["detector_calls"] == 0
+    for request_id, bad in ((2, [1, 2]), (3, {"frame": [1]}), (4, None)):
+        status, echoed, message = worker.handle(("detect", request_id, bad))
+        assert (status, echoed) == ("error", request_id), bad
+        assert isinstance(message, str)
+    assert worker.handle(("detect", 5, {"frames": [5]}))[0] == "ok"  # still serving
 
 
 def test_worker_local_cache_dedupes_detector_calls():
     worker, _ = _worker()
-    worker.handle(("detect", 0, [5, 25, 5]))  # in-batch duplicate
+    worker.handle(("detect", 0, {"frames": [5, 25, 5]}))  # in-batch duplicate
     assert worker.detector_calls == 2
-    worker.handle(("detect", 1, [5, 25, 60]))  # cross-request hits
+    worker.handle(("detect", 1, {"frames": [5, 25, 60]}))  # cross-request hits
     assert worker.detector_calls == 3
 
 
 def test_worker_rejects_out_of_range_frames_without_dying():
     worker, repo = _worker()
-    status, request_id, message = worker.handle(("detect", 3, [repo.horizon + 5]))
+    status, request_id, message = worker.handle(
+        ("detect", 3, {"frames": [repo.horizon + 5]})
+    )
     assert (status, request_id) == ("error", 3)
     assert "outside" in message
     # the worker survives the error and keeps serving
-    assert worker.handle(("detect", 4, [5]))[0] == "ok"
+    assert worker.handle(("detect", 4, {"frames": [5]}))[0] == "ok"
 
 
 def test_worker_append_grows_replica_and_serves_new_frames():
@@ -114,13 +138,13 @@ def test_worker_append_grows_replica_and_serves_new_frames():
         )
     )
     assert status == "ok" and payload["horizon"] == horizon + 60
-    status, _, rows = worker.handle(("detect", 2, [horizon + 15]))
-    assert status == "ok" and len(rows[0]) == 1
+    status, _, reply = worker.handle(("detect", 2, {"frames": [horizon + 15]}))
+    assert status == "ok" and len(reply["rows"][0]) == 1
 
 
 def test_worker_stats_and_unknown_op():
     worker, _ = _worker()
-    worker.handle(("detect", 0, [5, 25]))
+    worker.handle(("detect", 0, {"frames": [5, 25]}))
     status, _, stats = worker.handle(("stats", 1, None))
     assert status == "ok"
     assert stats["served"] == 2 and stats["detector_calls"] == 2
@@ -184,10 +208,10 @@ def test_coordinator_drains_healthy_shards_when_one_errors(monkeypatch):
 
     original = worker_mod.ShardWorker._detect
 
-    def poisoned(self, frames):
-        if 5 in list(frames):
+    def poisoned(self, payload):
+        if 5 in payload["frames"]:
             raise RuntimeError("poisoned frame")
-        return original(self, frames)
+        return original(self, payload)
 
     # forked workers inherit the poisoned module at spawn time
     monkeypatch.setattr(worker_mod.ShardWorker, "_detect", poisoned)

@@ -12,6 +12,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -506,6 +507,10 @@ def test_stats_watch_refreshes_until_interrupted(tmp_path):
 
 
 def test_stats_watch_tolerates_missing_file_then_renders(tmp_path):
+    """Paced by the child's own output, not by sleeps: wait for it to
+    report the missing file, only then write it, wait for the render,
+    only then interrupt — a slow ``python -m repro`` start-up on a busy
+    box cannot reorder the steps."""
     metrics = tmp_path / "late.json"
     proc = subprocess.Popen(
         [
@@ -517,20 +522,31 @@ def test_stats_watch_tolerates_missing_file_then_renders(tmp_path):
         text=True,
         env=_subprocess_env(),
     )
+    seen: list[str] = []
+    reader = threading.Thread(
+        target=lambda: seen.extend(iter(proc.stdout.readline, "")), daemon=True
+    )
+    reader.start()
+
+    def wait_for(needle):
+        deadline = time.monotonic() + 60.0
+        while not any(needle in line for line in seen):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, f"no {needle!r} in {seen[-5:]}"
+            time.sleep(0.02)
+
     try:
-        time.sleep(0.3)  # polls a missing file: transient, not an error
-        assert proc.poll() is None
+        wait_for("waiting")  # polls a missing file: transient, not an error
         _valid_metrics_file(metrics)
-        time.sleep(0.3)
+        wait_for("repro_serving_ticks_total")
         proc.send_signal(signal.SIGINT)
-        out, err = proc.communicate(timeout=10)
+        proc.wait(timeout=10)
+        reader.join(timeout=10)
     finally:
         if proc.poll() is None:
             proc.kill()
-            proc.communicate()
-    assert proc.returncode == 0, err
-    assert "waiting" in out
-    assert "repro_serving_ticks_total" in out
+            proc.wait()
+    assert proc.returncode == 0, proc.stderr.read()
 
 
 def test_stats_watch_rejects_nonpositive_interval(tmp_path, capsys):

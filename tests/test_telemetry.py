@@ -1,8 +1,9 @@
 """Telemetry subsystem tests: registry semantics, snapshot determinism,
-the no-op default, span trees, renderers, schema validation — and the
+the no-op default, the slow-tick ring, renderers, schema validation — and the
 contract that matters most: decision streams are bit-identical with
 telemetry enabled or disabled."""
 
+import inspect
 import json
 import threading
 
@@ -26,10 +27,11 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     NullTelemetry,
-    SpanCollector,
     Telemetry,
     series_key,
 )
+from repro.telemetry.observers import DispatchObserver, TickObserver
+from repro.telemetry.trace import SlowRing, tick_tree
 from repro.telemetry.prometheus import render
 from repro.telemetry.schema import load_schema, validate, validation_errors
 from repro.video.geometry import Box, Trajectory
@@ -164,12 +166,9 @@ def test_default_pipeline_is_noop():
     # every instrument is one shared object: nothing allocates per call
     assert tel.counter("a") is tel.counter("b")
     assert tel.counter("a") is tel.gauge("g") is tel.histogram("h")
-    assert tel.span("tick") is tel.span("other")
     tel.counter("a").inc(5)
     tel.gauge("g").set(3)
     tel.histogram("h").observe(1.0)
-    with tel.span("tick") as span:
-        span.note(frames=4)
     snap = tel.snapshot()
     assert snap["enabled"] is False
     assert snap["counters"] == {} and snap["slow_ticks"] == []
@@ -188,44 +187,64 @@ def test_enable_disable_lifecycle():
     assert isinstance(telemetry.get(), NullTelemetry)
 
 
-# -------------------------------------------------------------------- spans
+# ---------------------------------------------------------- observer twins
 
-def test_span_trees_nest_and_record_meta():
-    collector = SpanCollector(slow_tick_threshold=0.0)
-    with collector.span("tick", tick=1):
-        with collector.span("plan") as plan:
-            plan.note(frames=8)
-        with collector.span("detect"):
-            with collector.span("inner"):
-                pass
-    root = collector.last_root
-    assert root.name == "tick"
-    assert [c.name for c in root.children] == ["plan", "detect"]
-    assert root.children[1].children[0].name == "inner"
-    body = root.to_dict()
-    assert body["meta"] == {"tick": 1}
-    assert body["children"][0]["meta"] == {"frames": 8}
+@pytest.mark.parametrize(
+    "live, null_name",
+    [(TickObserver, "tick_observer"), (DispatchObserver, "dispatch_observer")],
+)
+def test_null_observers_mirror_the_live_ones(live, null_name):
+    """Every public method of a live observer exists on the shared null
+    twin, takes the same arguments, and does nothing."""
+    null = getattr(NullTelemetry(), null_name)
+    assert null is getattr(telemetry.get(), null_name)  # one shared object
+    assert isinstance(getattr(Telemetry(), null_name), live)
+    methods = [
+        name for name, member in vars(live).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    ]
+    assert methods
+    for name in methods:
+        arity = len(inspect.signature(getattr(live, name)).parameters) - 1
+        assert getattr(null, name)(*[None] * arity) is None
+
+
+# ---------------------------------------------------------------- slow ring
+
+def _offer_tick(ring, number, duration=0.001):
+    ring.offer(duration, lambda: tick_tree(number, duration, [], tick=number))
+
+
+def test_tick_tree_is_a_trace_with_stage_children():
+    stages = [("sync", 0.1, {}), ("detect", 0.3, {"rounds": 2, "frames": 8})]
+    tree = tick_tree(3, 0.5, stages, tick=3, frames=8)
+    assert tree["name"] == "tick" and tree["duration_seconds"] == 0.5
+    assert tree["args"] == {"frames": 8, "tick": 3}
+    assert [c["name"] for c in tree["children"]] == ["sync", "detect"]
+    assert "args" not in tree["children"][0]
+    assert tree["children"][1]["args"] == {"frames": 8, "rounds": 2}
+    # ids are derived from the tick number: replayable, distinct per span
+    assert tree == tick_tree(3, 0.5, stages, tick=3, frames=8)
+    ids = {tree["span_id"], *(c["span_id"] for c in tree["children"])}
+    assert len(ids) == 3
+    assert tree["span_id"] != tick_tree(4, 0.5, [])["span_id"]
 
 
 def test_slow_tick_ring_buffer_bounds_and_filters():
-    collector = SpanCollector(slow_tick_threshold=0.0, slow_tick_capacity=2)
+    ring = SlowRing(0.0, 2, "slow_tick")
     for i in range(4):
-        with collector.span("tick", tick=i):
-            pass
-    with collector.span("not-a-tick"):  # only root "tick" spans qualify
-        pass
-    retained = collector.slow_ticks()
+        _offer_tick(ring, i)
+    retained = ring.entries()
     assert len(retained) == 2  # capped: new slow ticks evict the oldest
-    assert [t["meta"]["tick"] for t in retained] == [2, 3]
-    # a high threshold filters everything out
-    quiet = SpanCollector(slow_tick_threshold=10.0)
-    with quiet.span("tick"):
-        pass
-    assert quiet.slow_ticks() == []
-    with pytest.raises(ValueError):
-        SpanCollector(slow_tick_threshold=-1.0)
-    with pytest.raises(ValueError):
-        SpanCollector(slow_tick_capacity=0)
+    assert [t["args"]["tick"] for t in retained] == [2, 3]
+    # a high threshold filters everything out, without building the entry
+    quiet = SlowRing(10.0, 32, "slow_tick")
+    quiet.offer(0.5, lambda: pytest.fail("built an entry it would not keep"))
+    assert quiet.entries() == []
+    with pytest.raises(ValueError, match="slow_tick_threshold"):
+        Telemetry(slow_tick_threshold=-1.0)
+    with pytest.raises(ValueError, match="slow_tick_capacity"):
+        Telemetry(slow_tick_capacity=0)
 
 
 def test_slow_tick_ring_evicts_in_strict_fifo_order_at_capacity():
@@ -233,68 +252,24 @@ def test_slow_tick_ring_evicts_in_strict_fifo_order_at_capacity():
     capacity C, exactly the last C survive, oldest first — never a
     reordering, never a skip."""
     capacity = 5
-    collector = SpanCollector(slow_tick_threshold=0.0, slow_tick_capacity=capacity)
+    ring = SlowRing(0.0, capacity, "slow_tick")
     for i in range(17):
-        collector.record("tick", duration=0.001, tick=i)
-    retained = collector.slow_ticks()
-    assert [t["meta"]["tick"] for t in retained] == list(range(12, 17))
+        _offer_tick(ring, i)
+    assert [t["args"]["tick"] for t in ring.entries()] == list(range(12, 17))
     # one more evicts exactly the oldest retained entry
-    collector.record("tick", duration=0.001, tick=17)
-    assert [t["meta"]["tick"] for t in collector.slow_ticks()] == list(
-        range(13, 18)
-    )
+    _offer_tick(ring, 17)
+    assert [t["args"]["tick"] for t in ring.entries()] == list(range(13, 18))
 
 
 def test_slow_tick_threshold_boundary_is_inclusive():
     """``>=`` semantics: a tick exactly at the threshold is slow; one
-    strictly below is not.  ``record`` files pre-timed durations, so the
+    strictly below is not.  Durations are offered pre-timed, so the
     boundary is testable without sleeping."""
-    collector = SpanCollector(slow_tick_threshold=0.1)
-    collector.record("tick", duration=0.1, tick=0)      # == threshold: kept
-    collector.record("tick", duration=0.0999, tick=1)   # below: dropped
-    collector.record("tick", duration=0.1001, tick=2)   # above: kept
-    assert [t["meta"]["tick"] for t in collector.slow_ticks()] == [0, 2]
-    # non-"tick" roots never qualify regardless of duration
-    collector.record("not-a-tick", duration=9.0)
-    assert len(collector.slow_ticks()) == 2
-
-
-def test_span_stacks_are_thread_local_under_concurrent_recorders():
-    """Two threads recording nested spans through one collector must
-    never see each other's children: the open-span stack is per-thread,
-    only completed roots funnel through the shared ring."""
-    collector = SpanCollector(slow_tick_threshold=0.0, slow_tick_capacity=256)
-    barrier = threading.Barrier(4)
-    errors: list[str] = []
-
-    def recorder(worker: int):
-        barrier.wait()
-        for i in range(50):
-            with collector.span("tick", worker=worker, i=i):
-                with collector.span(f"stage-{worker}") as stage:
-                    stage.note(worker=worker)
-                collector.record(f"inner-{worker}", duration=0.0)
-
-    threads = [threading.Thread(target=recorder, args=(w,)) for w in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    ticks = collector.slow_ticks()
-    assert len(ticks) == 200  # every root from every thread landed
-    for tick in ticks:
-        worker = tick["meta"]["worker"]
-        children = tick.get("children", [])
-        # exactly this thread's two children — no leakage, no loss
-        names = [child["name"] for child in children]
-        if names != [f"stage-{worker}", f"inner-{worker}"]:
-            errors.append(f"worker {worker} tick has children {names}")
-        if any(
-            child.get("meta", {}).get("worker", worker) != worker
-            for child in children
-        ):
-            errors.append(f"foreign meta in worker {worker}'s tick")
-    assert not errors, errors[:5]
+    ring = SlowRing(0.1, 32, "slow_tick")
+    _offer_tick(ring, 0, duration=0.1)      # == threshold: kept
+    _offer_tick(ring, 1, duration=0.0999)   # below: dropped
+    _offer_tick(ring, 2, duration=0.1001)   # above: kept
+    assert [t["args"]["tick"] for t in ring.entries()] == [0, 2]
 
 
 # --------------------------------------------------------------- prometheus
@@ -324,8 +299,7 @@ def test_schema_accepts_real_snapshots():
     tel = Telemetry(slow_tick_threshold=0.0)
     tel.counter("repro_x_total").inc()
     tel.histogram("repro_h_seconds").observe(0.01)
-    with tel.spans.span("tick"):
-        pass
+    _offer_tick(tel.slow_ticks, 1)
     validate(tel.snapshot())  # must not raise
     validate(NullTelemetry().snapshot())
 
@@ -528,16 +502,97 @@ def test_sharded_run_covers_all_five_layers(tmp_path):
     )
     for layer in ("serving", "cache", "exec", "shard", "ingest"):
         assert any(key.startswith(f"repro_{layer}_") for key in series), layer
-    # idle rounds (session budget drained) do no work and count no tick
-    assert 1 <= snap["counters"]["repro_serving_ticks_total"] <= 4
-    # span trees: every retained tick carries the stage children
-    assert snap["slow_ticks"], "threshold 0.0 must retain every tick"
-    # idle ticks carry only "sync"; a working tick carries every stage
-    worked = [
-        {c["name"] for c in tick.get("children", [])}
-        for tick in snap["slow_ticks"]
-    ]
-    assert any({"plan", "coalesce", "detect", "commit"} <= s for s in worked)
+    # idle rounds (session budget drained) do no work, count no tick and
+    # file no tick: the slow-tick log holds exactly the working ticks,
+    # numbered as the counter counts them
+    worked = snap["counters"]["repro_serving_ticks_total"]
+    assert 1 <= worked < 4
+    assert [t["args"]["tick"] for t in snap["slow_ticks"]] == list(
+        range(1, worked + 1)
+    )
+    # span trees: every retained tick carries every stage child
+    for tick in snap["slow_ticks"]:
+        assert [c["name"] for c in tick["children"]] == [
+            "sync", "plan", "coalesce", "detect", "commit",
+        ]
+
+
+def test_idle_rounds_file_no_tick():
+    """An idle ``tick()`` advances nothing: it is not counted, and it
+    must not file a tick record numbered like the next working tick."""
+    tel = telemetry.enable(slow_tick_threshold=0.0)
+    service = QueryService(
+        _parity_repository(0), frames_per_tick=16, chunk_frames=50, seed=0
+    )
+    try:
+        assert service.tick() == {}  # nothing submitted yet
+        service.submit("cam0", "bus", max_samples=20)
+        worked = service.run_until_idle()
+        for _ in range(3):
+            assert service.tick() == {}
+        snap = tel.snapshot()
+    finally:
+        service.close()
+    assert worked == service.ticks == snap["counters"]["repro_serving_ticks_total"]
+    assert [t["args"]["tick"] for t in snap["slow_ticks"]] == list(
+        range(1, worked + 1)
+    )
+
+
+def test_per_session_gauges_end_with_their_session():
+    """A long-lived server must not keep two gauge series (and their
+    handles) per session it ever served: terminal sessions retire
+    theirs, live and paused ones keep them."""
+    tel = telemetry.enable()
+    service = QueryService(
+        _parity_repository(0), frames_per_tick=64, chunk_frames=50, batch_size=4,
+        seed=0,
+    )
+
+    def session_series():
+        return [
+            key for key in tel.snapshot()["gauges"] if "{session=" in key
+        ]
+
+    try:
+        for _ in range(200):  # one-batch sessions, a few alive per tick
+            service.submit("cam0", "car", max_samples=4, warm_start=False)
+            if len(service.schedulable_sessions()) >= 8:
+                service.tick()
+        service.run_until_idle()
+        assert all(s.state.terminal for s in service.sessions.values())
+        assert tel.snapshot()["counters"]["repro_serving_frames_total"] == 800
+        assert session_series() == []
+        assert tel.tick_observer.session_gauges == {}
+        # live sessions are still reported; pausing keeps, cancelling retires
+        paused = service.submit("cam0", "bus", max_samples=400, warm_start=False)
+        gone = service.submit("cam0", "bus", max_samples=400, warm_start=False)
+        service.tick()
+        assert len(session_series()) == 4
+        service.pause(paused)
+        service.cancel(gone)
+        assert session_series() == [
+            f'repro_serving_session_deficit_frames{{session="{paused}"}}',
+            f'repro_serving_session_grant_frames{{session="{paused}"}}',
+        ]
+        assert set(tel.tick_observer.session_gauges) == {paused}
+    finally:
+        service.close()
+
+
+def test_registry_drop_forgets_one_series():
+    registry = MetricsRegistry()
+    registry.gauge("repro_g_frames", {"session": "s1"}).set(3)
+    registry.gauge("repro_g_frames", {"session": "s2"}).set(4)
+    registry.counter("repro_c_total").inc()
+    registry.drop("repro_g_frames", {"session": "s1"})
+    registry.drop("repro_g_frames", {"session": "s1"})  # absent is fine
+    registry.drop("repro_c_total")
+    snap = registry.snapshot()
+    assert snap["gauges"] == {'repro_g_frames{session="s2"}': 4}
+    assert snap["counters"] == {}
+    # a dropped name is free to come back, as any kind
+    registry.gauge("repro_c_total").set(1)
 
 
 def test_torn_tail_repair_is_counted(tmp_path):

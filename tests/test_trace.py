@@ -167,7 +167,7 @@ def test_finish_all_closes_every_open_trace_with_states():
     t0 = time.perf_counter()
     tracer.record_span(a, "plan", t0, 0.001)
     tracer.record_span(b, "plan", t0, 0.001)
-    tracer.finish_all({a: "active"})
+    tracer.finish_all({"s1": "active"})
     events = tracer.events()
     assert validate_trace(events) == []
     roots = {e["args"]["trace_id"]: e for e in events if e["name"] == "session"}
@@ -347,3 +347,37 @@ def test_tracing_keeps_local_run_chain_without_shard_spans():
     names = {e["name"] for e in events}
     assert {"admission", "plan", "commit", "session"} <= names
     assert "shard-dispatch" not in names and "worker-detect" not in names
+
+
+def test_sessions_turning_terminal_outside_a_commit_close_their_traces():
+    """The open-trace leak: a session satisfied by the warm start alone,
+    cancelled, or found exhausted at plan time used to keep its trace
+    open (and out of the export) until ``service.close()``.  Each must
+    leave the open-trace map and file exactly one root event."""
+    tel = telemetry.enable(trace=True)
+    repo = _world()
+    service = QueryService(repo, frames_per_tick=16, chunk_frames=50, seed=0)
+    try:
+        first = service.submit("cam0", "bus", limit=2, warm_start=False)
+        service.run_until_idle()
+        # every later limit-2 query is answered from the warm cache at admission
+        warm = [service.submit("cam0", "bus", limit=2) for _ in range(20)]
+        assert all(service.status(sid).state == "completed" for sid in warm)
+        cancelled = service.submit("cam0", "bus", max_samples=40, warm_start=False)
+        service.tick()
+        service.cancel(cancelled)
+        service.cancel(cancelled)  # closing twice files nothing twice
+        never_ran = service.submit("cam0", "bus", max_samples=40, warm_start=False)
+        service.cancel(never_ran)
+        assert tel.tracer._traces == {}
+        events = tel.tracer.events()
+        assert validate_trace(events) == []
+        roots = [e["args"] for e in events if e["name"] == "session"]
+        assert sorted(r["session"] for r in roots) == sorted(
+            [first, cancelled, never_ran, *warm]
+        )
+        states = {r["session"]: r["state"] for r in roots}
+        assert states[cancelled] == states[never_ran] == "cancelled"
+        assert {states[sid] for sid in warm} == {"completed"}
+    finally:
+        service.close()
