@@ -48,6 +48,7 @@ from ..serving import state as serving_state
 from ..serving import ingest as serving_ingest
 from ..serving.ingest import IngestEntry
 from ..serving.service import QueryService
+from ..serving.state import TENANTS_FILENAME, restore_state
 from ..video.repository import VideoRepository, empty_repository
 from .protocol import (
     MAX_REQUEST_BYTES,
@@ -59,9 +60,9 @@ from .protocol import (
     parse_request,
 )
 
+# restore_state and TENANTS_FILENAME live with the other state-dir code in
+# repro.serving.state; they stay importable from here
 __all__ = ["ServerConfig", "AsyncQueryServer", "restore_state", "TENANTS_FILENAME"]
-
-TENANTS_FILENAME = "tenants.json"
 
 _REJECT_REASONS = ("queue-full", "quota-exceeded", "draining")
 
@@ -110,31 +111,8 @@ class ServerConfig:
             raise ValueError("history_interval must be non-negative")
 
 
-def restore_state(
-    service: QueryService,
-    state_dir,
-    base_seed: int,
-    dataset_factory: Callable[[str], VideoRepository] | None = None,
-) -> int:
-    """Load a state directory into a fresh service: replay the ingest
-    journal (so horizon-logged snapshots see the clip sequence their
-    live runs absorbed), then restore every session snapshot.  Returns
-    the journal cursor the server should continue ingesting from."""
-    factory = dataset_factory if dataset_factory is not None else empty_repository
-    cursor = serving_ingest.apply_journal(
-        service, state_dir, base_seed, 0, on_missing_dataset=factory
-    )
-    for snap in serving_state.load_snapshots(state_dir):
-        try:
-            service.repository(snap.dataset)
-        except KeyError:
-            service.register(snap.dataset, factory(snap.dataset))
-        service.restore(snap)
-    return cursor
-
-
 class AsyncQueryServer:
-    """One listening socket, one admission queue, one tick-loop task.
+    """One listening socket, one admission queue, one tick loop.
 
     Parameters
     ----------
@@ -193,13 +171,12 @@ class AsyncQueryServer:
         }
         self._server: asyncio.AbstractServer | None = None
         self._loop_task: asyncio.Task | None = None
-        self._fatal: BaseException | None = None
         self._address: tuple[str, int] | None = None
         self._tel_memo: tuple | None = None
         self._history = SnapshotHistory(capacity=self._config.history_capacity)
         self._history_last = float("-inf")
         if state_dir is not None:
-            self._tenants = _load_tenants(state_dir)
+            self._tenants = serving_state.load_tenants(state_dir)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -233,7 +210,7 @@ class AsyncQueryServer:
         )
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
-        self._loop_task = asyncio.ensure_future(self._run_loop())
+        self._loop_task = asyncio.ensure_future(self.run_loop())
         return self._address
 
     def request_drain(self) -> None:
@@ -249,23 +226,28 @@ class AsyncQueryServer:
         await self._drained.wait()
 
     async def run_until_drained(self) -> None:
-        """The serve-forever entry point the CLI awaits: runs until a
-        drain request completes, then tears the listener down.  An
-        exception that killed the tick loop (or the final persist)
+        """The serve-forever entry point ``repro server`` awaits: runs
+        until a drain request completes, then tears the listener down.
+        An exception that killed the tick loop (or the final persist)
         re-raises here, after the listener is down."""
         if self._server is None:
             await self.start()
         await self.wait_drained()
         self._server.close()
         await self._server.wait_closed()
-        if self._fatal is not None:
-            raise self._fatal
+        await self._loop_task
 
     # ------------------------------------------------------------- tick loop
 
-    async def _run_loop(self) -> None:
-        """Apply admitted commands, tick while there is work, idle-poll
-        otherwise; on drain, settle everything and persist."""
+    async def run_loop(self) -> None:
+        """The one serving loop: apply admitted commands, tick while
+        there is work, idle-poll otherwise; on drain, settle everything
+        and persist.  :meth:`start` spawns it behind the listener; a
+        process with no listener (``serve --follow``, fed from the state
+        directory instead of a socket) awaits it directly.  Whatever
+        killed the loop (or the final persist) re-raises from here, once
+        waiters are settled and the drain is marked done."""
+        fatal: BaseException | None = None
         try:
             while True:
                 self._apply_commands()
@@ -291,15 +273,15 @@ class AsyncQueryServer:
                     except asyncio.TimeoutError:
                         pass
         except BaseException as exc:  # noqa: BLE001 — a dead tick loop
-            # must still persist, settle waiters, and mark itself drained;
-            # the exception re-raises from run_until_drained
-            self._fatal = exc
+            # must still persist, settle waiters, and mark itself drained
+            # before the exception goes anywhere
+            fatal = exc
         finally:
             try:
                 self._persist()
             except BaseException as exc:  # noqa: BLE001
-                if self._fatal is None:
-                    self._fatal = exc
+                if fatal is None:
+                    fatal = exc
             # commands admitted but never applied: fail them explicitly
             # rather than leaving their clients awaiting forever
             while self._pending:
@@ -309,6 +291,8 @@ class AsyncQueryServer:
                         error_response("internal", "server loop terminated")
                     )
             self._drained.set()
+        if fatal is not None:
+            raise fatal
 
     def _apply_commands(self) -> None:
         while self._pending:
@@ -351,18 +335,16 @@ class AsyncQueryServer:
         }
         if kwargs["batch_size"] is None:
             del kwargs["batch_size"]
+        if kwargs["follow"]:
+            # a follow query may precede its footage: materialize the
+            # dataset (an empty live repository by default) the same
+            # way an ingest for it would — the CLI's live-dataset
+            # semantics, reachable over the wire
+            serving_ingest.ensure_dataset(
+                self._service, dataset, self._dataset_factory
+            )
         try:
-            try:
-                session_id = self._service.submit(dataset, category, **kwargs)
-            except KeyError:
-                if not kwargs["follow"]:
-                    raise
-                # a follow query may precede its footage: materialize the
-                # dataset (an empty live repository by default) the same
-                # way an ingest for it would — the CLI's live-dataset
-                # semantics, reachable over the wire
-                self._service.register(dataset, self._dataset_factory(dataset))
-                session_id = self._service.submit(dataset, category, **kwargs)
+            session_id = self._service.submit(dataset, category, **kwargs)
         except KeyError as exc:
             raise ProtocolError("unknown-dataset", str(exc)) from exc
         except ValueError as exc:
@@ -405,12 +387,9 @@ class AsyncQueryServer:
                 on_missing_dataset=self._dataset_factory,
             )
         else:
-            try:
-                self._service.repository(entry.dataset)
-            except KeyError:
-                self._service.register(
-                    entry.dataset, self._dataset_factory(entry.dataset)
-                )
+            serving_ingest.ensure_dataset(
+                self._service, entry.dataset, self._dataset_factory
+            )
             serving_ingest.apply_entry(
                 self._service, entry, self._journal_cursor, self._base_seed
             )
@@ -447,7 +426,7 @@ class AsyncQueryServer:
         if self._state_dir is None:
             return
         serving_state.save_sessions(self._service, self._state_dir)
-        _save_tenants(self._state_dir, self._tenants)
+        serving_state.save_tenants(self._state_dir, self._tenants)
         self._service.cache.flush()
 
     # ------------------------------------------------------------ admission
@@ -800,32 +779,3 @@ def _num_field(
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError("bad-request", f"{name!r} must be a number")
     return float(value)
-
-
-# --------------------------------------------------------- tenant ledger
-
-def _tenants_path(state_dir):
-    import pathlib
-
-    return pathlib.Path(state_dir) / TENANTS_FILENAME
-
-
-def _load_tenants(state_dir) -> dict[str, str]:
-    import json
-
-    path = _tenants_path(state_dir)
-    if not path.exists():
-        return {}
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return {str(k): str(v) for k, v in data.items()}
-
-
-def _save_tenants(state_dir, tenants: Mapping[str, str]) -> None:
-    import json
-
-    path = _tenants_path(state_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(dict(sorted(tenants.items())), indent=2) + "\n",
-        encoding="utf-8",
-    )

@@ -16,10 +16,13 @@ all sharing one detection cache so no frame is ever detected twice
   the full lifecycle (submit / pause / resume / cancel / status /
   results) and the tick loop;
 * :mod:`repro.serving.state` — state-directory persistence for
-  multi-process lifetimes (``python -m repro submit`` then ``serve``);
+  multi-process lifetimes, and the one way back in: ``boot`` (directory
+  + flags -> running service, shared by ``serve`` and ``server``) over
+  ``absorb`` (journal tail, then the snapshots not yet held — the
+  start-up restore and the ``serve --follow`` poll alike);
 * :mod:`repro.serving.ingest` — the live-ingestion journal: durable,
-  deterministic footage appends behind ``python -m repro ingest`` and
-  ``serve --follow``;
+  deterministic footage appends behind ``python -m repro ingest``, the
+  server's ``ingest`` op and ``serve --follow``;
 * :mod:`repro.serving.script` — the scripted-session interpreter behind
   ``python -m repro serve --script``;
 * :mod:`repro.serving.client` — the blocking NDJSON client for the

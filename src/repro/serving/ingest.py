@@ -43,6 +43,7 @@ __all__ = [
     "load_entries",
     "apply_entry",
     "apply_journal",
+    "ensure_dataset",
 ]
 
 INGEST_FILENAME = "ingest.jsonl"
@@ -277,6 +278,17 @@ def apply_entry(service, entry: IngestEntry, entry_index: int, base_seed: int = 
     return appended
 
 
+def ensure_dataset(service, dataset: str, factory) -> None:
+    """Register ``factory(dataset)`` when the service has not seen
+    ``dataset`` — the one place a name turns into a repository after
+    start-up, whether it arrived in a journal entry, a restored
+    snapshot, or a wire ``ingest``/follow-``submit``."""
+    try:
+        service.repository(dataset)
+    except KeyError:
+        service.register(dataset, factory(dataset))
+
+
 def apply_journal(
     service,
     state_dir: str | pathlib.Path,
@@ -285,23 +297,22 @@ def apply_journal(
     on_missing_dataset=None,
 ) -> int:
     """Apply journal entries from ``start_index`` on; returns the new
-    cursor (the journal length).  The serve CLI — at startup and on
-    every follow-mode poll — calls this with its previous cursor, so
-    each entry is applied exactly once.
+    cursor (the journal length).  Callers hand back their previous
+    cursor, so each entry is applied exactly once.  The server's
+    ``ingest`` op (right after its own append) and the simulation
+    harness call this directly; start-up and ``serve --follow`` polls
+    reach it through :func:`repro.serving.state.absorb`, which follows
+    the journal tail with the snapshots the service does not hold yet.
 
     ``on_missing_dataset``, when given, maps a dataset name the service
-    has not seen to a fresh repository to :meth:`~QueryService.register`
-    (the CLI builds profile datasets and starts live ones empty); without
-    it an unknown dataset raises ``KeyError`` as :meth:`feed` would.
+    has not seen to a fresh repository (see :func:`ensure_dataset`);
+    without it an unknown dataset raises ``KeyError`` as :meth:`feed`
+    would.
     """
     entries = load_entries(state_dir)
     for index in range(start_index, len(entries)):
         entry = entries[index]
-        try:
-            service.repository(entry.dataset)
-        except KeyError:
-            if on_missing_dataset is None:
-                raise
-            service.register(entry.dataset, on_missing_dataset(entry.dataset))
+        if on_missing_dataset is not None:
+            ensure_dataset(service, entry.dataset, on_missing_dataset)
         apply_entry(service, entry, index, base_seed)
     return len(entries)

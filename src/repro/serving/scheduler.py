@@ -34,6 +34,7 @@ __all__ = [
     "RoundRobinScheduler",
     "PriorityScheduler",
     "ThompsonSumScheduler",
+    "SCHEDULERS",
     "proportional_allocation",
 ]
 
@@ -220,3 +221,11 @@ class ThompsonSumScheduler:
         return proportional_allocation(
             [s.session_id for s in sessions], bids, budget
         )
+
+
+#: Policy by the name the command line and ``state.boot`` know it under.
+SCHEDULERS = {
+    "round-robin": RoundRobinScheduler,
+    "priority": PriorityScheduler,
+    "thompson": ThompsonSumScheduler,
+}

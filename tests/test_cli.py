@@ -241,9 +241,6 @@ def test_serve_follow_flag_validation(tmp_path, capsys):
     assert "--follow" in capsys.readouterr().err
     assert main(["serve", "--follow"]) == 2
     assert "--state-dir" in capsys.readouterr().err
-    assert main(["serve", "--state-dir", str(tmp_path / "d"), "--follow",
-                 "--poll-interval", "0"]) == 2
-    assert "poll-interval" in capsys.readouterr().err
 
 
 def test_ingest_then_serve_live_dataset(tmp_path, capsys):
@@ -258,7 +255,7 @@ def test_ingest_then_serve_live_dataset(tmp_path, capsys):
     assert (tmp_path / "state" / "ingest.jsonl").exists()
 
     assert main(["serve", "--state-dir", state, "--follow",
-                 "--poll-interval", "0.01", "--ticks", "500", "--json"]) == 0
+                 "--ticks", "500", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     session = payload["sessions"][0]
     assert session["state"] == "completed"
@@ -277,14 +274,14 @@ def test_ingested_footage_is_deterministic_across_serves(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["serve", "--state-dir", state, "--follow",
-                 "--poll-interval", "0.01", "--ticks", "2", "--json"]) == 0
+                 "--ticks", "2", "--json"]) == 0
     first = json.loads(capsys.readouterr().out)
     assert first["sessions"][0]["state"] == "active"  # stopped mid-flight
     partial = first["sessions"][0]["frames_processed"]
     assert partial > 0
 
     assert main(["serve", "--state-dir", state, "--follow",
-                 "--poll-interval", "0.01", "--ticks", "500", "--json"]) == 0
+                 "--ticks", "500", "--json"]) == 0
     second = json.loads(capsys.readouterr().out)
     assert second["sessions"][0]["state"] == "completed"
     # the restart replayed the first serve's frames from the shared cache
@@ -298,7 +295,7 @@ def test_ingest_extends_profile_dataset(tmp_path, capsys):
           "--state-dir", state, "--scale", "0.02"])
     capsys.readouterr()
     assert main(["serve", "--state-dir", state, "--follow",
-                 "--poll-interval", "0.01", "--ticks", "3", "--json"]) == 0
+                 "--ticks", "3", "--json"]) == 0
     before = json.loads(capsys.readouterr().out)["sessions"][0]["horizon"]
     assert before > 0
 
@@ -306,7 +303,7 @@ def test_ingest_extends_profile_dataset(tmp_path, capsys):
           "--category", "bicycle", "--instances", "5"])
     capsys.readouterr()
     assert main(["serve", "--state-dir", state, "--follow",
-                 "--poll-interval", "0.01", "--ticks", "6", "--json"]) == 0
+                 "--ticks", "6", "--json"]) == 0
     after = json.loads(capsys.readouterr().out)["sessions"][0]["horizon"]
     assert after == before + 1500
 
@@ -340,7 +337,7 @@ def test_serve_follow_picks_up_ingest_without_restart(tmp_path):
                "--state-dir", state).returncode == 0
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--state-dir", state,
-         "--follow", "--poll-interval", "0.05", "--json"],
+         "--follow", "--json"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
@@ -369,33 +366,109 @@ def test_follow_ticks_cap_exits_while_idle(tmp_path, capsys):
           "--state-dir", state])
     capsys.readouterr()
     assert main(["serve", "--state-dir", state, "--follow",
-                 "--poll-interval", "0.01", "--ticks", "3", "--json"]) == 0
+                 "--ticks", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     session = payload["sessions"][0]
     assert session["state"] == "active"  # still waiting for footage
     assert session["frames_processed"] == 0
 
 
-def test_follow_loop_picks_up_submission_for_new_dataset(tmp_path, capsys):
+def test_follow_loop_picks_up_submission_for_new_dataset(
+    tmp_path, capsys, monkeypatch
+):
     """A submission (and footage) for a dataset the running server has
     never seen must be registered and served, not crash the loop."""
-    import pathlib as _pathlib
+    import contextlib
+    import io
 
-    from repro.cli import _build_service, _follow_serve
     from repro.serving import state as serving_state
 
-    state = _pathlib.Path(tmp_path / "state")
-    serving_state.load_or_init_config(state, scale=0.05, seed=0)
-    # the server starts with no sessions and no journal...
-    service = _build_service([], 0.05, 0, 16, "round-robin", cache=None)
-    # ...then a submission + footage for a brand-new dataset arrive
-    main(["submit", "cam9", "bus", "--limit", "3", "--follow",
-          "--state-dir", str(state)])
-    main(["ingest", "cam9", "--state-dir", str(state), "--frames", "2000",
-          "--category", "bus", "--instances", "6"])
+    state = str(tmp_path / "state")
+    real_absorb = serving_state.absorb
+    calls = []
+
+    def absorb_after_arrivals(*args):
+        calls.append(args)
+        # call 1 is the boot: the server starts with no sessions and no
+        # journal.  Before its first poll, a submission + footage for a
+        # brand-new dataset arrive
+        if len(calls) == 2:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["submit", "cam9", "bus", "--limit", "3", "--follow",
+                      "--state-dir", state])
+                main(["ingest", "cam9", "--state-dir", state, "--frames", "2000",
+                      "--category", "bus", "--instances", "6"])
+        return real_absorb(*args)
+
+    monkeypatch.setattr(serving_state, "absorb", absorb_after_arrivals)
+    assert main(["serve", "--state-dir", state, "--follow", "--ticks", "100",
+                 "--json"]) == 0
+    session = json.loads(capsys.readouterr().out)["sessions"][0]
+    assert session["session_id"] == "s1"
+    assert session["state"] == "completed"
+    assert session["results_found"] >= 3
+
+
+@pytest.mark.parametrize("first_op", ["ingest", "follow-submit"])
+def test_server_boot_builds_no_dataset_for_sealed_sessions(
+    tmp_path, capsys, monkeypatch, first_op
+):
+    """Restart cost: over a state directory whose sessions are all
+    terminal, `server` boots without building any dataset, still answers
+    for the sealed session, and registers the dataset the moment a wire
+    op needs it."""
+    import socket
+    import threading
+    import time as _time
+
+    from repro.serving import ServingClient
+    from repro.serving import state as serving_state
+
+    state = str(tmp_path / "state")
+    assert main(["submit", "dashcam", "bicycle", "--limit", "2",
+                 "--state-dir", state, "--scale", "0.02"]) == 0
     capsys.readouterr()
-    _follow_serve(service, state, 0.05, 0, cursor=0, ticks_cap=100,
-                  poll_interval=0.01)
-    status = service.status("s1")
-    assert status.state == "completed"
-    assert status.results_found >= 3
+    assert main(["serve", "--state-dir", state, "--json"]) == 0
+    sealed = json.loads(capsys.readouterr().out)["sessions"][0]
+    assert sealed["state"] == "completed"
+
+    built = []
+    real_build = serving_state.build_dataset
+
+    def counting_build(name, **kwargs):
+        built.append(name)
+        return real_build(name, **kwargs)
+
+    monkeypatch.setattr(serving_state, "build_dataset", counting_build)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    codes = []
+    thread = threading.Thread(
+        target=lambda: codes.append(
+            main(["server", "--state-dir", state, "--port", str(port)])
+        )
+    )
+    thread.start()
+    try:
+        deadline = _time.monotonic() + 30
+        while True:
+            try:
+                client = ServingClient("127.0.0.1", port)
+                break
+            except OSError:
+                assert thread.is_alive() and _time.monotonic() < deadline
+                _time.sleep(0.02)
+        with client:
+            assert built == []  # booted, listening, nothing built
+            assert client.status("s1")["state"] == "completed"
+            assert client.results("s1")["result_frames"] == sealed["result_frames"]
+            if first_op == "ingest":
+                client.ingest("dashcam", frames=200)
+            else:
+                client.submit("dashcam", "bicycle", follow=True, warm_start=False)
+            assert built == ["dashcam"]
+            client.drain()
+    finally:
+        thread.join(timeout=30)
+    assert not thread.is_alive() and codes == [0]

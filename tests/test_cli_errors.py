@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.serving import ingest as serving_ingest
+from repro.serving import state as serving_state
 from repro.serving.ingest import IngestEntry
 
 
@@ -55,6 +56,54 @@ def test_serve_snapshot_with_wrong_shape(tmp_path, capsys):
     assert "corrupt snapshot file s1.json" in capsys.readouterr().err
 
 
+# ------------------------------------------------- torn config and ledger
+
+_STATE_DIR_COMMANDS = {
+    "serve": ["serve"],
+    "server": ["server"],
+    "submit": ["submit", "dashcam", "bicycle", "--limit", "3"],
+    "ingest": ["ingest", "dashcam", "--frames", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STATE_DIR_COMMANDS))
+@pytest.mark.parametrize(
+    "text", ['{"scale": 0.02, "se', "[1, 2]"], ids=["torn", "not-an-object"]
+)
+def test_unreadable_service_json_is_a_clean_error(tmp_path, capsys, command, text):
+    """service.json is one plain write_text: a crash mid-write tears it.
+    Every command that opens the directory must say so and exit 2."""
+    _submit(tmp_path)
+    (tmp_path / "service.json").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main([*_STATE_DIR_COMMANDS[command], "--state-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt config file service.json")
+    assert "Traceback" not in err
+
+
+def test_service_json_without_scale_is_a_clean_error(tmp_path, capsys):
+    _submit(tmp_path)
+    (tmp_path / "service.json").write_text('{"seed": 0}', encoding="utf-8")
+    assert main(["serve", "--state-dir", str(tmp_path)]) == 2
+    assert "corrupt config file service.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["server"], ["serve", "--follow"]],
+                         ids=["server", "serve-follow"])
+def test_torn_tenant_ledger_is_a_clean_error(tmp_path, capsys, command):
+    """tenants.json is read when the tick loop's owner is constructed,
+    after the boot: still exit 2 naming the file, with the booted
+    service (its sqlite handle) closed on the way out."""
+    _submit(tmp_path)
+    (tmp_path / "tenants.json").write_text('{"s1": "team', encoding="utf-8")
+    assert main([*command, "--state-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt tenant ledger file tenants.json")
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------- broken journal
 
 def test_serve_malformed_journal_entry(tmp_path, capsys):
@@ -93,22 +142,26 @@ def test_follow_serve_exits_cleanly_on_mid_poll_corruption(
 ):
     """A long-running --follow server meeting corruption written by
     another process *after startup* must report it and exit 2, not die
-    with a traceback.  The corruption lands during the idle poll sleep,
-    exactly where an out-of-band writer would race the server."""
+    with a traceback.  The corruption lands between two polls, exactly
+    where an out-of-band writer would race the server."""
     code = main(
         ["submit", "cam9", "bus", "--limit", "2", "--follow",
          "--state-dir", str(tmp_path), "--scale", "0.02"]
     )
     assert code == 0
     journal = serving_ingest.journal_path(tmp_path)
+    real_absorb = serving_state.absorb
+    polls = []
 
-    def corrupting_sleep(_interval):
-        journal.write_bytes(b"garbage line\n")
+    def corrupting_absorb(*args):
+        if polls:  # the first call is the boot; corrupt ahead of a later poll
+            journal.write_bytes(b"garbage line\n")
+        polls.append(args)
+        return real_absorb(*args)
 
-    monkeypatch.setattr("repro.cli.time.sleep", corrupting_sleep)
+    monkeypatch.setattr(serving_state, "absorb", corrupting_absorb)
     code = main(
-        ["serve", "--state-dir", str(tmp_path), "--follow", "--ticks", "5",
-         "--poll-interval", "0.01"]
+        ["serve", "--state-dir", str(tmp_path), "--follow", "--ticks", "5"]
     )
     assert code == 2
     assert "malformed journal entry" in capsys.readouterr().err
@@ -188,6 +241,22 @@ def test_serve_sticky_sharded_state_dir_rejects_workers(tmp_path, capsys):
         ["serve", "--state-dir", str(tmp_path), "--workers", "4",
          "--shards", "1", "--ticks", "1"]
     ) == 0
+
+
+@pytest.mark.parametrize("command", ["serve", "server"])
+def test_sticky_sharded_state_dir_rejects_workers_on_both_commands(
+    tmp_path, capsys, command
+):
+    """`serve` and `server` boot through one function, so the sticky
+    shard default meets --workers with the same one-line exit 2 on
+    both (`server` used to die in QueryService.__init__ instead)."""
+    _submit(tmp_path, "--shards", "2")
+    assert main([command, "--state-dir", str(tmp_path), "--workers", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: this state directory defaults to sharded execution "
+        "(shards=2), which excludes --workers; pass --shards 1 to force "
+        "local execution\n"
+    )
 
 
 def test_shards_and_workers_are_mutually_exclusive(capsys):
