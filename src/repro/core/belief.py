@@ -21,6 +21,7 @@ without numpy), while a ``numpy.random.Generator`` keeps the historical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import backend
@@ -47,7 +48,7 @@ class GammaBelief:
     beta0: float = DEFAULT_BETA0
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0 or self.beta0 <= 0:
+        if not (0 < self.alpha0 < math.inf and 0 < self.beta0 < math.inf):
             raise ValueError("alpha0 and beta0 must be positive (Gamma support)")
 
     # ------------------------------------------------------------ parameters

@@ -61,7 +61,7 @@ def _validate(stats: ChunkStatistics, available, batch_size: int) -> None:
     if backend.HAVE_NUMPY and isinstance(available, backend.np.ndarray):
         some = bool(available.any())
     else:
-        some = any(bool(b) for b in available)
+        some = any(available)
     if not some:
         raise ValueError("no chunks available to sample")
 
@@ -70,13 +70,17 @@ def masked_argmax_rows(draws, available):
     """Row-wise argmax of a draw matrix restricted to available chunks.
 
     Accepts the matrix in either backend layout (ndarray or list of row
-    lists) and an availability mask in either layout.  Both paths take
-    the *first* maximum, so for bit-identical draws the chosen indices
-    are identical across backends.
+    lists) and an availability mask in any layout — the sampler's own
+    ``bytearray`` mask is wrapped zero-copy, for this call only.  Both
+    paths take the *first* maximum, so for bit-identical draws the
+    chosen indices are identical across backends.
     """
     np = backend.np
     if np is not None and isinstance(draws, np.ndarray):
-        avail = np.asarray(available, dtype=bool)
+        if isinstance(available, bytearray):
+            avail = np.frombuffer(available, dtype=np.bool_)
+        else:
+            avail = np.asarray(available, dtype=bool)
         masked = np.where(avail[None, :], draws, -np.inf)
         return np.argmax(masked, axis=1)
     avail = [bool(b) for b in available]

@@ -27,6 +27,15 @@ element order, drawing one block of uniforms per round.  Both backends
 walk the identical schedule, so draw ``j`` lands on the identical
 element in both.
 
+Because the schedule is fixed per *round*, not per call, either twin
+may execute any round.  The numpy twin uses that: a round over more
+than ``_SCALAR_ROUND_MAX`` pending elements runs vectorised, a round at
+or below it runs through the very scalar round code the fallback is
+made of (same cursor, same ``_ln``/``_exp``), because a numpy dispatch
+on a handful of elements costs more than the arithmetic.  The threshold
+is a module constant, never configuration: it chooses an executor and
+cannot reach a result.
+
 Floating-point equality then only needs every arithmetic step to be an
 exactly-rounded IEEE-754 operation evaluated in the same order: ``+ - *
 / sqrt`` and ``frexp/ldexp`` already are (numpy's elementwise kernels do
@@ -151,31 +160,51 @@ def _exp(x: float) -> float:
 
 
 def _ln_vec(x):
-    """Vector twin of :func:`_ln` — identical operation sequence."""
+    """Vector twin of :func:`_ln` — identical operation sequence.
+
+    Steps run in place on the function's own temporaries; ``+`` and
+    ``*`` commute exactly, so ``p *= z`` is ``p * z`` and ``z * C0`` is
+    the first Horner step.
+    """
     np = backend.np
     m, e = np.frexp(x)
     low = m < _SQRT_HALF
-    m = np.where(low, m * 2.0, m)
-    e = e - low
-    s = (m - 1.0) / (m + 1.0)
+    np.multiply(m, 2.0, out=m, where=low)
+    e -= low
+    s = m - 1.0
+    m += 1.0
+    s /= m
     z = s * s
-    p = np.full_like(s, _ATANH_C[0])
-    for cst in _ATANH_C[1:]:
-        p = p * z + cst
-    lnm = 2.0 * s * (1.0 + z * p)
+    p = z * _ATANH_C[0]
+    p += _ATANH_C[1]
+    for cst in _ATANH_C[2:]:
+        p *= z
+        p += cst
+    p *= z
+    p += 1.0
+    s *= 2.0
+    p *= s
     ef = e.astype(np.float64)
-    return ef * _LN2_HI + (ef * _LN2_LO + lnm)
+    lo = ef * _LN2_LO
+    lo += p
+    ef *= _LN2_HI
+    ef += lo
+    return ef
 
 
 def _exp_vec(x):
     """Vector twin of :func:`_exp` — identical operation sequence."""
     np = backend.np
-    kf = np.floor(x * _INV_LN2 + 0.5)
+    kf = x * _INV_LN2
+    kf += 0.5
+    np.floor(kf, out=kf)
     r = x - kf * _LN2_HI
-    r = r - kf * _LN2_LO
-    p = np.full_like(r, _EXP_C[0])
-    for cst in _EXP_C[1:]:
-        p = p * r + cst
+    r -= kf * _LN2_LO
+    p = r * _EXP_C[0]
+    p += _EXP_C[1]
+    for cst in _EXP_C[2:]:
+        p *= r
+        p += cst
     return np.ldexp(p, kf.astype(np.int32))
 
 
@@ -334,29 +363,39 @@ class DecisionRng:
         in the module docstring, so the numpy and pure-Python backends
         return bit-identical matrices.
 
-        Returns an ``ndarray`` on the numpy backend, a list of row lists
-        on the fallback.
+        Shapes and rates must be positive and finite (a NaN shape would
+        be rejected by every round forever).  Returns an ``ndarray`` on
+        the numpy backend, a list of row lists on the fallback.
         """
         if rows <= 0:
             raise ValueError("rows must be positive")
+        if backend.use_numpy():
+            np = backend.np
+            a_cols = np.asarray(alphas, dtype=np.float64)
+            b_cols = np.asarray(betas, dtype=np.float64)
+            if a_cols.ndim != 1 or a_cols.shape != b_cols.shape:
+                raise ValueError("alphas and betas must align")
+            if not ((a_cols > 0.0) & (a_cols < math.inf)).all():
+                raise ValueError("gamma shapes must be positive")
+            if not ((b_cols > 0.0) & (b_cols < math.inf)).all():
+                raise ValueError("gamma rates must be positive")
+            op_key = self._next_u64()
+            if not a_cols.size:
+                return np.zeros((rows, 0), dtype=np.float64)
+            return _gamma_matrix_np(op_key, a_cols, b_cols, rows)
         a_cols = [float(a) for a in alphas]
         b_cols = [float(b) for b in betas]
         if len(a_cols) != len(b_cols):
             raise ValueError("alphas and betas must align")
         for a in a_cols:
-            if a <= 0.0:
+            if not 0.0 < a < math.inf:
                 raise ValueError("gamma shapes must be positive")
         for b in b_cols:
-            if b <= 0.0:
+            if not 0.0 < b < math.inf:
                 raise ValueError("gamma rates must be positive")
         op_key = self._next_u64()
         if not a_cols:
-            empty = [[] for _ in range(rows)]
-            if backend.use_numpy():
-                return backend.np.zeros((rows, 0), dtype=backend.np.float64)
-            return empty
-        if backend.use_numpy():
-            return _gamma_matrix_np(op_key, a_cols, b_cols, rows)
+            return [[] for _ in range(rows)]
         return _gamma_matrix_py(op_key, a_cols, b_cols, rows)
 
 
@@ -365,151 +404,233 @@ class DecisionRng:
 # per-round draw blocks come from the op substream in ascending element
 # order.  Keep every arithmetic expression textually parallel between the
 # two: that parallelism IS the bit-identity proof obligation.
+#
+# The schedule is per *round*, not per call, and both twins read one
+# cursor, so either twin may execute any round.  The scalar round code
+# below is written once: ``_gamma_matrix_py`` drives it over every
+# element, and ``_gamma_matrix_np`` hands it each round that has shrunk
+# to ``_SCALAR_ROUND_MAX`` elements or fewer — the tail rounds of a
+# rejection loop, where a numpy dispatch costs more than the arithmetic.
 # ---------------------------------------------------------------------------
+
+# Rounds over at most this many elements run through the scalar code on
+# the numpy backend.  A constant, never configuration: it selects who
+# executes a round, and both executions return the same bits
+# (tests/test_rng_contract.py runs the numpy twin at 0 and at 10**9).
+# Measured crossover (numpy 2.4, CPython 3.11, us per draw at threshold
+# 0 / 8 / 16 / 24 / 32 / 48 / 64 / 96):
+#   M=1000 batch 1:  729 / 566 / 550 / 504 / 507 / 530 / 548 / 543
+#   M=30   batch 8:  517 / 347 / 318 / 327 / 331 / 353 / 383 / 389
+# Flat within ~5% over 16..48; 32 also makes the served shape (M=30,
+# batch 1: 154 us scalar against 215 us at 24) one scalar draw.
+_SCALAR_ROUND_MAX = 32
+
+
+class _Substream:
+    """One op's counter substream ``u_j = mix64(key + (j+1)·GOLDEN)``.
+
+    Holds the single cursor both twins advance, which is what lets a
+    draw change executor between rounds without moving any uniform.
+    """
+
+    __slots__ = ("key", "cursor")
+
+    def __init__(self, key: int):
+        self.key = key
+        self.cursor = 0
+
+    def take(self, count: int) -> list:
+        """The next ``count`` uniforms in (0, 1), as a list.
+
+        :func:`_mix64` inlined over a running ``key + (j+1)·GOLDEN``: a
+        call per uniform is ~7% of a whole fallback draw.
+        """
+        out = []
+        z0 = (self.key + self.cursor * _GOLDEN) & _MASK64
+        for _ in range(count):
+            z0 = (z0 + _GOLDEN) & _MASK64
+            z = ((z0 ^ (z0 >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            out.append((((z ^ (z >> 31)) >> 11) + 0.5) * _TO_UNIT)
+        self.cursor += count
+        return out
+
+    def take_vec(self, count: int):
+        """Vector twin of :meth:`take` — the same uniforms, as an array."""
+        np = backend.np
+        u64 = np.uint64
+        z = np.arange(self.cursor + 1, self.cursor + count + 1, dtype=u64)
+        self.cursor += count
+        z *= u64(_GOLDEN)
+        z += u64(self.key)
+        t = z >> u64(30)
+        z ^= t
+        z *= u64(0xBF58476D1CE4E5B9)
+        np.right_shift(z, u64(27), out=t)
+        z ^= t
+        z *= u64(0x94D049BB133111EB)
+        np.right_shift(z, u64(31), out=t)
+        z ^= t
+        z >>= u64(11)
+        out = z.astype(np.float64)
+        out += 0.5
+        out *= _TO_UNIT
+        return out
+
+
+def _polar_normals(stream: _Substream, count: int) -> list:
+    """Standard normals for ``count`` elements by Marsaglia's polar method.
+
+    Polar rounds run until every element has one: each round draws a
+    block of ``u1`` then a block of ``u2`` for the elements still
+    waiting, in ascending order.
+    """
+    out = [0.0] * count
+    need = range(count)
+    while need:
+        still = []
+        k = len(need)
+        for i, u1, u2 in zip(need, stream.take(k), stream.take(k)):
+            v1 = 2.0 * u1 - 1.0
+            v2 = 2.0 * u2 - 1.0
+            s = v1 * v1 + v2 * v2
+            if 0.0 < s < 1.0:
+                out[i] = v1 * math.sqrt(-2.0 * _ln(s) / s)
+            else:
+                still.append(i)
+        need = still
+    return out
+
+
+def _accept_round(stream: _Substream, pending, xs, ds, cs, vals) -> list:
+    """One Marsaglia-Tsang accept round over ``pending`` (ascending).
+
+    ``xs`` holds the round's normals aligned with ``pending``; ``ds`` /
+    ``cs`` / ``vals`` are indexed by element.  The round draws one
+    uniform per element whose ``t`` is positive, in ascending order, and
+    returns the rejected elements — ascending again, since one ordered
+    pass collects both the ``t <= 0`` and the failed-test cases.
+    """
+    ts = [1.0 + cs[e] * x for e, x in zip(pending, xs)]
+    us = iter(stream.take(sum(t > 0.0 for t in ts)))
+    rejected = []
+    for e, x, t in zip(pending, xs, ts):
+        if t > 0.0:
+            u = next(us)
+            v = t * t * t
+            x2 = x * x
+            d = ds[e]
+            if u < 1.0 - 0.0331 * (x2 * x2) or _ln(u) < 0.5 * x2 + d * (
+                1.0 - v + _ln(v)
+            ):
+                vals[e] = d * v
+                continue
+        rejected.append(e)
+    return rejected
+
+
+def _rejection_rounds(stream: _Substream, ds: list, cs: list) -> list:
+    """Run accept rounds until every element holds its ``d·v`` value."""
+    vals = [0.0] * len(ds)
+    pending = range(len(ds))
+    while pending:
+        xs = _polar_normals(stream, len(pending))
+        pending = _accept_round(stream, pending, xs, ds, cs, vals)
+    return vals
 
 
 def _gamma_matrix_py(op_key: int, a_cols: list, b_cols: list, rows: int):
     M = len(a_cols)
-    n = rows * M
-    cursor = 0
+    stream = _Substream(op_key)
+    boost_u = stream.take(rows * M)
 
-    def take(count: int) -> list:
-        nonlocal cursor
-        out = []
-        base = op_key
-        for j in range(cursor, cursor + count):
-            z = _mix64((base + ((j + 1) * _GOLDEN)) & _MASK64)
-            out.append(((z >> 11) + 0.5) * _TO_UNIT)
-        cursor += count
-        return out
-
-    boost_u = take(n)
-
-    a_flat = [a_cols[e % M] for e in range(n)]
-    d = [0.0] * n
-    c = [0.0] * n
-    for e in range(n):
-        a_eff = a_flat[e] + 1.0 if a_flat[e] < 1.0 else a_flat[e]
-        d[e] = a_eff - (1.0 / 3.0)
-        c[e] = 1.0 / math.sqrt(9.0 * d[e])
-
-    x = [0.0] * n
-    val = [0.0] * n
-    pending = list(range(n))
-    while pending:
-        need = pending[:]
-        while need:
-            u1s = take(len(need))
-            u2s = take(len(need))
-            still = []
-            for i, e in enumerate(need):
-                v1 = 2.0 * u1s[i] - 1.0
-                v2 = 2.0 * u2s[i] - 1.0
-                s = v1 * v1 + v2 * v2
-                if 0.0 < s < 1.0:
-                    x[e] = v1 * math.sqrt(-2.0 * _ln(s) / s)
-                else:
-                    still.append(e)
-            need = still
-        tpos = []
-        vcube = {}
-        for e in pending:
-            t = 1.0 + c[e] * x[e]
-            if t > 0.0:
-                vcube[e] = t * t * t
-                tpos.append(e)
-        us = take(len(tpos))
-        tpos_set = set(tpos)
-        rejected = [e for e in pending if e not in tpos_set]
-        for i, e in enumerate(tpos):
-            u = us[i]
-            v = vcube[e]
-            x2 = x[e] * x[e]
-            if u < 1.0 - 0.0331 * (x2 * x2):
-                val[e] = d[e] * v
-            elif _ln(u) < 0.5 * x2 + d[e] * (1.0 - v + _ln(v)):
-                val[e] = d[e] * v
-            else:
-                rejected.append(e)
-        pending = sorted(rejected)
+    d_cols = []
+    c_cols = []
+    for a in a_cols:
+        d = (a + 1.0 if a < 1.0 else a) - (1.0 / 3.0)
+        d_cols.append(d)
+        c_cols.append(1.0 / math.sqrt(9.0 * d))
+    vals = _rejection_rounds(stream, d_cols * rows, c_cols * rows)
 
     out = []
     for r in range(rows):
+        base = r * M
         row = []
         for m in range(M):
-            e = r * M + m
-            v = val[e]
-            if a_flat[e] < 1.0:
-                v = v * _exp(_ln(boost_u[e]) / a_flat[e])
+            v = vals[base + m]
+            a = a_cols[m]
+            if a < 1.0:
+                v = v * _exp(_ln(boost_u[base + m]) / a)
             row.append(v / b_cols[m])
         out.append(row)
     return out
 
 
-def _gamma_matrix_np(op_key: int, a_cols: list, b_cols: list, rows: int):
+def _gamma_matrix_np(op_key: int, a_cols, b_cols, rows: int):
     np = backend.np
-    M = len(a_cols)
+    M = a_cols.size
     n = rows * M
-    cursor = 0
-    key = np.uint64(op_key)
-    golden = np.uint64(_GOLDEN)
+    if n <= _SCALAR_ROUND_MAX:
+        # the first round is already a tail round: the whole draw is scalar
+        return np.array(
+            _gamma_matrix_py(op_key, a_cols.tolist(), b_cols.tolist(), rows)
+        )
+    stream = _Substream(op_key)
+    boost_u = stream.take_vec(n)
 
-    def take(count: int):
-        nonlocal cursor
-        idx = np.arange(cursor + 1, cursor + count + 1, dtype=np.uint64)
-        cursor += count
-        z = key + idx * golden
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+    small_cols = a_cols < 1.0
+    d_cols = np.where(small_cols, a_cols + 1.0, a_cols)
+    d_cols -= 1.0 / 3.0
+    c_cols = 1.0 / np.sqrt(9.0 * d_cols)
+    d = np.tile(d_cols, rows)
+    c = np.tile(c_cols, rows)
 
-    boost_u = take(n)
-
-    a_flat = np.tile(np.asarray(a_cols, dtype=np.float64), rows)
-    small = a_flat < 1.0
-    a_eff = np.where(small, a_flat + 1.0, a_flat)
-    d = a_eff - (1.0 / 3.0)
-    c = 1.0 / np.sqrt(9.0 * d)
-
-    x = np.zeros(n, dtype=np.float64)
-    val = np.zeros(n, dtype=np.float64)
+    x = np.empty(n, dtype=np.float64)
+    val = np.empty(n, dtype=np.float64)
     pending = np.arange(n)
-    while pending.size:
+    while pending.size > _SCALAR_ROUND_MAX:
         need = pending
-        while need.size:
-            u1s = take(need.size)
-            u2s = take(need.size)
-            v1 = 2.0 * u1s - 1.0
-            v2 = 2.0 * u2s - 1.0
+        while need.size > _SCALAR_ROUND_MAX:
+            k = need.size
+            us = stream.take_vec(2 * k)  # the u1 block, then the u2 block
+            v1 = 2.0 * us[:k] - 1.0
+            v2 = 2.0 * us[k:] - 1.0
             s = v1 * v1 + v2 * v2
             ok = (0.0 < s) & (s < 1.0)
             s_ok = s[ok]
             x[need[ok]] = v1[ok] * np.sqrt(-2.0 * _ln_vec(s_ok) / s_ok)
             need = need[~ok]
-        t = 1.0 + c[pending] * x[pending]
+        if need.size:
+            x[need] = _polar_normals(stream, need.size)
+        xs = x[pending]
+        t = 1.0 + c[pending] * xs
         has_v = t > 0.0
         tpos = pending[has_v]
         tv = t[has_v]
         v = tv * tv * tv
-        us = take(tpos.size)
-        xe = x[tpos]
+        us = stream.take_vec(tpos.size)
+        xe = xs[has_v]
         x2 = xe * xe
         accept = us < 1.0 - 0.0331 * (x2 * x2)
-        log_test = ~accept
-        if log_test.any():
+        log_test = np.flatnonzero(~accept)
+        if log_test.size:
+            vl = v[log_test]
             lhs = _ln_vec(us[log_test])
-            rhs = 0.5 * x2[log_test] + d[tpos[log_test]] * (
-                1.0 - v[log_test] + _ln_vec(v[log_test])
-            )
-            accept = accept.copy()
+            rhs = 0.5 * x2[log_test] + d[tpos[log_test]] * (1.0 - vl + _ln_vec(vl))
             accept[log_test] = lhs < rhs
         good = tpos[accept]
         val[good] = d[good] * v[accept]
-        pending = np.sort(np.concatenate([pending[~has_v], tpos[~accept]]))
+        rejected = ~has_v
+        rejected[has_v] = ~accept
+        pending = pending[rejected]
+    if pending.size:
+        val[pending] = _rejection_rounds(
+            stream, d[pending].tolist(), c[pending].tolist()
+        )
 
-    if small.any():
-        boost = _exp_vec(_ln_vec(boost_u[small]) / a_flat[small])
-        val[small] = val[small] * boost
-    val = val / np.tile(np.asarray(b_cols, dtype=np.float64), rows)
-    return val.reshape(rows, M)
+    val = val.reshape(rows, M)
+    if small_cols.any():
+        boost_u = boost_u.reshape(rows, M)[:, small_cols]
+        val[:, small_cols] *= _exp_vec(_ln_vec(boost_u) / a_cols[small_cols])
+    val /= b_cols
+    return val

@@ -213,7 +213,9 @@ class ExSample:
         self._first_chunk: dict[int, int] = {}  # true_instance_id -> chunk
         self._stats = ChunkStatistics(len(self._chunks))
         self._history = SamplingHistory()
-        self._available = [not c.exhausted for c in self._chunks]
+        # one byte per chunk (1 = frames left), flat like the belief
+        # buffers so the numpy argmax wraps it instead of converting it
+        self._available = bytearray(not c.exhausted for c in self._chunks)
         #: wall-clock split of the last :meth:`plan` call — ``draw`` is
         #: the Thompson belief sampling (policy choice), ``score`` the
         #: frame selection that turns chunk picks into concrete frames.
@@ -266,8 +268,9 @@ class ExSample:
         numpy, a list of bools on the fallback.
         """
         if backend.use_numpy():
-            return backend.np.asarray(self._available, dtype=bool)
-        return list(self._available)
+            # a copy: a view would pin the buffer against extend()
+            return backend.np.array(self._available, dtype=bool)
+        return [bool(b) for b in self._available]
 
     # ------------------------------------------------------------- ingestion
 

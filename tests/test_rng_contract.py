@@ -12,10 +12,13 @@ localize it.
 """
 
 import math
+import signal
 
 import pytest
 
 from repro.core import backend
+from repro.core import rng as rng_module
+from repro.core.belief import GammaBelief
 from repro.core.rng import DecisionRng, derive_key
 
 
@@ -25,6 +28,25 @@ def fallback_guard():
     old = backend.set_force_fallback(False)
     yield
     backend.set_force_fallback(old)
+
+
+@pytest.fixture
+def hard_timeout():
+    """Turn a draw that never returns into a failure, not a hung suite."""
+    if not hasattr(signal, "SIGALRM"):  # pragma: no cover - non-POSIX
+        yield
+        return
+
+    def on_alarm(signum, frame):
+        raise AssertionError("the draw did not return within 10 s")
+
+    old = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ----------------------------------------------------------- scalar stream
@@ -173,16 +195,36 @@ def test_gamma_matrix_twins_across_shape_regimes(fallback_guard):
     assert [[float(v) for v in r] for r in fast] == slow
 
 
-def test_gamma_matrix_validates_inputs():
-    rng = DecisionRng(0)
+def test_gamma_matrix_validates_inputs(fallback_guard, hard_timeout):
+    nan, inf = float("nan"), float("inf")
+    for forced in (False, True):
+        backend.set_force_fallback(forced)
+        rng = DecisionRng(0)
+        with pytest.raises(ValueError):
+            rng.gamma_matrix([1.0], [1.0], rows=0)
+        with pytest.raises(ValueError):
+            rng.gamma_matrix([0.0], [1.0], rows=1)
+        with pytest.raises(ValueError):
+            rng.gamma_matrix([1.0], [-1.0], rows=1)
+        with pytest.raises(ValueError):
+            rng.gamma_matrix([1.0, 2.0], [1.0], rows=1)
+        # non-finite parameters: a NaN shape used to spin forever (every
+        # round rejects it), a NaN or infinite rate returned NaN / 0 draws
+        for bad in (nan, inf, -inf):
+            with pytest.raises(ValueError, match="shapes"):
+                rng.gamma_matrix([1.0, bad], [1.0, 1.0], rows=1)
+            with pytest.raises(ValueError, match="rates"):
+                rng.gamma_matrix([1.0, 1.0], [bad, 1.0], rows=1)
+        # a rejected call consumes nothing
+        assert rng.state == DecisionRng(0).state
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_gamma_belief_rejects_non_finite_priors(bad):
     with pytest.raises(ValueError):
-        rng.gamma_matrix([1.0], [1.0], rows=0)
+        GammaBelief(bad, 1.0)
     with pytest.raises(ValueError):
-        rng.gamma_matrix([0.0], [1.0], rows=1)
-    with pytest.raises(ValueError):
-        rng.gamma_matrix([1.0], [-1.0], rows=1)
-    with pytest.raises(ValueError):
-        rng.gamma_matrix([1.0, 2.0], [1.0], rows=1)
+        GammaBelief(0.1, bad)
 
 
 def test_gamma_matrix_empty_arms(fallback_guard):
@@ -199,6 +241,132 @@ def test_gamma_matrix_advances_stream_once_regardless_of_shape():
     b.gamma_matrix([0.2] * 50, [0.7] * 50, rows=9)
     assert a.state == b.state
     assert a.random() == b.random()
+
+
+# ------------------------------------------------- the per-round handover
+
+needs_numpy = pytest.mark.skipif(
+    not backend.HAVE_NUMPY, reason="needs numpy to compare twins"
+)
+T = rng_module._SCALAR_ROUND_MAX
+
+
+def _shapes(n, regime):
+    """``n`` (shape, rate) pairs below 1, above 1, or straddling it."""
+    base = DecisionRng((n, len(regime)))
+    lo, hi = {"small": (0.05, 0.95), "large": (1.0, 30.0), "mixed": (0.05, 4.0)}[regime]
+    alphas = [lo + (hi - lo) * base.random() for _ in range(n)]
+    betas = [0.05 + 20.0 * base.random() for _ in range(n)]
+    return alphas, betas
+
+
+def _draw(forced, alphas, betas, rows, seed=5):
+    """(matrix as float rows, next main-stream draw) on one backend."""
+    backend.set_force_fallback(forced)
+    rng = DecisionRng(seed)
+    got = rng.gamma_matrix(alphas, betas, rows)
+    return [[float(v) for v in r] for r in got], rng.random()
+
+
+@needs_numpy
+@pytest.mark.parametrize("regime", ["small", "large", "mixed"])
+@pytest.mark.parametrize(
+    "arms, rows",
+    [(1, 1), (T - 1, 1), (T, 1), (T + 1, 1), (2 * T, 1), (1000, 1), (1000, 8)],
+)
+def test_handover_twins_bit_identical(fallback_guard, arms, rows, regime):
+    """Either side of the round-size threshold, and straddling it mid-draw,
+    the numpy twin returns the fallback's bits and stream position."""
+    alphas, betas = _shapes(arms, regime)
+    assert _draw(False, alphas, betas, rows) == _draw(True, alphas, betas, rows)
+
+
+@needs_numpy
+@pytest.mark.parametrize("threshold", [0, 10**9])
+@pytest.mark.parametrize("arms, rows", [(T // 2, 1), (37, 4), (1000, 1)])
+def test_threshold_cannot_reach_a_decision(
+    fallback_guard, monkeypatch, threshold, arms, rows
+):
+    """All rounds vectorised (0) and all rounds scalar (10**9) are the
+    same draw: the threshold picks an executor, never a result."""
+    alphas, betas = _shapes(arms, "mixed")
+    reference = _draw(True, alphas, betas, rows)
+    monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", threshold)
+    got = _draw(False, alphas, betas, rows)
+    assert got == reference
+    assert backend.use_numpy()  # the draw above really ran the numpy twin
+
+
+@needs_numpy
+def test_numpy_draw_makes_few_scalar_log_calls(fallback_guard, monkeypatch):
+    """Only tail rounds reach the scalar code: a 1000-arm numpy draw
+    makes O(T) scalar ``_ln`` calls where the fallback makes O(M)."""
+    calls = [0]
+    scalar_ln = rng_module._ln
+
+    def counting_ln(x):
+        calls[0] += 1
+        return scalar_ln(x)
+
+    monkeypatch.setattr(rng_module, "_ln", counting_ln)
+    alphas, betas = _shapes(1000, "mixed")
+    draws = 20
+    backend.set_force_fallback(False)
+    rng = DecisionRng(3)
+    for _ in range(draws):
+        rng.gamma_matrix(alphas, betas, 1)
+    fast_calls = calls[0] / draws
+    calls[0] = 0
+    backend.set_force_fallback(True)
+    DecisionRng(3).gamma_matrix(alphas, betas, 1)
+    # each scalar round of k <= T elements makes at most 2k calls, and
+    # round sizes shrink geometrically
+    assert 0 < fast_calls <= 6 * T
+    assert calls[0] >= 1000
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_availability_mask_grows_and_keeps_its_types(fallback_guard, forced):
+    """The sampler's flat availability buffer: ``extend()`` mid-run grows
+    it (no view may pin it), and ``chunk_availability`` stays a bool
+    ndarray under numpy and a list of bools on the fallback."""
+    from repro.core.chunking import fixed_size_chunks
+    from repro.core.sampler import ExSample
+    from repro.detection.detector import OracleDetector
+    from repro.tracking.discriminator import OracleDiscriminator
+    from repro.video.repository import single_clip_repository
+
+    if forced and not backend.HAVE_NUMPY:
+        pytest.skip("force-fallback run is redundant without numpy")
+    backend.set_force_fallback(forced)
+    rng = DecisionRng(4)
+    chunks = fixed_size_chunks(48, 4, rng)
+    repo = single_clip_repository(48, [])
+    engine = ExSample(
+        chunks[:8], OracleDetector(repo), OracleDiscriminator(), rng=rng, batch_size=3
+    )
+
+    def check(expected_len):
+        mask = engine.chunk_availability
+        assert len(mask) == expected_len
+        if backend.use_numpy():
+            assert isinstance(mask, backend.np.ndarray) and mask.dtype == bool
+        else:
+            assert isinstance(mask, list)
+            assert all(isinstance(b, bool) for b in mask)
+        return [bool(b) for b in mask]
+
+    held = engine.chunk_availability  # a caller may keep one across extend()
+    for _ in range(6):
+        engine.commit(engine.plan())
+    check(8)
+    engine.extend(chunks[8:])
+    assert check(12)[8:] == [True] * 4
+    assert len(held) == 8
+    while not engine.exhausted:
+        engine.commit(engine.plan())
+    assert check(12) == [False] * 12
+    assert engine.frames_processed == 48
 
 
 # ---------------------------------------------------------- backend flags

@@ -151,11 +151,13 @@ def test_serve_sigterm_saves_state_and_exits_zero(state):
                "--max-samples", "5000", "--scale", "0.05").returncode == 0
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--state-dir", state,
-         "--frames-per-tick", "4"],
+         "--frames-per-tick", "4", "--detector-latency", "0.002"],
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
-        time.sleep(2.5)  # well inside the 5000-sample run
+        # 5000 frames at 2 ms of detector latency is >= 10 s however fast
+        # planning gets, so 2.5 s is well inside the run
+        time.sleep(2.5)
         assert proc.poll() is None, proc.stderr.read()
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=30)
