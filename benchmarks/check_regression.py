@@ -69,9 +69,9 @@ DEFAULT_KEYS = (
     # guards the whole served path (admission queue, tick loop under
     # polling load, per-session first-result latency) against creep
     "test_bench_server_load",
-    # the multi-tenant cache-pressure benchmark: shared vs private cache
-    # planes under eviction pressure; its runtime share guards the
-    # bounded-tier and plane-lookup hot paths against creep
+    # the multi-tenant cache-pressure benchmark: one shared vs private
+    # caches under eviction pressure; its runtime share guards the
+    # bounded tier and its sqlite fall-through against creep
     "test_bench_cache_pressure",
 )
 

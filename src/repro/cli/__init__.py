@@ -40,8 +40,8 @@ frames the policy picks, deterministically per seed:
 
 Shard-parallel execution (see :mod:`repro.distributed`): ``--shards N``
 on ``query``/``serve``/``submit`` moves detection into N worker
-processes, each owning a contiguous clip shard with its own detector and
-local cache; the coordinator keeps all sampling state, so answers are
+processes, each owning a contiguous clip shard with its own detector;
+the coordinator keeps all sampling state, so answers are
 byte-identical to local execution.  ``submit --shards`` records the
 count in the state directory so later ``serve`` runs shard by default:
 

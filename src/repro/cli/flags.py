@@ -83,9 +83,8 @@ FLAGS: dict[str, dict] = {
     "--cache-budget": dict(
         type=int, default=None,
         help="bound the detection cache's memory tier to N cached frames "
-             "(LRU over the on-disk store; also bounds shard workers' "
-             "local caches; default: the state directory's recorded "
-             "value, else unbounded)",
+             "(LRU over the on-disk store; default: the state "
+             "directory's recorded value, else unbounded)",
     ),
     # ---- state directory and the serving loop
     "--state-dir": dict(default=None, help="serving state directory"),

@@ -258,15 +258,12 @@ def _render_top(body: dict, host: str, port: int) -> None:
                 shard,
                 int(stats.get("repro_worker_detector_frames_total", 0)),
                 int(stats.get("repro_worker_detector_calls_total", 0)),
-                f"{stats.get('hit_rate', 0.0):.1%}",
             ]
             for shard, stats in sorted(
                 shards.items(), key=lambda kv: (len(kv[0]), kv[0])
             )
         ]
-        print(format_table(
-            ["shard", "frames", "detector calls", "cache hit rate"], rows
-        ))
+        print(format_table(["shard", "frames", "detector calls"], rows))
     history = body.get("history", {})
     moving = sorted(
         (

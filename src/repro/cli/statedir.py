@@ -150,8 +150,8 @@ def register(sub) -> None:
     flags.add(
         submit, "cache_budget",
         help="record the state directory's default cache entry budget on "
-             "first touch; later `serve` runs bound the memory tier (and "
-             "shard workers' local caches) to that many cached frames",
+             "first touch; later `serve` runs bound the memory tier to "
+             "that many cached frames",
     )
     flags.add(
         submit, "session_seed", "no_warm_start", "follow", "scale", "seed", "json",

@@ -2,13 +2,11 @@
 
 from .cache import (
     CacheBackend,
-    CacheError,
     CacheStats,
     CachingDetector,
     CategoryFilterDetector,
     DetectionCache,
     InMemoryBackend,
-    JsonlBackend,
     SqliteBackend,
     TieredBackend,
     TierStats,
@@ -25,7 +23,6 @@ from .execution import ParallelDetector, batch_detect, wrap_parallel
 
 __all__ = [
     "CacheBackend",
-    "CacheError",
     "CacheStats",
     "TieredBackend",
     "TierStats",
@@ -33,7 +30,6 @@ __all__ = [
     "CategoryFilterDetector",
     "DetectionCache",
     "InMemoryBackend",
-    "JsonlBackend",
     "SqliteBackend",
     "ThroughputModel",
     "format_duration",

@@ -16,9 +16,9 @@ Three pieces:
   encoding of :class:`~repro.detection.detector.Detection` values into
   plain JSON-able rows, over a pluggable storage backend;
 * backends — :class:`InMemoryBackend` (per-process),
-  :class:`SqliteBackend` and :class:`JsonlBackend` (on disk, surviving
-  process restarts — the substrate of ``python -m repro serve``'s state
-  directory);
+  :class:`SqliteBackend` (on disk, surviving process restarts — the
+  substrate of ``python -m repro serve``'s state directory) and
+  :class:`TieredBackend` (a bounded LRU memory tier over either);
 * :class:`CachingDetector` — a :class:`~repro.detection.detector.Detector`
   that consults the cache before the wrapped detector, and
   :class:`CategoryFilterDetector`, the per-query view of a shared
@@ -32,7 +32,6 @@ a filtered subset would poison later queries for other categories.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import sqlite3
 from dataclasses import dataclass
@@ -44,32 +43,16 @@ from .detector import Detection, Detector, DetectorStats
 from .execution import batch_detect
 
 __all__ = [
-    "CacheError",
     "CacheStats",
     "TierStats",
     "CacheBackend",
     "InMemoryBackend",
     "SqliteBackend",
-    "JsonlBackend",
     "TieredBackend",
     "DetectionCache",
     "CachingDetector",
     "CategoryFilterDetector",
 ]
-
-
-class CacheError(ValueError):
-    """A persistent cache file is corrupt in a way repair cannot hide.
-
-    Raised with the file name and line number of the offending entry —
-    the operator-facing contract mirrors the ingest journal's
-    :class:`~repro.serving.ingest.JournalError`.  A torn *final* line
-    (writer crashed mid-append) is NOT an error: it is truncated away on
-    open, because an uncommitted tail was never part of the cache.  Only
-    a malformed *committed* line — one that made it to disk with its
-    newline — raises, since that means the file was corrupted after the
-    fact rather than merely interrupted.
-    """
 
 
 @dataclass
@@ -142,8 +125,9 @@ class CacheBackend(Protocol):
     """Storage for JSON-able detection rows keyed by (dataset, frame).
 
     ``get_many``/``put_many`` are the batch forms (one storage
-    round-trip per batch); backends that lack them still work — the
-    :class:`DetectionCache` facade falls back to per-frame calls.
+    round-trip per batch) and part of the protocol, not an extra: the
+    :class:`DetectionCache` facade calls them directly, so every backend
+    implements them.
     """
 
     def get(self, dataset: str, frame_index: int) -> list[dict] | None:  # pragma: no cover
@@ -323,161 +307,6 @@ class SqliteBackend:
         self._conn.close()
 
 
-class JsonlBackend:
-    """Append-only jsonl storage: one line per cached frame.
-
-    Loads fully into memory on open, appends on every put — simple,
-    greppable, and adequate below millions of cached frames.  Re-put keys
-    append a superseding line; the latest line wins on load.
-
-    Crash consistency mirrors the ingest journal
-    (:mod:`repro.serving.ingest`): all IO is byte-oriented, a line is
-    committed once its newline hits the file, and a torn final line left
-    by a writer killed mid-append is truncated away on open — the entry
-    was never committed, so dropping it costs one re-detection, never an
-    unrecoverable state dir.  A malformed *committed* line raises
-    :class:`CacheError` with its line number.
-
-    Superseding appends leave dead lines behind; :meth:`compact` (called
-    automatically by :meth:`close` when there is anything to reclaim)
-    atomically rewrites the file with one line per live key, preserving
-    latest-line-wins semantics with zero bytes of garbage.
-    """
-
-    def __init__(self, path: str | pathlib.Path):
-        self._path = pathlib.Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._rows: dict[tuple[str, int], list[dict]] = {}
-        self._stale_lines = 0  # superseded on-disk lines (compaction debt)
-        if self._path.exists():
-            raw = self._path.read_bytes()
-            cut = raw.rfind(b"\n") + 1  # 0 when no newline at all
-            if cut != len(raw):  # torn tail: the writer died mid-append
-                with open(self._path, "rb+") as repair:
-                    repair.truncate(cut)
-                tel = telemetry.get()
-                if tel.enabled:
-                    tel.counter("repro_cache_torn_tail_repairs_total").inc()
-            for lineno, line in enumerate(
-                raw[:cut].decode("utf-8").splitlines(), start=1
-            ):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = (str(record["dataset"]), int(record["frame"]))
-                    rows = record["rows"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CacheError(
-                        f"malformed cache line at {self._path.name}:{lineno}: {exc}"
-                    ) from exc
-                if key in self._rows:
-                    self._stale_lines += 1
-                self._rows[key] = rows
-        self._handle = open(self._path, "ab")
-
-    @property
-    def path(self) -> pathlib.Path:
-        return self._path
-
-    @property
-    def stale_lines(self) -> int:
-        """On-disk lines superseded by a later put — what compaction reclaims."""
-        return self._stale_lines
-
-    @staticmethod
-    def _line(dataset: str, frame_index: int, rows: list[dict]) -> bytes:
-        record = {"dataset": dataset, "frame": int(frame_index), "rows": rows}
-        return json.dumps(record).encode("utf-8") + b"\n"
-
-    def get(self, dataset: str, frame_index: int) -> list[dict] | None:
-        return self._rows.get((dataset, int(frame_index)))
-
-    def put(self, dataset: str, frame_index: int, rows: list[dict]) -> None:
-        key = (dataset, int(frame_index))
-        if key in self._rows:
-            self._stale_lines += 1
-        self._rows[key] = rows
-        self._handle.write(self._line(dataset, key[1], rows))
-        self._handle.flush()
-
-    def get_many(
-        self, dataset: str, frame_indices: Sequence[int]
-    ) -> list[list[dict] | None]:
-        return [self._rows.get((dataset, int(f))) for f in frame_indices]
-
-    def put_many(self, dataset: str, items: Sequence[tuple[int, list[dict]]]) -> None:
-        lines = []
-        for frame_index, rows in items:
-            key = (dataset, int(frame_index))
-            if key in self._rows:
-                self._stale_lines += 1
-            self._rows[key] = rows
-            lines.append(self._line(dataset, key[1], rows))
-        if lines:  # one write + flush for the whole batch
-            self._handle.write(b"".join(lines))
-            self._handle.flush()
-
-    def frames(self, dataset: str) -> list[int]:
-        return sorted(f for (d, f) in self._rows if d == dataset)
-
-    def compact(self) -> int:
-        """Rewrite the file with one line per live key; returns the
-        number of superseded lines dropped.
-
-        The rewrite is atomic (tmp file + fsync + ``os.replace``): a
-        crash at any point leaves either the old file or the complete
-        new one, never a half-compacted cache.
-        """
-        dropped = self._stale_lines
-        if dropped == 0:
-            return 0
-        if self._handle is not None and not self._handle.closed:
-            self._handle.close()
-        tmp = self._path.with_name(self._path.name + ".compact")
-        with open(tmp, "wb") as out:
-            for (dataset, frame), rows in self._rows.items():
-                out.write(self._line(dataset, frame, rows))
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, self._path)
-        self._handle = open(self._path, "ab")
-        self._stale_lines = 0
-        tel = telemetry.get()
-        if tel.enabled:
-            tel.counter("repro_cache_compactions_total").inc()
-            tel.counter("repro_cache_compacted_lines_total").inc(dropped)
-        return dropped
-
-    def clear(self) -> None:
-        self._rows.clear()
-        self._stale_lines = 0
-        # swap the handle out *before* closing it: if close() raises
-        # mid-flush, the finally still truncates via a fresh handle, so
-        # the old handle's buffered lines can never resurface on disk
-        handle, self._handle = self._handle, None
-        try:
-            if handle is not None and not handle.closed:
-                handle.close()
-        finally:
-            self._handle = open(self._path, "wb")
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def flush(self) -> None:
-        if self._handle is not None and not self._handle.closed:
-            self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is None or self._handle.closed:
-            return
-        if self._stale_lines:  # leave a garbage-free file behind
-            self.compact()
-        self._handle.close()
-
-
 @dataclass
 class TierStats:
     """Memory-tier accounting for :class:`TieredBackend`.
@@ -502,8 +331,8 @@ class TieredBackend:
 
     The unbounded backends trade memory for detector calls without limit;
     long-lived deployments need the trade bounded.  This backend keeps the
-    hottest entries in memory under an entry and/or byte budget and
-    (when ``backing`` is given) writes every put *through* to the
+    hottest entries in memory under an entry budget and (when
+    ``backing`` is given) writes every put *through* to the
     persistent store, so eviction only ever drops the memory copy — a
     later lookup falls through to the backing store and is re-admitted.
     With no backing store, eviction loses the entry entirely and the
@@ -517,10 +346,8 @@ class TieredBackend:
     heavily skewed toward hot chunks), and LRU keeps eviction decisions
     trivially auditable in tests.
 
-    ``max_bytes`` charges each entry its compact-JSON encoding size —
-    deterministic, platform-independent, and proportional to what the
-    persistent backends would store for the same rows.  A zero budget is
-    legal and admits nothing (every lookup falls through).
+    A zero budget is legal and admits nothing (every lookup falls
+    through).
     """
 
     def __init__(
@@ -528,18 +355,12 @@ class TieredBackend:
         backing: CacheBackend | None = None,
         *,
         max_entries: int | None = None,
-        max_bytes: int | None = None,
     ):
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries must be non-negative")
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative")
         self._backing = backing
         self._max_entries = max_entries
-        self._max_bytes = max_bytes
         self._tier: dict[tuple[str, int], list[dict]] = {}
-        self._sizes: dict[tuple[str, int], int] = {}
-        self._bytes = 0
         self.tier_stats = TierStats()
         # telemetry deltas since the last drain: tier hits, tier misses,
         # evictions (same pattern as the facade: the tier sits on the
@@ -556,22 +377,10 @@ class TieredBackend:
         return self._max_entries
 
     @property
-    def max_bytes(self) -> int | None:
-        return self._max_bytes
-
-    @property
     def tier_entries(self) -> int:
         return len(self._tier)
 
-    @property
-    def tier_bytes(self) -> int:
-        return self._bytes
-
     # ------------------------------------------------------------- tier core
-
-    @staticmethod
-    def _cost(rows: list[dict]) -> int:
-        return len(json.dumps(rows, separators=(",", ":")))
 
     def _touch(self, key: tuple[str, int]) -> list[dict]:
         """Move a resident key to the LRU tail and return its rows."""
@@ -580,24 +389,12 @@ class TieredBackend:
         return rows
 
     def _admit(self, key: tuple[str, int], rows: list[dict]) -> None:
-        if self._max_entries == 0 or self._max_bytes == 0:
+        if self._max_entries == 0:
             return  # a zero budget stores nothing, by definition
-        cost = self._cost(rows) if self._max_bytes is not None else 0
-        if self._max_bytes is not None and cost > self._max_bytes:
-            return  # larger than the whole budget: admitting would just
-            # evict everything else and then be evicted itself
-        if key in self._tier:
-            self._tier.pop(key)
-            self._bytes -= self._sizes.pop(key, 0)
+        self._tier.pop(key, None)  # a re-put moves to the LRU tail
         self._tier[key] = rows
-        self._sizes[key] = cost
-        self._bytes += cost
-        while (
-            self._max_entries is not None and len(self._tier) > self._max_entries
-        ) or (self._max_bytes is not None and self._bytes > self._max_bytes):
-            victim = next(iter(self._tier))
-            self._tier.pop(victim)
-            self._bytes -= self._sizes.pop(victim, 0)
+        while self._max_entries is not None and len(self._tier) > self._max_entries:
+            self._tier.pop(next(iter(self._tier)))
             self.tier_stats.evictions += 1
             if telemetry.get().enabled:
                 self._tel_pending[2] += 1
@@ -620,7 +417,6 @@ class TieredBackend:
             if pending[2]:
                 tel.counter("repro_cache_tier_evictions_total").inc(pending[2])
             tel.gauge("repro_cache_tier_entries").set(len(self._tier))
-            tel.gauge("repro_cache_tier_bytes").set(self._bytes)
         self._tel_pending = [0, 0, 0]
 
     # -------------------------------------------------------------- protocol
@@ -684,8 +480,6 @@ class TieredBackend:
 
     def clear(self) -> None:
         self._tier.clear()
-        self._sizes.clear()
-        self._bytes = 0
         self._drain_telemetry()
         if self._backing is not None:
             self._backing.clear()
@@ -823,15 +617,9 @@ class DetectionCache:
         polling between batches always sees a consistent split rather
         than a mid-batch interleaving.
         """
-        getter = getattr(self._backend, "get_many", None)
-        if getter is not None:
-            rows_per_frame = getter(dataset, list(frame_indices))
-            roundtrips = 1
-        else:  # backend predates the batch protocol
-            rows_per_frame = [self._backend.get(dataset, int(f)) for f in frame_indices]
-            roundtrips = len(rows_per_frame)
         out: list[tuple[Detection, ...] | None] = [
-            None if rows is None else _decode(rows) for rows in rows_per_frame
+            None if rows is None else _decode(rows)
+            for rows in self._backend.get_many(dataset, list(frame_indices))
         ]
         batch_hits = sum(1 for item in out if item is not None)
         batch_misses = len(out) - batch_hits
@@ -840,7 +628,7 @@ class DetectionCache:
         self.stats.batches += 1
         self.stats.last_batch_hits = batch_hits
         self.stats.last_batch_misses = batch_misses
-        self._record(batch_hits, batch_misses, roundtrips, "get")
+        self._record(batch_hits, batch_misses, 1, "get")
         return out
 
     def put_many(
@@ -849,17 +637,10 @@ class DetectionCache:
         items: Sequence[tuple[int, Sequence[Detection]]],
     ) -> None:
         """Batch :meth:`put`: one backend round-trip for the whole batch."""
-        putter = getattr(self._backend, "put_many", None)
         encoded = [(int(frame), _encode(dets)) for frame, dets in items]
-        if putter is not None:
-            putter(dataset, encoded)
-            roundtrips = 1
-        else:
-            for frame, rows in encoded:
-                self._backend.put(dataset, frame, rows)
-            roundtrips = len(encoded)
+        self._backend.put_many(dataset, encoded)
         self.stats.inserts += len(encoded)
-        self._record(0, 0, roundtrips, "put", inserts=len(encoded))
+        self._record(0, 0, 1, "put", inserts=len(encoded))
 
     def contains(self, dataset: str, frame_index: int) -> bool:
         """Membership test without touching the hit/miss accounting."""

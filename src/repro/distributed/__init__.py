@@ -6,7 +6,7 @@ process still runs one detector loop.  This package distributes that
 loop: a :class:`~repro.distributed.shard.ShardPlan` partitions a
 repository's clips into contiguous shards, each shard is owned by a
 worker *process* (:mod:`repro.distributed.worker`) holding its own
-detector and local detection cache, and a
+detector, and a
 :class:`~repro.distributed.coordinator.ShardCoordinator` routes every
 planned frame batch to its owning shard, fans the per-shard requests
 out, and merges the results in input order.
@@ -27,12 +27,10 @@ Front doors: ``QueryService(execution="sharded", shards=N)``,
 """
 
 from .coordinator import ShardCoordinator, WorkerHandle
-from .plane import CachePlane
 from .shard import ShardPlan, ShardSpec, shard_chunk_spans
 from .worker import DetectorSpec, ShardWorker, WorkerSpec, worker_main
 
 __all__ = [
-    "CachePlane",
     "ShardCoordinator",
     "WorkerHandle",
     "ShardPlan",

@@ -21,8 +21,8 @@ single-process run (asserted over a seed matrix in
 Fault handling: a worker is a spec plus a replica, so the coordinator's
 response to a dead worker is to rebuild it — spawn a fresh process from
 the current repository and the same :class:`WorkerSpec`, re-issue the
-in-flight request, and carry on.  A kill therefore costs a respawn and a
-cold local cache, never a wrong (or lost) answer.
+in-flight request, and carry on.  A kill therefore costs a respawn,
+never a wrong (or lost) answer.
 
 Workers are spawned lazily: a shard that never receives a request (an
 empty shard of a small repository, a dataset nobody queries) never costs
@@ -38,7 +38,6 @@ from typing import Sequence
 from .. import telemetry
 from ..detection.detector import Detection, DetectorStats
 from ..video.repository import VideoRepository
-from .plane import CachePlane
 from .shard import ShardPlan
 from .worker import DetectorSpec, WorkerSpec, decode_rows, worker_main
 
@@ -134,26 +133,13 @@ class ShardCoordinator:
     latency:
         Simulated per-detection overhead paid inside each worker (see
         :class:`WorkerSpec`).
-    cache_plane:
-        An optional shared :class:`~repro.distributed.plane.CachePlane`.
-        When set, every batch consults the plane before fanning out —
-        plane hits never reach a worker — and freshly detected rows are
-        filled back in, so a frame detected under any coordinator
-        sharing the plane is a hit for all of them.  The plane is
-        borrowed, not owned: :meth:`close` leaves it untouched.
-    cache_budget:
-        Optional entry budget for each worker's *local* cache (threaded
-        into :class:`WorkerSpec`); ``None`` keeps workers unbounded.
 
     ``stats`` counts frames *served by this coordinator* — with the
-    service's shared cache in front, that is exactly the real detection
-    work the paper's cost model charges, matching what a local detector's
-    ``stats`` would read.  Worker-local cache hits (possible only after a
-    respawn or an upstream cache drop) are an execution detail and are
-    deliberately not subtracted: the frame was still served.  Frames
-    answered by the plane are likewise served (and counted in
-    ``plane_hits``); the real detector invocations they avoided show up
-    as the gap against :meth:`worker_stats`' ``detector_calls``.
+    service's shared cache in front (it forwards only deduplicated
+    misses), that is exactly the real detection work the paper's cost
+    model charges: it matches what a local detector's ``stats`` would
+    read and, until a respawn restarts a worker's counters, the sum of
+    :meth:`worker_stats`' ``detector_calls``.
     """
 
     def __init__(
@@ -164,15 +150,11 @@ class ShardCoordinator:
         latency: float = 0.0,
         dataset: str | None = None,
         start_method: str | None = None,
-        cache_plane: CachePlane | None = None,
-        cache_budget: int | None = None,
     ):
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         if latency < 0.0:
             raise ValueError("latency must be non-negative")
-        if cache_budget is not None and cache_budget < 0:
-            raise ValueError("cache_budget must be non-negative")
         self._repository = repository
         self._plan = ShardPlan(repository, num_shards)
         self._detector_spec = (
@@ -183,13 +165,10 @@ class ShardCoordinator:
         self._ctx = multiprocessing.get_context(
             start_method if start_method is not None else _start_method()
         )
-        self._plane = cache_plane
-        self._cache_budget = cache_budget
         self._handles: list[WorkerHandle | None] = [None] * num_shards
         self._next_request = 0
         self._closed = False
         self.restarts = 0  # respawns forced by dead workers
-        self.plane_hits = 0  # frames answered by the shared plane
         self.stats = DetectorStats()
 
     # ------------------------------------------------------------ properties
@@ -210,10 +189,6 @@ class ShardCoordinator:
     def detector_spec(self) -> DetectorSpec:
         return self._detector_spec
 
-    @property
-    def cache_plane(self) -> CachePlane | None:
-        return self._plane
-
     def workers_alive(self) -> list[int]:
         """Shard ids with a currently live worker process."""
         return [
@@ -230,7 +205,6 @@ class ShardCoordinator:
             dataset=self._dataset,
             detector=self._detector_spec,
             latency=self._latency,
-            cache_budget=self._cache_budget,
             # mirror the parent's pipeline state at spawn time, so worker
             # registries exist exactly when there is a fleet to merge into
             telemetry=telemetry.get().enabled,
@@ -255,8 +229,7 @@ class ShardCoordinator:
         """Rebuild a dead worker from its spec — the crash-recovery path.
 
         The replacement's replica is the *current* repository, so it is
-        born fully caught up; only the dead worker's local cache is lost
-        (a cost, never a correctness event)."""
+        born fully caught up."""
         handle = self._handles[shard_id]
         if handle is not None:
             handle.kill()  # reap whatever is left; idempotent on the dead
@@ -362,22 +335,8 @@ class ShardCoordinator:
         obs = telemetry.get().dispatch_observer
         obs.begin()
         self._sync()
-        # consult the shared plane first: a frame any coordinator on this
-        # plane already paid for never reaches a worker.  Plane rows are
-        # the same encoded wire format workers return, so hits merge
-        # through the identical decode path — byte-identical detections.
-        plane_rows: dict[int, list[dict]] = {}
-        dispatch = frames
-        if self._plane is not None:
-            unique = list(dict.fromkeys(frames))
-            found = self._plane.lookup(self._dataset, unique)
-            plane_rows = {
-                frame: rows for frame, rows in zip(unique, found) if rows is not None
-            }
-            self.plane_hits += sum(1 for f in frames if f in plane_rows)
-            dispatch = [f for f in frames if f not in plane_rows]
         groups: dict[int, list[int]] = {}
-        for frame in dispatch:
+        for frame in frames:
             groups.setdefault(self._plan.shard_for_frame(frame), []).append(frame)
         # fan out: one in-flight request per shard
         in_flight: list[tuple[int, int, dict]] = []  # (shard, request id, payload)
@@ -399,10 +358,7 @@ class ShardCoordinator:
         # failure propagates: a worker answers exactly once per request,
         # so abandoning a healthy shard's queued response here would
         # desynchronize its wire stream for every later batch.
-        by_frame: dict[int, list[Detection]] = {
-            frame: decode_rows(rows) for frame, rows in plane_rows.items()
-        }
-        fresh_items: list[tuple[int, list[dict]]] = []  # plane fill-back
+        by_frame: dict[int, list[Detection]] = {}
         failures: list[Exception] = []
         for shard_id, request_id, payload in in_flight:
             reply = None
@@ -420,14 +376,10 @@ class ShardCoordinator:
                 continue
             obs.answered(shard_id, len(payload["frames"]), reply["span"])
             for frame, rows in zip(payload["frames"], reply["rows"]):
-                if self._plane is not None and frame not in by_frame:
-                    fresh_items.append((frame, rows))
                 by_frame[frame] = decode_rows(rows)
         obs.in_flight(0)
         if failures:
             raise failures[0]
-        if self._plane is not None and fresh_items:
-            self._plane.fill(self._dataset, fresh_items)
         out = [list(by_frame[frame]) for frame in frames]
         self.stats.frames_processed += len(frames)
         self.stats.detections_emitted += sum(len(d) for d in out)
@@ -514,8 +466,8 @@ class ShardCoordinator:
         """Shut every worker down; idempotent, safe on dead workers.
 
         The final telemetry harvest happens here, before any shutdown is
-        sent — the last chance to fold worker-side series (cache tiers,
-        detector calls) into the snapshot ``--metrics-out`` writes."""
+        sent — the last chance to fold worker-side series (detector
+        calls) into the snapshot ``--metrics-out`` writes."""
         if self._closed:
             return
         self.collect_telemetry()

@@ -1,14 +1,16 @@
-"""The per-shard worker: a detector + local cache behind a message loop.
+"""The per-shard worker: a detector behind a message loop.
 
 A worker owns one shard of the detection workload.  It is deliberately
-**stateless with respect to query answers**: everything it holds — a
-replica of the repository's ground truth, a detector built from a
-:class:`DetectorSpec`, a local in-memory :class:`DetectionCache` — can be
+**stateless**: everything it holds — a replica of the repository's
+ground truth and a detector built from a :class:`DetectorSpec` — can be
 rebuilt from its spec at any time, which is what lets the coordinator
 treat a dead worker as a respawn, not a recovery problem.  Detection
 content is a pure function of ``(detector spec, frame, ground truth)``,
-so a fresh replacement returns byte-identical rows; only the warm local
-cache is lost, costing re-detection, never answers.
+so a fresh replacement returns byte-identical rows and nothing is lost
+with the old one.  Paying each frame once is the job of the service's
+:class:`~repro.detection.cache.DetectionCache`, which sits in front of
+the coordinator and only ever forwards misses; a worker runs its
+detector on every frame it is sent (a repeat inside one batch aside).
 
 The wire format is deliberately plain: requests are
 ``(op, request_id, payload)`` tuples, responses ``("ok", request_id,
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .. import telemetry
-from ..detection.cache import DetectionCache, TieredBackend, _decode, _encode
+from ..detection.cache import _decode, _encode
 from ..detection.detector import Detector, OracleDetector, SimulatedDetector
 from ..video.instances import ObjectInstance
 from ..video.repository import VideoRepository
@@ -91,12 +93,6 @@ class WorkerSpec:
     shards' workers pay theirs concurrently — the lever the distributed
     throughput benchmark measures.
 
-    ``cache_budget`` bounds the worker's local cache to that many
-    entries (LRU, via :class:`~repro.detection.cache.TieredBackend`);
-    ``None`` keeps it unbounded.  Eviction costs re-detection only —
-    detection content is a pure function of the frame, so a bounded
-    worker returns byte-identical rows.
-
     ``telemetry`` mirrors the parent's pipeline state at spawn time:
     when true, :func:`worker_main` enables a *fresh* pipeline in the
     child (under ``fork`` the child would otherwise share a copy of the
@@ -109,7 +105,6 @@ class WorkerSpec:
     dataset: str
     detector: DetectorSpec = DetectorSpec()
     latency: float = 0.0
-    cache_budget: int | None = None
     telemetry: bool = False
 
     def __post_init__(self) -> None:
@@ -117,8 +112,6 @@ class WorkerSpec:
             raise ValueError("shard_id must be non-negative")
         if self.latency < 0.0:
             raise ValueError("latency must be non-negative")
-        if self.cache_budget is not None and self.cache_budget < 0:
-            raise ValueError("cache_budget must be non-negative")
 
 
 class ShardWorker:
@@ -132,11 +125,6 @@ class ShardWorker:
         self._spec = spec
         self._repository = repository
         self._detector = spec.detector.build(repository)
-        self._cache = DetectionCache(
-            TieredBackend(max_entries=spec.cache_budget)
-            if spec.cache_budget is not None
-            else None
-        )
         self._served = 0
 
     @property
@@ -149,7 +137,7 @@ class ShardWorker:
 
     @property
     def detector_calls(self) -> int:
-        """Real detector invocations (local cache hits excluded)."""
+        """Real detector invocations."""
         return self._detector.stats.frames_processed
 
     # -------------------------------------------------------------- handlers
@@ -167,35 +155,24 @@ class ShardWorker:
                     f"shard {self._spec.shard_id} asked for frame {frame} "
                     f"outside its replica's frame space [0, {horizon})"
                 )
-        cached = self._cache.get_many(self._spec.dataset, frames)
         rows_by_frame: dict[int, list[dict]] = {}
-        fresh: list[tuple[int, list[dict]]] = []
-        for frame, hit in zip(frames, cached):
-            if frame in rows_by_frame:
-                continue
-            if hit is not None:
-                rows_by_frame[frame] = _encode(hit)
+        for frame in frames:
+            if frame in rows_by_frame:  # a repeat within the batch
                 continue
             if self._spec.latency > 0.0:
                 time.sleep(self._spec.latency)  # the overhead shards overlap
-            rows = _encode(self._detector.detect(frame))
-            rows_by_frame[frame] = rows
-            fresh.append((frame, rows))
-        if fresh:
-            # rows are already encoded; feed the backend directly so the
-            # wire payload and the cached payload are the same object
-            self._cache.backend.put_many(self._spec.dataset, fresh)
+            rows_by_frame[frame] = _encode(self._detector.detect(frame))
         self._served += len(frames)
         tel = telemetry.get()
         tel.counter("repro_detector_batches_total").inc()
         tel.counter("repro_detector_frames_total").inc(len(frames))
-        tel.counter("repro_detector_calls_total").inc(len(fresh))
+        tel.counter("repro_detector_calls_total").inc(len(rows_by_frame))
         return {
             "rows": [rows_by_frame[frame] for frame in frames],
             "span": {
                 "duration_seconds": time.perf_counter() - started,
                 "frames": len(frames),
-                "detector_calls": len(fresh),
+                "detector_calls": len(rows_by_frame),
             },
         }
 
@@ -210,31 +187,17 @@ class ShardWorker:
         return {"horizon": self._repository.horizon, "clip_id": clip.clip_id}
 
     def _stats(self) -> dict:
-        backend = self._cache.backend
-        evictions = (
-            backend.tier_stats.evictions
-            if isinstance(backend, TieredBackend)
-            else 0
-        )
         return {
             "shard": self._spec.shard_id,
             "dataset": self._spec.dataset,
             "served": self._served,
             "detector_calls": self.detector_calls,
-            "cache_hits": self._cache.stats.hits,
-            "cache_size": len(self._cache),
-            "cache_evictions": evictions,
             "horizon": self._repository.horizon,
             "clips": self._repository.num_clips,
         }
 
     def _telemetry(self) -> dict:
-        """The worker's registry body for the coordinator's fleet merge.
-
-        Flushing the cache first drains its batched counter deltas, so
-        the body reflects every hit/miss/eviction up to this instant.
-        """
-        self._cache.flush()
+        """The worker's registry body for the coordinator's fleet merge."""
         tel = telemetry.get()
         if not tel.enabled:
             return {"counters": {}, "gauges": {}, "histograms": {}}
@@ -246,8 +209,8 @@ class ShardWorker:
         """Answer one ``(op, request_id, payload)`` request.
 
         Never raises: every failure becomes an ``("error", id, message)``
-        response, so a malformed request cannot take the worker (and its
-        warm cache) down with it.
+        response, so a malformed request cannot take the worker down
+        with it.
         """
         try:
             op, request_id, payload = message

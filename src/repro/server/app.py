@@ -600,7 +600,7 @@ class AsyncQueryServer:
         }
         # with telemetry on, the response carries the *fleet* snapshot —
         # worker processes harvested just now, so one stats op shows
-        # every layer, including per-shard worker cache tiering
+        # every layer, including per-shard detector spend
         snapshot = self._fleet_snapshot()
         if snapshot is not None:
             stats["metrics"] = snapshot
@@ -713,9 +713,7 @@ def _shard_summary(snapshot: dict) -> dict[str, dict]:
     """Fold a merged fleet snapshot into per-shard scalar summaries.
 
     Worker series carry a ``shard_id`` label (stamped at ingest by the
-    coordinator); everything else is coordinator-local and skipped.  The
-    summary adds a derived ``hit_rate`` from the worker cache counters —
-    the number ``repro top`` renders per shard.
+    coordinator); everything else is coordinator-local and skipped.
     """
     shards: dict[str, dict[str, float]] = {}
     for section in ("counters", "gauges"):
@@ -729,11 +727,6 @@ def _shard_summary(snapshot: dict) -> dict[str, dict]:
                 continue
             bucket = shards.setdefault(shard, {})
             bucket[name] = bucket.get(name, 0) + value
-    for bucket in shards.values():
-        hits = bucket.get("repro_worker_cache_hits_total", 0)
-        misses = bucket.get("repro_worker_cache_misses_total", 0)
-        lookups = hits + misses
-        bucket["hit_rate"] = (hits / lookups) if lookups else 0.0
     return {shard: shards[shard] for shard in sorted(shards)}
 
 

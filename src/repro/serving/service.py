@@ -39,7 +39,6 @@ from ..detection.detector import Detection, Detector, OracleDetector
 from ..detection.execution import wrap_parallel
 from ..detection.cache import TieredBackend
 from ..distributed.coordinator import ShardCoordinator
-from ..distributed.plane import CachePlane
 from ..distributed.worker import DetectorSpec
 from ..tracking.discriminator import Discriminator, OracleDiscriminator
 from ..video.instances import ObjectInstance
@@ -68,24 +67,18 @@ class QueryService:
         repository; sessions address datasets by name.
     cache:
         The shared :class:`DetectionCache`; defaults to in-memory.  Pass
-        one with an on-disk backend to share detections across processes.
+        one with an on-disk backend to share detections across processes,
+        or the same instance to several services in one process: a frame
+        any of them paid for is a hit for all.
     cache_budget:
-        Optional entry budget for the detection caches.  When ``cache``
+        Optional entry budget for the detection cache.  When ``cache``
         is not supplied, the default cache becomes a bounded LRU
         (:class:`~repro.detection.cache.TieredBackend`); an explicitly
         passed ``cache`` is the caller's to bound (wrap its backend in a
-        ``TieredBackend`` yourself).  Under sharded execution the budget
-        also bounds each worker's local cache.  Eviction degrades to
+        ``TieredBackend`` yourself).  Eviction degrades to
         re-detection — sampling decisions never depend on cache
         contents, so a budget changes detector-call counts, never
         answers (``tests/test_cache_tiering.py``).
-    cache_plane:
-        An optional shared :class:`~repro.distributed.plane.CachePlane`
-        (sharded execution only): coordinators consult it before fanning
-        batches out and fill it with fresh detections, so a frame
-        detected under any service sharing the plane is a hit for all.
-        The plane is borrowed — :meth:`close` leaves it open for its
-        other tenants.
     scheduler:
         Budget-splitting policy; defaults to round-robin.
     frames_per_tick:
@@ -119,10 +112,10 @@ class QueryService:
         this process; ``"sharded"`` routes each coalesced batch through a
         per-dataset :class:`~repro.distributed.coordinator.ShardCoordinator`
         to ``shards`` worker processes, each owning a contiguous clip
-        shard, a detector built from ``detector_spec`` (default: the
-        oracle), and a local detection cache.  All sampling state stays
-        in this process, so a sharded service returns byte-identical
-        answers to a local one — sharding only moves detector work.
+        shard and a detector built from ``detector_spec`` (default: the
+        oracle).  All sampling state stays in this process, so a sharded
+        service returns byte-identical answers to a local one — sharding
+        only moves detector work.
         Sharded execution builds detectors in the workers, so it excludes
         a custom ``detector_factory`` and the in-process ``workers``
         pool.
@@ -150,7 +143,6 @@ class QueryService:
         detector_spec: DetectorSpec | None = None,
         seed: int = 0,
         cache_budget: int | None = None,
-        cache_plane: CachePlane | None = None,
     ):
         if isinstance(repositories, VideoRepository):
             repositories = {repositories.name: repositories}
@@ -185,11 +177,6 @@ class QueryService:
                 )
         if cache_budget is not None and cache_budget < 0:
             raise ValueError("cache_budget must be non-negative")
-        if cache_plane is not None and execution != "sharded":
-            raise ValueError(
-                "cache_plane is consulted by the shard coordinator; it "
-                "requires execution='sharded'"
-            )
         self._repos = dict(repositories)
         if cache is not None:
             self._cache = cache
@@ -217,8 +204,6 @@ class QueryService:
         self._execution = execution
         self._shards = shards
         self._detector_spec = detector_spec
-        self._cache_budget = cache_budget
-        self._cache_plane = cache_plane
         self._seed = seed
         self._rng = DecisionRng((seed, 0x5C4ED))
         self._detectors: dict[str, CachingDetector] = {}
@@ -235,11 +220,6 @@ class QueryService:
     @property
     def cache(self) -> DetectionCache:
         return self._cache
-
-    @property
-    def cache_plane(self) -> CachePlane | None:
-        """The shared cross-coordinator cache plane, if one was passed."""
-        return self._cache_plane
 
     @property
     def frames_per_tick(self) -> int:
@@ -703,8 +683,6 @@ class QueryService:
                     detector_spec=self._detector_spec,
                     latency=self._detector_latency,
                     dataset=dataset,
-                    cache_plane=self._cache_plane,
-                    cache_budget=self._cache_budget,
                 )
             else:
                 inner = wrap_parallel(

@@ -322,9 +322,10 @@ class QuerySession:
     """A resumable query: spec + incremental engine + lifecycle state.
 
     Built by :class:`~repro.serving.service.QueryService`; not normally
-    constructed directly.  ``step_frames`` is the only way the session
-    advances, which is what makes the step count a complete serialization
-    of its progress.
+    constructed directly.  The session advances only through
+    ``plan_step`` / ``commit_step`` (one whole engine batch at a time),
+    which is what makes the step count a complete serialization of its
+    progress.
     """
 
     def __init__(
@@ -556,34 +557,6 @@ class QuerySession:
         return self._chunker.horizon - before
 
     # ------------------------------------------------------------- execution
-
-    def step_frames(self, budget: int) -> int:
-        """Advance until at least ``budget`` frames are processed (or the
-        session stops); returns frames actually processed.  Stops early
-        on satisfaction, exhaustion, or the session's own ``max_samples``
-        cap (honored exactly: the final batch is clamped via
-        :meth:`SessionSpec.next_batch_size`).
-
-        With ``batch_size > 1`` the return value may exceed ``budget`` by
-        up to ``batch_size - 1``: a session only ever commits *whole*
-        engine batches (splitting one would change its sampling stream
-        and break snapshot replay).  Callers enforcing a hard budget must
-        account for the overshoot themselves — as
-        :meth:`QueryService.tick` does by charging it against the
-        session's future allocations."""
-        if budget < 0:
-            raise ValueError("budget must be non-negative")
-        processed = 0
-        while processed < budget:
-            pending = self.plan_step()
-            if not pending:
-                break
-            records = self._engine.commit(pending)
-            self._pending = []
-            self._refresh_state()
-            processed += len(records)
-        self._refresh_state()
-        return processed
 
     # Two-phase stepping: the coalescing seam.  ``plan_step`` is stage 1
     # of one engine iteration (pure choice, no detections), so a

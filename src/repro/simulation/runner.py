@@ -32,11 +32,7 @@ import pathlib
 import tempfile
 from dataclasses import dataclass, field
 
-from ..detection.cache import (
-    DetectionCache,
-    JsonlBackend,
-    SqliteBackend,
-)
+from ..detection.cache import DetectionCache, SqliteBackend
 from ..detection.detector import OracleDetector, SimulatedDetector
 from ..distributed.worker import DetectorSpec
 from ..serving import ingest as serving_ingest
@@ -153,11 +149,8 @@ class SimulationRunner:
         return OracleDetector(repository)
 
     def _make_cache(self) -> DetectionCache:
-        backend = self.scenario.cache_backend
-        if backend == "sqlite":
+        if self.scenario.cache_backend == "sqlite":
             return DetectionCache(SqliteBackend(self.state_dir / "cache.sqlite"))
-        if backend == "jsonl":
-            return DetectionCache(JsonlBackend(self.state_dir / "cache.jsonl"))
         return DetectionCache()
 
     def _make_policy(self):
@@ -349,9 +342,8 @@ class SimulationRunner:
 
         The strongest distributed fault the coordinator promises to
         absorb transparently: the next batch routed to the dead shard
-        respawns a replacement from the worker's spec, loses only the
-        worker-local cache, and — the property the oracle check enforces
-        — changes no logged decision.  A no-op (logged as such) under
+        respawns a replacement from the worker's spec and — the property
+        the oracle check enforces — changes no logged decision.  A no-op (logged as such) under
         local execution or before any worker was spawned.
         """
         killed: list[str] = []

@@ -149,7 +149,7 @@ class Scenario:
     chunk_frames: int | None = None
     workers: int = 1
     detector_latency: float = 0.0
-    cache_backend: str = "memory"  # memory | sqlite | jsonl
+    cache_backend: str = "memory"  # memory | sqlite
     detector: str = "oracle"  # oracle | noisy
     miss_rate: float = 0.0
     false_positive_rate: float = 0.0
@@ -186,7 +186,9 @@ class Profile:
     ops: tuple[int, int] = (0, 2)
     workers: tuple[int, int] = (1, 2)
     max_latency: float = 0.0  # latency-spike ceiling, seconds
-    backends: tuple[str, ...] = ("memory", "memory", "sqlite", "jsonl")
+    # four entries on purpose: a scenario's backend is drawn as an index
+    # into this tuple, so its length fixes every later draw of the seed
+    backends: tuple[str, ...] = ("memory", "memory", "sqlite", "sqlite")
     noisy_detector_prob: float = 0.25
     sharded_prob: float = 0.0  # chance a scenario runs the sharded backend
     shard_counts: tuple[int, int] = (2, 3)

@@ -86,8 +86,8 @@ __all__ = [
 SNAPSHOT_VERSION = 1
 
 # worker-process series are re-published under this prefix in the fleet
-# snapshot: ``repro_cache_tier_hits_total`` measured inside shard 2's
-# worker becomes ``repro_worker_cache_tier_hits_total{shard_id="2",...}``
+# snapshot: ``repro_detector_calls_total`` measured inside shard 2's
+# worker becomes ``repro_worker_detector_calls_total{shard_id="2",...}``
 # in the coordinator's merged view — same catalog grammar, one new layer
 WORKER_PREFIX = "repro_worker_"
 

@@ -6,9 +6,10 @@ eviction a pure cost event: a bounded cache may change detector-call
 counts and ``repro_cache_*`` telemetry, but never any query's decision
 stream.  This module pins that contract over a seed matrix × budget
 matrix × execution backends, plus the :class:`TieredBackend` mechanics
-(LRU order, budgets, write-through) and the shared
-:class:`~repro.distributed.plane.CachePlane` (a frame detected under one
-coordinator is a hit for all, again without touching answers).
+(LRU order, budgets, write-through) and cross-service sharing: one
+:class:`DetectionCache` passed to several services as ``cache=`` (a
+frame detected under one is a hit for all, again without touching
+answers).
 
 Deliberately numpy-free at the top level so the whole module runs in the
 no-numpy CI leg — eviction parity is a backend-agnostic promise.
@@ -20,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.detection.cache import (
+    CachingDetector,
     DetectionCache,
     InMemoryBackend,
     TieredBackend,
 )
 from repro.distributed.coordinator import ShardCoordinator
-from repro.distributed.plane import CachePlane
 from repro.serving.service import QueryService
 from repro.video.geometry import Box, Trajectory
 from repro.video.instances import InstanceSet, ObjectInstance
@@ -74,15 +75,8 @@ def _fingerprint(service, session_ids):
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def _run(seed, execution, shards, cache_budget, cache_plane=None):
-    """One full service run; returns (fingerprint, detector_calls).
-
-    Sessions are submitted up front on an *empty* cache: a fresh
-    submission's warm-start set is read from the cache at submit time,
-    so submitting mid-run would legitimately couple warm-start contents
-    (and therefore decisions) to the budget — see CONTRIBUTING.md.
-    """
-    service = QueryService(
+def _service(seed, execution, shards, cache_budget=None, cache=None):
+    return QueryService(
         _repository(seed),
         frames_per_tick=16,
         chunk_frames=50,
@@ -90,13 +84,30 @@ def _run(seed, execution, shards, cache_budget, cache_plane=None):
         shards=shards,
         seed=seed,
         cache_budget=cache_budget,
-        cache_plane=cache_plane,
+        cache=cache,
     )
+
+
+def _submit(service, **options):
+    return [
+        service.submit(
+            "cam0", "bus", limit=3, max_samples=50, priority=2.0, **options
+        ),
+        service.submit("cam0", "car", max_samples=35, **options),
+    ]
+
+
+def _run(seed, execution, shards, cache_budget):
+    """One full service run; returns (fingerprint, detector_calls).
+
+    Sessions are submitted up front on an *empty* cache: a fresh
+    submission's warm-start set is read from the cache at submit time,
+    so submitting mid-run would legitimately couple warm-start contents
+    (and therefore decisions) to the budget — see CONTRIBUTING.md.
+    """
+    service = _service(seed, execution, shards, cache_budget)
     try:
-        sids = [
-            service.submit("cam0", "bus", limit=3, max_samples=50, priority=2.0),
-            service.submit("cam0", "car", max_samples=35),
-        ]
+        sids = _submit(service)
         service.run_until_idle(max_ticks=200)
         return _fingerprint(service, sids), service.detector_calls
     finally:
@@ -129,8 +140,8 @@ def test_eviction_parity_matrix_local():
 
 
 def test_eviction_parity_matrix_sharded():
-    """The same contract under sharded execution, where the budget also
-    bounds every worker's local cache."""
+    """The same contract under sharded execution: the one cache in front
+    of the coordinator is bounded, the workers hold nothing."""
     for seed in (0, 1, 2):
         local_fp, _ = _run(seed, "local", 1, None)
         for budget in BUDGETS:
@@ -141,13 +152,23 @@ def test_eviction_parity_matrix_sharded():
             )
 
 
-def test_eviction_parity_with_shared_plane():
-    """A bounded shared plane is equally invisible to answers."""
+def test_eviction_parity_with_shared_cache():
+    """Two services ticking side by side over one bounded cache evict
+    each other's entries all the way through; neither's answers move."""
     local_fp, _ = _run(0, "local", 1, None)
-    plane = CachePlane(TieredBackend(max_entries=3))
-    fp, _ = _run(0, "sharded", 2, None, cache_plane=plane)
-    assert fp == local_fp
-    plane.close()
+    shared = DetectionCache(TieredBackend(max_entries=3))
+    tenants = [_service(0, "sharded", 2, cache=shared) for _ in range(2)]
+    try:
+        sids = [_submit(service) for service in tenants]  # cache still empty
+        for _ in range(200):
+            if not any(service.tick() for service in tenants):
+                break
+        for service, session_ids in zip(tenants, sids):
+            assert _fingerprint(service, session_ids) == local_fp
+        assert shared.backend.tier_stats.evictions > 0
+    finally:
+        for service in tenants:
+            service.close()
 
 
 # ----------------------------------------------------- tiered backend
@@ -171,22 +192,6 @@ def test_lru_evicts_oldest_and_touch_refreshes():
     assert tier.get("d", 3) is not None
     assert tier.tier_stats.evictions == 1
     assert tier.tier_entries == 2
-
-
-def test_byte_budget_evicts_and_rejects_oversized():
-    small = _rows(1)
-    cost = len(json.dumps(small, separators=(",", ":")))
-    tier = TieredBackend(max_bytes=2 * cost)
-    tier.put("d", 1, _rows(1))
-    tier.put("d", 2, _rows(2))
-    assert tier.tier_bytes <= 2 * cost
-    tier.put("d", 3, _rows(3))
-    assert tier.tier_stats.evictions >= 1
-    # an entry larger than the whole budget is never admitted (admitting
-    # it would evict everything and then be evicted itself)
-    tier.put("d", 9, _rows(9, n=50))
-    assert tier.get("d", 9) is None
-    assert tier.tier_bytes <= 2 * cost
 
 
 def test_zero_budget_stores_nothing_but_backing_keeps_all():
@@ -284,83 +289,74 @@ def test_tiered_backing_always_agrees_with_bare_backend(ops, max_entries):
     assert len(tiered) == len(bare)
 
 
-# ------------------------------------------------------- shared plane
+# ------------------------------------------------------- shared cache
+#
+# Cross-service sharing is one ``DetectionCache`` passed to every tenant:
+# the cache only ever forwards misses, so a frame any tenant paid for
+# never reaches another tenant's workers.
 
-def test_plane_shares_detections_across_coordinators():
-    """A frame one coordinator paid for is a plane hit for the next —
-    its workers never run the detector at all."""
-    plane = CachePlane()
+def _worker_calls(coordinator):
+    return sum(s["detector_calls"] for s in coordinator.worker_stats().values())
+
+
+def test_shared_cache_spares_second_coordinator_every_worker():
+    """A frame one coordinator paid for is a hit for the next — its
+    workers are never even spawned."""
+    shared = DetectionCache()
     frames = [5, 85, 160, 240, 330]
-    first = ShardCoordinator(_repository(0), 2, cache_plane=plane)
-    a = first.detect_many(frames)
-    first_calls = sum(s["detector_calls"] for s in first.worker_stats().values())
+    first = ShardCoordinator(_repository(0), 2)
+    a = CachingDetector(first, shared, "cam0").detect_many(frames)
+    assert _worker_calls(first) == len(frames)
     first.close()
-    assert first_calls == len(frames)
 
-    second = ShardCoordinator(_repository(0), 2, cache_plane=plane)
-    b = second.detect_many(frames)
-    assert second.plane_hits == len(frames)
+    second = ShardCoordinator(_repository(0), 2)
+    b = CachingDetector(second, shared, "cam0").detect_many(frames)
+    assert second.stats.frames_processed == 0
     assert second.worker_stats() == {}  # all hits: no worker ever spawned
     second.close()
-    assert a == b  # plane hits decode byte-identical to worker results
-    assert plane.hit_rate > 0.0
-    plane.close()
+    assert a == b  # cache hits decode byte-identical to worker results
 
 
-def test_plane_partial_overlap_dispatches_only_misses():
-    plane = CachePlane()
-    first = ShardCoordinator(_repository(0), 2, cache_plane=plane)
-    first.detect_many([5, 85])
+def test_shared_cache_partial_overlap_dispatches_only_misses():
+    shared = DetectionCache()
+    first = ShardCoordinator(_repository(0), 2)
+    CachingDetector(first, shared, "cam0").detect_many([5, 85])
     first.close()
-    second = ShardCoordinator(_repository(0), 2, cache_plane=plane)
-    second.detect_many([5, 85, 160])
-    assert second.plane_hits == 2
-    calls = sum(s["detector_calls"] for s in second.worker_stats().values())
-    assert calls == 1  # only the miss reached a worker
+    second = ShardCoordinator(_repository(0), 2)
+    CachingDetector(second, shared, "cam0").detect_many([5, 85, 160])
+    assert second.stats.frames_processed == 1
+    assert _worker_calls(second) == 1  # only the miss reached a worker
     second.close()
-    plane.close()
 
 
-def test_shared_plane_saves_second_tenant_detector_calls():
+def test_shared_cache_saves_second_tenant_detector_calls():
     """The multi-tenant story: two services over the same footage.  With
-    a shared plane the second tenant's workers do (almost) nothing; with
-    private planes it pays full price.  Answers are identical either
+    one cache between them the second tenant's workers do nothing; with
+    private caches it pays full price.  Answers are identical either
     way."""
 
-    def tenant_worker_calls(plane):
-        service = QueryService(
-            _repository(1),
-            frames_per_tick=16,
-            chunk_frames=50,
-            execution="sharded",
-            shards=2,
-            seed=1,
-            cache_plane=plane,
-        )
+    def tenant_worker_calls(cache):
+        service = _service(1, "sharded", 2, cache=cache)
         try:
-            sids = [
-                service.submit("cam0", "bus", limit=3, max_samples=50),
-                service.submit("cam0", "car", max_samples=35),
-            ]
+            # no warm start: replaying the first tenant's frames into
+            # the second's beliefs is the one way cache contents reach
+            # decisions, and it is the submitter's choice
+            sids = _submit(service, warm_start=False)
             service.run_until_idle(max_ticks=200)
-            coordinator = service.shard_backend("cam0")
-            calls = sum(
-                s["detector_calls"]
-                for s in coordinator.worker_stats().values()
-            )
+            calls = _worker_calls(service.shard_backend("cam0"))
+            assert calls == service.detector_calls
             return _fingerprint(service, sids), calls
         finally:
             service.close()
 
-    shared = CachePlane()
+    shared = DetectionCache()
     fp_a, calls_a = tenant_worker_calls(shared)
     fp_b, calls_b = tenant_worker_calls(shared)
-    shared.close()
 
-    private_fp, private_calls = tenant_worker_calls(CachePlane())
+    private_fp, private_calls = tenant_worker_calls(DetectionCache())
 
     assert fp_a == fp_b == private_fp  # sharing never changes answers
-    assert calls_a == private_calls  # the first tenant always pays
+    assert calls_a == private_calls > 0  # the first tenant always pays
     # the second tenant's workload is identical (same seeds), so the
-    # shared plane answers every frame it samples
+    # shared cache answers every frame it samples
     assert calls_b == 0

@@ -218,6 +218,6 @@ def test_server_load_bench_is_a_default_key():
 
 def test_cache_pressure_bench_is_a_default_key():
     """The multi-tenant cache-pressure benchmark is CI-gated: the
-    bounded memory tier and shared-plane hot paths cannot silently
+    bounded memory tier and its store fall-through cannot silently
     regress."""
     assert "test_bench_cache_pressure" in checker.DEFAULT_KEYS

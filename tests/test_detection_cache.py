@@ -3,6 +3,7 @@
 import os
 import pathlib
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -17,12 +18,10 @@ from repro import telemetry
 from repro.core.chunking import even_count_chunks
 from repro.core.sampler import ExSample
 from repro.detection.cache import (
-    CacheError,
     CachingDetector,
     CategoryFilterDetector,
     DetectionCache,
     InMemoryBackend,
-    JsonlBackend,
     SqliteBackend,
     TieredBackend,
 )
@@ -54,7 +53,6 @@ def all_backends(tmp_path):
     return [
         InMemoryBackend(),
         SqliteBackend(tmp_path / "cache.sqlite"),
-        JsonlBackend(tmp_path / "cache.jsonl"),
     ]
 
 
@@ -108,23 +106,19 @@ def test_round_trip_identity_all_backends(tmp_path):
 
 
 def test_on_disk_backends_survive_reopen(tmp_path):
-    for name, factory in [
-        ("cache.sqlite", SqliteBackend),
-        ("cache.jsonl", JsonlBackend),
-    ]:
-        path = tmp_path / name
-        cache = DetectionCache(factory(path))
-        cache.put("d", 3, sample_detections(3))
-        cache.put("d", 11, [])
-        cache.put("other", 3, sample_detections(3))
-        cache.close()
+    path = tmp_path / "cache.sqlite"
+    cache = DetectionCache(SqliteBackend(path))
+    cache.put("d", 3, sample_detections(3))
+    cache.put("d", 11, [])
+    cache.put("other", 3, sample_detections(3))
+    cache.close()
 
-        reopened = DetectionCache(factory(path))
-        assert len(reopened) == 3
-        assert reopened.frames("d") == [3, 11]
-        assert reopened.get("d", 3) == tuple(sample_detections(3))
-        assert reopened.get("d", 11) == ()
-        reopened.close()
+    reopened = DetectionCache(SqliteBackend(path))
+    assert len(reopened) == 3
+    assert reopened.frames("d") == [3, 11]
+    assert reopened.get("d", 3) == tuple(sample_detections(3))
+    assert reopened.get("d", 11) == ()
+    reopened.close()
 
 
 def test_reput_supersedes(tmp_path):
@@ -136,13 +130,13 @@ def test_reput_supersedes(tmp_path):
         cache.close()
 
 
-def test_jsonl_reput_latest_wins_across_reopen(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = DetectionCache(JsonlBackend(path))
+def test_sqlite_reput_latest_wins_across_reopen(tmp_path):
+    path = tmp_path / "cache.sqlite"
+    cache = DetectionCache(SqliteBackend(path))
     cache.put("d", 7, sample_detections())
     cache.put("d", 7, [])
     cache.close()
-    reopened = DetectionCache(JsonlBackend(path))
+    reopened = DetectionCache(SqliteBackend(path))
     assert reopened.get("d", 7) == ()
     assert len(reopened) == 1
     reopened.close()
@@ -200,7 +194,7 @@ def _fresh_sampler(repo, seed=11, num_chunks=8):
     return ExSample(chunks, OracleDetector(repo), OracleDiscriminator(), rng=rng)
 
 
-@pytest.mark.parametrize("backend_name", ["memory", "sqlite", "jsonl"])
+@pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
 def test_warm_start_matches_redetecting_same_frames(tmp_path, backend_name):
     """Replaying cached frames must leave beliefs identical to running the
     detector on those frames — detection at zero cost, not approximation."""
@@ -208,7 +202,6 @@ def test_warm_start_matches_redetecting_same_frames(tmp_path, backend_name):
     backend = {
         "memory": InMemoryBackend,
         "sqlite": lambda: SqliteBackend(tmp_path / "c.sqlite"),
-        "jsonl": lambda: JsonlBackend(tmp_path / "c.jsonl"),
     }[backend_name]()
     cache = DetectionCache(backend)
 
@@ -301,79 +294,28 @@ def test_sqlite_wal_leaves_batch_results_unchanged(tmp_path):
     reopened.close()
 
 
-# ------------------------------------------------- crash-safe jsonl open
+# ------------------------------------------------ crash-safe sqlite open
+#
+# The durability contract is the transaction boundary: ``flush()``
+# commits, and whatever a dead writer had not committed was never part
+# of the cache — losing it costs re-detection, never an unopenable state
+# directory.
 
-def _line_count(path):
-    return path.read_bytes().count(b"\n")
-
-
-def test_jsonl_torn_tail_repaired_on_open(tmp_path):
-    """A writer killed mid-append leaves half a line; reopening must
-    truncate it away and serve every committed entry — the same contract
-    the ingest journal honors."""
-    path = tmp_path / "cache.jsonl"
-    backend = JsonlBackend(path)
-    backend.put_many("d", [(3, [{"v": 3}]), (9, [])])
-    backend.close()
-    committed = path.read_bytes()
-    with open(path, "ab") as fh:
-        fh.write(b'{"dataset": "d", "frame": 11, "rows": [')  # no newline
-    reopened = JsonlBackend(path)
-    assert reopened.frames("d") == [3, 9]
-    assert reopened.get("d", 3) == [{"v": 3}]
-    assert reopened.get("d", 11) is None  # never committed, never served
-    assert path.read_bytes() == committed  # the torn bytes are gone
-    reopened.close()
-
-
-def test_jsonl_torn_tail_repair_counts_in_telemetry(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    path.write_bytes(b'{"dataset": "d", "frame": 1, "rows": []}\n{"torn')
-    telemetry.enable()
-    try:
-        backend = JsonlBackend(path)
-        snap = telemetry.get().snapshot()
-        assert snap["counters"]["repro_cache_torn_tail_repairs_total"] == 1
-        assert backend.frames("d") == [1]
-        backend.close()
-    finally:
-        telemetry.disable()
-
-
-def test_jsonl_malformed_committed_line_raises_named_error(tmp_path):
-    """A *committed* line that does not parse is corruption, not a torn
-    append — fail loudly with the file and line, never guess."""
-    path = tmp_path / "cache.jsonl"
-    backend = JsonlBackend(path)
-    backend.put("d", 3, [{"v": 3}])
-    backend.close()
-    with open(path, "ab") as fh:
-        fh.write(b'{"not": "a cache line"}\n')
-    with pytest.raises(CacheError, match=r"cache\.jsonl:2"):
-        JsonlBackend(path)
-    # invalid JSON is reported the same way as a missing key
-    path.write_bytes(b'{oops\n')
-    with pytest.raises(CacheError, match=r"cache\.jsonl:1"):
-        JsonlBackend(path)
-    # callers that predate the named error still catch it
-    assert issubclass(CacheError, ValueError)
-
-
-def test_jsonl_reopen_after_kill9_mid_put_many(tmp_path):
-    """Regression: a process SIGKILLed mid-``put_many`` used to leave a
-    file the next ``JsonlBackend.__init__`` died on with a raw
-    JSONDecodeError.  Reopen must succeed with every committed entry."""
-    path = tmp_path / "cache.jsonl"
+def test_sqlite_reopen_after_kill9_mid_put_many(tmp_path):
+    """A process SIGKILLed with a ``put_many`` batch written but not yet
+    flushed loses exactly that batch: reopen succeeds and serves every
+    committed entry."""
+    path = tmp_path / "cache.sqlite"
     script = textwrap.dedent(
         """
         import os, signal, sys
-        from repro.detection.cache import JsonlBackend
-        backend = JsonlBackend(sys.argv[1])
+        from repro.detection.cache import SqliteBackend
+        backend = SqliteBackend(sys.argv[1])
         backend.put_many("d", [(1, [{"v": 1}]), (2, [])])
-        # die mid-append: half a line reaches the disk, then SIGKILL —
-        # no close(), no atexit, nothing
-        backend._handle.write(b'{"dataset": "d", "frame": 3, "rows"')
-        backend._handle.flush()
+        backend.flush()
+        # die mid-tick: the next batch is in the open transaction, then
+        # SIGKILL — no flush(), no close(), no atexit, nothing
+        backend.put_many("d", [(3, [{"v": 3}]), (1, [{"v": "lost"}])])
         os.kill(os.getpid(), signal.SIGKILL)
         """
     )
@@ -386,12 +328,53 @@ def test_jsonl_reopen_after_kill9_mid_put_many(tmp_path):
         timeout=60,
     )
     assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
-    reopened = JsonlBackend(path)
+    reopened = SqliteBackend(path)
     assert reopened.frames("d") == [1, 2]
     assert reopened.get("d", 1) == [{"v": 1}]
     assert reopened.get("d", 2) == []
     assert reopened.get("d", 3) is None
+    reopened.put("d", 4, [])  # and the store still takes writes
     reopened.close()
+    assert SqliteBackend(path).frames("d") == [1, 2, 4]
+
+
+def test_sqlite_torn_wal_tail_loses_only_the_last_commit(tmp_path):
+    """A write-ahead log cut short mid-frame (power loss under
+    ``synchronous=NORMAL``) fails its checksum from the tear onwards:
+    reopening serves everything committed before it."""
+    live = tmp_path / "live"
+    backend = SqliteBackend(live / "cache.sqlite")
+    backend.put_many("d", [(3, [{"v": 3}]), (9, [])])
+    backend.flush()
+    backend.put_many("d", [(11, [{"v": 11}])])
+    backend.flush()
+    # copy the database as a crash would leave it: the connection is
+    # still open, so nothing has been checkpointed out of the log
+    torn = tmp_path / "torn"
+    torn.mkdir()
+    (torn / "cache.sqlite").write_bytes((live / "cache.sqlite").read_bytes())
+    wal = (live / "cache.sqlite-wal").read_bytes()
+    (torn / "cache.sqlite-wal").write_bytes(wal[:-100])
+    backend.close()
+    reopened = SqliteBackend(torn / "cache.sqlite")
+    assert reopened.frames("d") == [3, 9]
+    assert reopened.get("d", 3) == [{"v": 3}]
+    assert reopened.get("d", 11) is None  # never durable, never served
+    reopened.put("d", 11, [])
+    reopened.close()
+    assert SqliteBackend(torn / "cache.sqlite").frames("d") == [3, 9, 11]
+
+
+def test_sqlite_corrupt_file_fails_loudly_on_open(tmp_path):
+    """A store that is not a database is corruption, not a cold cache —
+    fail on open, never guess and never serve from it."""
+    path = tmp_path / "cache.sqlite"
+    backend = SqliteBackend(path)
+    backend.put("d", 3, [{"v": 3}])
+    backend.close()
+    path.write_bytes(b"not a database " * 64)
+    with pytest.raises(sqlite3.DatabaseError, match="not a database"):
+        SqliteBackend(path)
 
 
 # -------------------------------------------------- flush/close lifecycle
@@ -404,11 +387,9 @@ def _lifecycle_backends(tmp_path):
 
 
 def test_flush_and_close_are_idempotent_everywhere(tmp_path):
-    """Regression: ``JsonlBackend.flush()`` after ``close()`` raised
-    ``ValueError: I/O operation on closed file``.  Every backend must
-    tolerate redundant flushes and closes — shutdown paths overlap
-    (service close, atexit, test teardown) and must not race each other
-    into exceptions."""
+    """Every backend must tolerate redundant flushes and closes —
+    shutdown paths overlap (service close, atexit, test teardown) and
+    must not race each other into exceptions."""
     for backend in _lifecycle_backends(tmp_path):
         cache = DetectionCache(backend)
         cache.put("d", 7, sample_detections())
@@ -421,46 +402,20 @@ def test_flush_and_close_are_idempotent_everywhere(tmp_path):
         backend.close()
 
 
-def test_jsonl_clear_resets_disk_and_stays_usable(tmp_path):
-    """Regression: ``clear()`` swaps the handle before closing it, so a
-    close that raises mid-reopen can never resurface the old handle's
-    buffered lines in the fresh file."""
-    path = tmp_path / "cache.jsonl"
-    backend = JsonlBackend(path)
+def test_sqlite_clear_resets_disk_and_stays_usable(tmp_path):
+    path = tmp_path / "cache.sqlite"
+    backend = SqliteBackend(path)
     backend.put("d", 1, [{"v": 1}])
     backend.put("d", 1, [{"v": 2}])
-    assert backend.stale_lines == 1
+    backend.flush()
     backend.clear()
     assert len(backend) == 0
-    assert backend.stale_lines == 0
-    assert path.read_bytes() == b""
-    backend.put("d", 5, [])  # the swapped-in handle accepts writes
+    assert backend.frames("d") == []
+    backend.put("d", 5, [])  # the cleared store accepts writes
     backend.close()
-    reopened = JsonlBackend(path)
-    assert reopened.frames("d") == [5]
+    reopened = SqliteBackend(path)
+    assert reopened.frames("d") == [5]  # nothing from before resurfaces
     reopened.close()
-
-
-def test_jsonl_clear_survives_a_close_that_raises(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    backend = JsonlBackend(path)
-    backend.put("d", 1, [{"v": 1}])
-
-    class ExplodingHandle:
-        closed = False
-
-        def close(self):
-            raise OSError("simulated flush failure")
-
-    backend._handle = ExplodingHandle()
-    with pytest.raises(OSError):
-        backend.clear()
-    # the failure propagated, but the backend recovered a fresh handle:
-    # the file is empty and writable, nothing from before resurfaces
-    assert path.read_bytes() == b""
-    backend.put("d", 9, [])
-    backend.close()
-    assert JsonlBackend(path).frames("d") == [9]
 
 
 # --------------------------------------------------- frame-key coercion
@@ -500,7 +455,6 @@ def test_key_coercion_property_across_backends(ops):
         backends = [
             InMemoryBackend(),
             SqliteBackend(tmp / "c.sqlite"),
-            JsonlBackend(tmp / "c.jsonl"),
             TieredBackend(max_entries=4),
         ]
         reference = {}
@@ -517,79 +471,6 @@ def test_key_coercion_property_across_backends(ops):
                 elif got is not None:  # bounded tier: subset, never wrong
                     assert got == reference[frame]
             backend.close()
-
-
-# --------------------------------------------------------- compaction
-
-def test_jsonl_stale_lines_track_superseded_appends(tmp_path):
-    backend = JsonlBackend(tmp_path / "cache.jsonl")
-    backend.put("d", 1, [{"v": 1}])
-    assert backend.stale_lines == 0
-    backend.put("d", 1, [{"v": 2}])
-    backend.put("d", 2, [])
-    backend.put_many("d", [(1, [{"v": 3}]), (3, [])])
-    assert backend.stale_lines == 2  # frame 1 superseded twice
-    backend.clear()
-
-
-def test_jsonl_compact_drops_dead_lines_and_keeps_latest(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    backend = JsonlBackend(path)
-    backend.put("d", 1, [{"v": 1}])
-    backend.put("d", 1, [{"v": 2}])
-    backend.put("d", 2, [])
-    backend.put_many("d", [(1, [{"v": 3}]), (3, [])])
-    assert _line_count(path) == 5
-    assert backend.compact() == 2
-    assert backend.stale_lines == 0
-    assert _line_count(path) == 3
-    assert backend.get("d", 1) == [{"v": 3}]  # latest line won
-    backend.put("d", 4, [])  # the reopened append handle still works
-    backend.close()
-    reopened = JsonlBackend(path)
-    assert reopened.frames("d") == [1, 2, 3, 4]
-    assert reopened.get("d", 1) == [{"v": 3}]
-    assert reopened.stale_lines == 0
-    reopened.close()
-
-
-def test_jsonl_compact_is_a_noop_when_clean(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    backend = JsonlBackend(path)
-    backend.put("d", 1, [{"v": 1}])
-    backend.put("d", 2, [])
-    before = path.read_bytes()
-    assert backend.compact() == 0
-    assert path.read_bytes() == before  # no rewrite, no reordering
-    backend.close()
-
-
-def test_jsonl_close_auto_compacts(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    backend = JsonlBackend(path)
-    for version in range(3):
-        backend.put("d", 7, [{"v": version}])
-    assert _line_count(path) == 3
-    backend.close()
-    assert _line_count(path) == 1  # close left a garbage-free file
-    reopened = JsonlBackend(path)
-    assert reopened.get("d", 7) == [{"v": 2}]
-    reopened.close()
-
-
-def test_jsonl_compaction_counts_in_telemetry(tmp_path):
-    telemetry.enable()
-    try:
-        backend = JsonlBackend(tmp_path / "cache.jsonl")
-        backend.put("d", 7, [{"v": 0}])
-        backend.put("d", 7, [{"v": 1}])
-        backend.put("d", 7, [{"v": 2}])
-        backend.close()
-        snap = telemetry.get().snapshot()
-        assert snap["counters"]["repro_cache_compactions_total"] == 1
-        assert snap["counters"]["repro_cache_compacted_lines_total"] == 2
-    finally:
-        telemetry.disable()
 
 
 # -------------------------------------------------- tier telemetry drain
@@ -610,7 +491,6 @@ def test_tier_counters_drain_at_durability_points():
         assert snap["counters"]["repro_cache_tier_misses_total"] == 1
         assert snap["counters"]["repro_cache_tier_evictions_total"] == 1
         assert snap["gauges"]["repro_cache_tier_entries"] == 1
-        assert snap["gauges"]["repro_cache_tier_bytes"] == tier.tier_bytes
         tier.close()
     finally:
         telemetry.disable()

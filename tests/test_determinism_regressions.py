@@ -18,8 +18,8 @@ from repro.detection.cache import (
     CategoryFilterDetector,
     CachingDetector,
     DetectionCache,
-    JsonlBackend,
     SqliteBackend,
+    TieredBackend,
 )
 from repro.detection.detector import OracleDetector
 from repro.serving import ingest as serving_ingest
@@ -167,12 +167,12 @@ def test_cache_drop_changes_cost_but_never_decisions():
     assert calls_drop >= calls_clean
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
+@pytest.mark.parametrize("backend", ["sqlite", "tiered"])
 def test_backend_clear_empties_storage(tmp_path, backend):
-    if backend == "sqlite":
-        cache = DetectionCache(SqliteBackend(tmp_path / "c.sqlite"))
-    else:
-        cache = DetectionCache(JsonlBackend(tmp_path / "c.jsonl"))
+    store = SqliteBackend(tmp_path / "c.sqlite")
+    if backend == "tiered":  # clear must reach through the memory tier
+        store = TieredBackend(store, max_entries=1)
+    cache = DetectionCache(store)
     cache.put("cam0", 1, [])
     cache.put("cam0", 2, [])
     cache.flush()

@@ -93,9 +93,9 @@ def test_worker_detect_speaks_one_payload_shape():
     assert set(span) == {"duration_seconds", "frames", "detector_calls"}
     assert span["frames"] == 3 and span["detector_calls"] == 2
     assert span["duration_seconds"] >= 0.0
-    # an all-hit batch still answers in the same shape
+    # a frame seen before is detected again: the worker keeps nothing
     _, _, again = worker.handle(("detect", 1, {"frames": [5]}))
-    assert set(again) == {"rows", "span"} and again["span"]["detector_calls"] == 0
+    assert set(again) == {"rows", "span"} and again["span"]["detector_calls"] == 1
     for request_id, bad in ((2, [1, 2]), (3, {"frame": [1]}), (4, None)):
         status, echoed, message = worker.handle(("detect", request_id, bad))
         assert (status, echoed) == ("error", request_id), bad
@@ -103,12 +103,18 @@ def test_worker_detect_speaks_one_payload_shape():
     assert worker.handle(("detect", 5, {"frames": [5]}))[0] == "ok"  # still serving
 
 
-def test_worker_local_cache_dedupes_detector_calls():
+def test_worker_redetects_across_requests():
+    """Paying each frame once is the service cache's job, one level up;
+    a worker only collapses a repeat inside one batch."""
     worker, _ = _worker()
     worker.handle(("detect", 0, {"frames": [5, 25, 5]}))  # in-batch duplicate
     assert worker.detector_calls == 2
-    worker.handle(("detect", 1, {"frames": [5, 25, 60]}))  # cross-request hits
-    assert worker.detector_calls == 3
+    worker.handle(("detect", 1, {"frames": [5, 25, 60]}))
+    assert worker.detector_calls == 5
+    _, _, stats = worker.handle(("stats", 2, None))
+    assert set(stats) == {
+        "shard", "dataset", "served", "detector_calls", "horizon", "clips",
+    }
 
 
 def test_worker_rejects_out_of_range_frames_without_dying():

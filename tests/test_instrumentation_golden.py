@@ -44,10 +44,6 @@ SERIES_NAMES = [
     "repro_shard_inflight_requests",
     "repro_shard_request_seconds",
     "repro_shard_requests_total",
-    "repro_worker_cache_backend_roundtrips_total",
-    "repro_worker_cache_hits_total",
-    "repro_worker_cache_inserts_total",
-    "repro_worker_cache_misses_total",
     "repro_worker_detector_batches_total",
     "repro_worker_detector_calls_total",
     "repro_worker_detector_frames_total",

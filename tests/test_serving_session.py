@@ -66,17 +66,26 @@ def test_pause_resume_cancel_transitions():
         service.pause(sid)
 
 
-def test_step_frames_respects_budget_and_limit():
-    service = make_service(make_repo())
+def test_tick_respects_budget_limit_and_max_samples():
+    service = make_service(make_repo(), frames_per_tick=5)
     sid = service.submit("synthetic", "bus", limit=3, seed=3)
     session = service.sessions[sid]
-    assert session.step_frames(5) == 5
+    assert service.tick() == {sid: 5}
     assert session.frames_processed == 5
-    session.step_frames(10_000)
+    service.run_until_idle()
     assert session.state is SessionState.COMPLETED
     assert session.results_found >= 3
-    # completed sessions refuse further work without erroring
-    assert session.step_frames(10) == 0
+    # completed sessions receive no further work, without erroring
+    assert service.tick() == {}
+    # the session's own cap is honored exactly: batches of 4 against a
+    # cap of 10 end on a final batch clamped to 2
+    capped = service.submit(
+        "synthetic", "bus", max_samples=10, batch_size=4, seed=3,
+        warm_start=False,
+    )
+    service.run_until_idle()
+    assert service.sessions[capped].state is SessionState.EXHAUSTED
+    assert service.sessions[capped].frames_processed == 10
 
 
 def test_max_samples_exhausts_session():
