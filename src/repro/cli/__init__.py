@@ -40,10 +40,11 @@ frames the policy picks, deterministically per seed:
 
 Shard-parallel execution (see :mod:`repro.distributed`): ``--shards N``
 on ``query``/``serve``/``submit`` moves detection into N worker
-processes, each owning a contiguous clip shard with its own detector;
-the coordinator keeps all sampling state, so answers are
-byte-identical to local execution.  ``submit --shards`` records the
-count in the state directory so later ``serve`` runs shard by default:
+processes — stateless replicas, each with its own detector, over which
+every batch is split evenly; the coordinator keeps all sampling state,
+so answers are byte-identical to local execution.  ``submit --shards``
+records the count in the state directory so later ``serve`` runs shard
+by default:
 
     python -m repro query dashcam bicycle --limit 20 \
         --batch-size 8 --shards 4 --detector-latency 0.002

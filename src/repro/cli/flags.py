@@ -76,9 +76,9 @@ FLAGS: dict[str, dict] = {
     "--shards": dict(
         type=int, default=None,
         help="shard-parallel execution: run detection across N worker "
-             "processes, each owning a contiguous clip shard — "
-             "answer-identical to local execution (default: the state "
-             "directory's recorded value, else 1 = local)",
+             "processes (stateless replicas; each batch is split "
+             "evenly over them) — answer-identical to local execution "
+             "(default: the state directory's recorded value, else 1 = local)",
     ),
     "--cache-budget": dict(
         type=int, default=None,

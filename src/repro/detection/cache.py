@@ -728,13 +728,17 @@ class CachingDetector:
         self.stats.detections_emitted += len(detections)
         return list(detections)
 
-    def detect_many(self, frame_indices: Sequence[int]) -> list[list[Detection]]:
+    def detect_many(
+        self, frame_indices: Sequence[int], while_waiting=None
+    ) -> list[list[Detection]]:
         """Batch :meth:`detect` with partial-hit splitting.
 
         One cache round-trip answers the hits; the misses (deduplicated,
         in first-seen order) go to the wrapped detector as **one** batch
         call and land in the cache as one batch write.  Results align
         with the input frames, identical to per-frame :meth:`detect`.
+        ``while_waiting`` rides the miss call through
+        :func:`~repro.detection.execution.batch_detect`.
         """
         frames = [int(f) for f in frame_indices]
         self.stats.frames_processed += len(frames)
@@ -751,7 +755,7 @@ class CachingDetector:
                 )
         fresh: dict[int, list[Detection]] = {}
         if missing:
-            detected = batch_detect(self._detector, missing)
+            detected = batch_detect(self._detector, missing, while_waiting)
             self._cache.put_many(self._dataset, list(zip(missing, detected)))
             fresh = dict(zip(missing, detected))
         out = [

@@ -3,13 +3,11 @@
 The serving stack's execution cost is dominated by detector invocations
 (§I); PR 2 overlapped their per-call overhead with threads, but one
 process still runs one detector loop.  This package distributes that
-loop: a :class:`~repro.distributed.shard.ShardPlan` partitions a
-repository's clips into contiguous shards, each shard is owned by a
-worker *process* (:mod:`repro.distributed.worker`) holding its own
-detector, and a
-:class:`~repro.distributed.coordinator.ShardCoordinator` routes every
-planned frame batch to its owning shard, fans the per-shard requests
-out, and merges the results in input order.
+loop: each shard is a worker *process* (:mod:`repro.distributed.worker`)
+— a stateless replica of the repository with its own detector — and a
+:class:`~repro.distributed.coordinator.ShardCoordinator` splits every
+planned frame batch evenly over them, fans the per-shard requests out,
+and merges the results in input order.
 
 The layer's contract is the same one PRs 2–4 established for batching,
 caching, and restarts: **execution is invisible to answers.**  All
@@ -27,15 +25,11 @@ Front doors: ``QueryService(execution="sharded", shards=N)``,
 """
 
 from .coordinator import ShardCoordinator, WorkerHandle
-from .shard import ShardPlan, ShardSpec, shard_chunk_spans
 from .worker import DetectorSpec, ShardWorker, WorkerSpec, worker_main
 
 __all__ = [
     "ShardCoordinator",
     "WorkerHandle",
-    "ShardPlan",
-    "ShardSpec",
-    "shard_chunk_spans",
     "DetectorSpec",
     "ShardWorker",
     "WorkerSpec",

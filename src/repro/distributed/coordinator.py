@@ -4,19 +4,24 @@ The coordinator is the parent-side half of the distributed execution
 backend.  To the serving stack it *is* a detector — it conforms to the
 :class:`~repro.detection.detector.Detector` protocol and slots under the
 service's shared :class:`~repro.detection.cache.CachingDetector` exactly
-where a local detector would — but inside, each batch is routed by the
-:class:`~repro.distributed.shard.ShardPlan`, fanned out to per-shard
-worker processes, and merged back **in input order**.
+where a local detector would — but inside, each batch is deduplicated,
+cut into ``num_shards`` even slices, fanned out to the worker
+processes, and merged back **in input order**.
 
 The design carries the same theorem the whole serving layer rests on:
 sampling decisions live entirely in the coordinator's process (the
 ExSample engines, their RNGs, the belief state), and workers compute
 *only* detection content, which is a pure function of the frame.  So the
-number of shards, the routing, worker deaths, respawns, and every other
-execution detail are invisible to a query's answer — a sharded run
-returns byte-identical matches and per-chunk sample counts to a
-single-process run (asserted over a seed matrix in
+number of shards, which worker detects which frame, worker deaths,
+respawns, and every other execution detail are invisible to a query's
+answer — a sharded run returns byte-identical matches and per-chunk
+sample counts to a single-process run (asserted over a seed matrix in
 ``tests/test_distributed_parity.py``).
+
+It is also why there is no routing: every worker holds a full replica
+and keeps nothing between requests, so a batch is split by *count*
+alone — every worker equally busy however hard the sampler concentrates
+on one clip.
 
 Fault handling: a worker is a spec plus a replica, so the coordinator's
 response to a dead worker is to rebuild it — spawn a fresh process from
@@ -24,9 +29,8 @@ the current repository and the same :class:`WorkerSpec`, re-issue the
 in-flight request, and carry on.  A kill therefore costs a respawn,
 never a wrong (or lost) answer.
 
-Workers are spawned lazily: a shard that never receives a request (an
-empty shard of a small repository, a dataset nobody queries) never costs
-a process.
+Workers are spawned lazily: a shard that never receives a slice (a
+dataset nobody queries) never costs a process.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Sequence
 from .. import telemetry
 from ..detection.detector import Detection, DetectorStats
 from ..video.repository import VideoRepository
-from .shard import ShardPlan
 from .worker import DetectorSpec, WorkerSpec, decode_rows, worker_main
 
 __all__ = ["WorkerHandle", "ShardCoordinator"]
@@ -122,7 +125,7 @@ class ShardCoordinator:
     ----------
     repository:
         The live repository (the coordinator tracks its growth and
-        forwards appended clips to worker replicas before routing any
+        forwards appended clips to worker replicas before sending any
         frame beyond their horizon).
     num_shards:
         Worker-process count; ``1`` is a legal degenerate deployment
@@ -156,7 +159,6 @@ class ShardCoordinator:
         if latency < 0.0:
             raise ValueError("latency must be non-negative")
         self._repository = repository
-        self._plan = ShardPlan(repository, num_shards)
         self._detector_spec = (
             detector_spec if detector_spec is not None else DetectorSpec()
         )
@@ -166,6 +168,7 @@ class ShardCoordinator:
             start_method if start_method is not None else _start_method()
         )
         self._handles: list[WorkerHandle | None] = [None] * num_shards
+        self._cursor = 0  # the shard the next batch's first slice goes to
         self._next_request = 0
         self._closed = False
         self.restarts = 0  # respawns forced by dead workers
@@ -175,11 +178,7 @@ class ShardCoordinator:
 
     @property
     def num_shards(self) -> int:
-        return self._plan.num_shards
-
-    @property
-    def plan(self) -> ShardPlan:
-        return self._plan
+        return len(self._handles)
 
     @property
     def dataset(self) -> str:
@@ -273,43 +272,43 @@ class ShardCoordinator:
             raise RuntimeError(f"shard {shard_id} failed: {payload}")
         return payload
 
-    def _sync(self) -> None:
-        """Bring routing and worker replicas up to the repository horizon.
+    def _append_payload(self, clip) -> dict:
+        """The ``append`` request that grows a replica by ``clip`` — one
+        pass over the repository's instances, so built once per clip and
+        shared by every worker it is shipped to."""
+        return {
+            "num_frames": clip.num_frames,
+            "name": clip.name,
+            "fps": clip.fps,
+            "instances": [
+                inst
+                for inst in self._repository.instances
+                if clip.start_frame <= inst.start_frame
+                and inst.end_frame <= clip.end_frame
+            ],
+        }
 
-        Newly appended clips are assigned by the plan, then forwarded to
-        every *live* worker whose replica predates them (a worker spawned
-        later starts caught up).  Only spawned workers are updated —
-        lazily spawned ones copy the current repository at spawn time.
+    def _sync(self) -> None:
+        """Bring worker replicas up to the repository horizon.
+
+        Newly appended clips are forwarded to every *live* worker whose
+        replica predates them; a lazily (re)spawned one copies the
+        current repository at spawn time and starts caught up.
         """
-        self._plan.sync()
         clips = self._repository.clips
-        for shard_id in range(self.num_shards):
-            handle = self._handles[shard_id]
-            if handle is None or not handle.alive:
-                continue  # a lazily/re-spawned worker copies the repo then
+        payloads: dict[int, dict] = {}  # clip id -> payload, built once
+        for shard_id, handle in enumerate(self._handles):
+            if handle is None or handle.clips_shipped >= len(clips) or not handle.alive:
+                continue
             while handle.clips_shipped < len(clips):
                 clip = clips[handle.clips_shipped]
-                instances = [
-                    inst
-                    for inst in self._repository.instances
-                    if clip.start_frame <= inst.start_frame
-                    and inst.end_frame <= clip.end_frame
-                ]
+                payload = payloads.get(clip.clip_id)
+                if payload is None:
+                    payload = payloads[clip.clip_id] = self._append_payload(clip)
                 request_id = self._next_request
                 self._next_request += 1
                 try:
-                    handle.send(
-                        (
-                            "append",
-                            request_id,
-                            {
-                                "num_frames": clip.num_frames,
-                                "name": clip.name,
-                                "fps": clip.fps,
-                                "instances": instances,
-                            },
-                        )
-                    )
+                    handle.send(("append", request_id, payload))
                     self._check(handle.recv(), request_id, shard_id)
                 except _DEAD_WORKER_ERRORS:
                     # append must NOT be blindly retried: the replacement's
@@ -321,43 +320,87 @@ class ShardCoordinator:
 
     # ------------------------------------------------------------- detection
 
-    def detect_many(self, frame_indices: Sequence[int]) -> list[list[Detection]]:
-        """Route a batch by shard, fan out, merge in input order.
+    #: ``detect_many`` takes ``while_waiting``: what ``batch_detect`` looks for
+    overlaps_wait = True
 
-        All shard requests are *sent* before any response is awaited, so
-        workers overlap their detection work — that overlap is the whole
-        throughput story (``benchmarks/test_bench_distributed.py``).  What
-        it reports goes through :class:`~repro.telemetry.observers.DispatchObserver`.
+    def detect_many(
+        self, frame_indices: Sequence[int], while_waiting=None
+    ) -> list[list[Detection]]:
+        """Split a batch evenly over the shards, fan out, merge in input
+        order: *send* every slice, let the caller work, *collect*.
+
+        All requests are sent before any response is awaited, so workers
+        overlap their detection work — with an even split that overlap
+        is the whole throughput story
+        (``benchmarks/test_bench_distributed.py``).  ``while_waiting``,
+        when given, is called once between the two halves, with every
+        worker busy, and may do anything that does not touch this
+        coordinator (the serving tick plans other sessions' next batches
+        there); the replies are drained even if it raises.  What the
+        batch reports goes through
+        :class:`~repro.telemetry.observers.DispatchObserver`.
         """
         frames = [int(f) for f in frame_indices]
         if not frames:
             return []
         obs = telemetry.get().dispatch_observer
         obs.begin()
+        in_flight = self._send(list(dict.fromkeys(frames)), obs)
+        try:
+            if while_waiting is not None:
+                while_waiting()
+        finally:
+            by_frame = self._collect(in_flight, obs)
+        out = [list(by_frame[frame]) for frame in frames]
+        self.stats.frames_processed += len(frames)
+        self.stats.detections_emitted += sum(len(d) for d in out)
+        obs.finish(len(frames))
+        return out
+
+    def _send(self, distinct: list[int], obs) -> list[tuple[int, int, dict]]:
+        """The non-blocking half: deal ``distinct`` frames into contiguous
+        slices, one per shard, sizes differing by at most one, and send
+        each as one request.
+
+        Slices start at a cursor that advances by the frames dealt, so
+        the larger slices of an uneven batch — and single frames — keep
+        moving round the shards instead of piling on shard 0.  Returns
+        the in-flight ``(shard, request id, payload)`` list; id ``-1``
+        marks a worker found dead at send (re-issued on collect).
+        """
         self._sync()
-        groups: dict[int, list[int]] = {}
-        for frame in frames:
-            groups.setdefault(self._plan.shard_for_frame(frame), []).append(frame)
-        # fan out: one in-flight request per shard
-        in_flight: list[tuple[int, int, dict]] = []  # (shard, request id, payload)
-        for shard_id in sorted(groups):
+        shards = self.num_shards
+        size, larger = divmod(len(distinct), shards)
+        in_flight: list[tuple[int, int, dict]] = []
+        start = 0
+        for k in range(min(shards, len(distinct))):
+            shard_id = (self._cursor + k) % shards
+            stop = start + size + (1 if k < larger else 0)
+            payload = {"frames": distinct[start:stop]}
+            start = stop
             handle = self._ensure_worker(shard_id)
             request_id = self._next_request
             self._next_request += 1
-            payload = {"frames": groups[shard_id]}
             obs.sent(shard_id)
             try:
                 handle.send(("detect", request_id, payload))
             except _DEAD_WORKER_ERRORS:
                 self._respawn(shard_id)
-                request_id = -1  # re-issued on collect
+                request_id = -1
             in_flight.append((shard_id, request_id, payload))
+        self._cursor = (self._cursor + len(distinct)) % shards
         obs.in_flight(len(in_flight))
-        # collect, re-issuing against a fresh worker when one died
-        # mid-flight.  Every in-flight request is drained before any
-        # failure propagates: a worker answers exactly once per request,
-        # so abandoning a healthy shard's queued response here would
-        # desynchronize its wire stream for every later batch.
+        return in_flight
+
+    def _collect(self, in_flight, obs) -> dict[int, list[Detection]]:
+        """The blocking half: one reply per in-flight request, re-issued
+        against a fresh worker when one died mid-flight.
+
+        Every in-flight request is drained before any failure
+        propagates: a worker answers exactly once per request, so
+        abandoning a healthy shard's queued response here would
+        desynchronize its wire stream for every later batch.
+        """
         by_frame: dict[int, list[Detection]] = {}
         failures: list[Exception] = []
         for shard_id, request_id, payload in in_flight:
@@ -380,11 +423,7 @@ class ShardCoordinator:
         obs.in_flight(0)
         if failures:
             raise failures[0]
-        out = [list(by_frame[frame]) for frame in frames]
-        self.stats.frames_processed += len(frames)
-        self.stats.detections_emitted += sum(len(d) for d in out)
-        obs.finish(len(frames))
-        return out
+        return by_frame
 
     def detect(self, frame_index: int) -> list[Detection]:
         return self.detect_many([int(frame_index)])[0]
@@ -392,25 +431,23 @@ class ShardCoordinator:
     # ------------------------------------------------------------- lifecycle
 
     def warm_up(self) -> list[int]:
-        """Spawn and ping every occupied shard's worker up front.
+        """Spawn and ping every shard's worker up front.
 
         Purely a latency lever: lazily spawned workers would otherwise
-        pay their startup cost inside the first detection batch.  Returns
-        the shard ids pinged.  The benchmark calls this so measured
-        throughput is steady-state, as a long-lived deployment's would be.
+        pay their startup cost inside the first detection batches.
+        Returns the shard ids pinged.  The benchmark calls this so
+        measured throughput is steady-state, as a long-lived
+        deployment's would be.
         """
         self._sync()
-        pinged = []
-        for spec in self._plan.shards():
-            if spec.empty:
-                continue
-            self._request(spec.shard_id, "ping", None)
-            pinged.append(spec.shard_id)
+        pinged = list(range(self.num_shards))
+        for shard_id in pinged:
+            self._request(shard_id, "ping", None)
         return pinged
 
     def kill_worker(self, shard_id: int) -> bool:
         """Hard-kill one worker (the fault injector's seam); returns
-        whether there was a live worker to kill.  The next request routed
+        whether there was a live worker to kill.  The next request sent
         to the shard respawns it transparently."""
         if not 0 <= shard_id < self.num_shards:
             raise IndexError(f"no shard {shard_id} (shards: {self.num_shards})")

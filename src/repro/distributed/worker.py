@@ -1,7 +1,8 @@
 """The per-shard worker: a detector behind a message loop.
 
-A worker owns one shard of the detection workload.  It is deliberately
-**stateless**: everything it holds — a replica of the repository's
+A worker is one of N interchangeable replicas the coordinator deals
+slices of each batch to; it owns no part of the repository.  It is
+deliberately **stateless**: everything it holds — a replica of the repository's
 ground truth and a detector built from a :class:`DetectorSpec` — can be
 rebuilt from its spec at any time, which is what lets the coordinator
 treat a dead worker as a respawn, not a recovery problem.  Detection

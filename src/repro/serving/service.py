@@ -28,6 +28,7 @@ Two invariants carry the whole design:
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .. import telemetry
@@ -109,16 +110,15 @@ class QueryService:
         Score-equivalent to sequential execution by construction.
     execution / shards / detector_spec:
         The execution backend.  ``"local"`` (default) runs detection in
-        this process; ``"sharded"`` routes each coalesced batch through a
-        per-dataset :class:`~repro.distributed.coordinator.ShardCoordinator`
-        to ``shards`` worker processes, each owning a contiguous clip
-        shard and a detector built from ``detector_spec`` (default: the
-        oracle).  All sampling state stays in this process, so a sharded
-        service returns byte-identical answers to a local one — sharding
-        only moves detector work.
-        Sharded execution builds detectors in the workers, so it excludes
-        a custom ``detector_factory`` and the in-process ``workers``
-        pool.
+        this process; ``"sharded"`` hands each coalesced batch to a
+        per-dataset :class:`~repro.distributed.coordinator.ShardCoordinator`,
+        which splits it evenly over ``shards`` worker processes — each a
+        stateless replica with a detector built from ``detector_spec``
+        (default: the oracle).  All sampling state stays in this
+        process, so a sharded service returns byte-identical answers to
+        a local one — sharding only moves detector work.  Sharded
+        execution builds detectors in the workers, so it excludes a
+        custom ``detector_factory`` and the in-process ``workers`` pool.
     seed:
         Seeds the scheduler RNG and the per-session default seeds.
         Session decisions use only per-session RNGs (see module
@@ -457,6 +457,15 @@ class QueryService:
         so a transient detector error loses at most the tick in flight —
         the same durability the state layer promises.
 
+        Plan-ahead: a detector that works out of process (the shard
+        coordinator) calls back while its replies are outstanding, and
+        the tick spends that wait planning the next batch of the
+        sessions outside this round (:meth:`_plan_ahead`).  The batch is
+        parked exactly as a failed tick's is and re-offered at the
+        session's turn: no plan, snapshot or restore can tell.  A parked
+        batch defers absorption, so a session with footage waiting is
+        never planned ahead — it absorbs at the next :meth:`sync` first.
+
         What the tick reports (the ``tick`` trace and its stage children,
         the per-tick series, per-session spans and gauges) goes through
         :class:`~repro.telemetry.observers.TickObserver` — a no-op twin
@@ -491,6 +500,7 @@ class QueryService:
             - self._deficits.get(s.session_id, 0)
             for s in active
         }
+        ahead = partial(self._plan_ahead, active, obs)  # for a detector that overlaps
         completed = False
         try:
             while True:
@@ -521,7 +531,7 @@ class QueryService:
                     frames = list(ordered)
                     obs.begin_dispatch(dataset, plans, frames)
                     try:
-                        per_frame = self._shared_detector(dataset).detect_many(frames)
+                        per_frame = self._shared_detector(dataset).detect_many(frames, ahead)
                     finally:
                         obs.end_dispatch()
                     detections[dataset] = dict(zip(frames, per_frame))
@@ -549,6 +559,25 @@ class QueryService:
             self._cache.flush()  # one durability point per scheduling quantum
         obs.finish(processed)
         return processed
+
+    @staticmethod
+    def _plan_ahead(active, obs) -> None:
+        """Plan next batches while this round's detection is in flight
+        (the detector calls back between sending and collecting).
+
+        Every session of ``active`` that is
+        :attr:`QuerySession.plannable_ahead` — which rules out the ones
+        in this round: their batch is parked until it commits — plans
+        one batch, in submission order: work a later tick would
+        otherwise do with the workers idle.  Who plans depends on the
+        tick history alone, never on how long the workers take: a parked
+        batch defers absorption, so a clock would get to pick a
+        session's chunk set.
+        """
+        obs.planning_ahead()
+        for session in active:
+            if session.plannable_ahead:
+                obs.planned_ahead(session, session.plan_step())
 
     def run_until_idle(self, max_ticks: int | None = None) -> int:
         """Tick until no session can be advanced (or ``max_ticks``);

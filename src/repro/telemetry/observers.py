@@ -134,6 +134,25 @@ class TickObserver:
         if self._contexts is not None:
             self._session_span(session, "plan", len(pending))
 
+    def planning_ahead(self) -> None:
+        """A dispatch is in flight and the tick may plan ahead: the first
+        such plan's clock starts here, not at the send.  The counter is
+        born here, so it exists exactly where planning ahead can happen
+        — local runs never get this far."""
+        self._ahead = self._tel.counter("repro_serving_planned_ahead_total")
+        self._span_mark = perf_counter()
+
+    def planned_ahead(self, session, pending) -> None:
+        """``session`` planned its next batch inside the round's ``detect``
+        stage: the seconds are ``plan`` work, so they move from one to
+        the other (the coming ``lap("detect")`` adds the whole wait)."""
+        seconds = perf_counter() - self._span_mark
+        self._seconds["plan"] += seconds
+        self._seconds["detect"] -= seconds
+        self._ahead.inc()
+        self.planned(session, pending)
+        self._span_mark = perf_counter()
+
     def lap(self, stage: str) -> None:
         """``stage`` of the current round just ended."""
         now = perf_counter()
@@ -247,6 +266,10 @@ class DispatchObserver:
         tel.histogram("repro_shard_request_seconds", labels).observe(perf_counter() - start)
         tel.counter("repro_shard_requests_total", labels).inc()
         tel.counter("repro_shard_frames_total", labels).inc(frames)
+        # the worker's own clock: over wall time, this shard's utilisation
+        tel.counter("repro_shard_busy_seconds_total", labels).inc(
+            float(worker_span["duration_seconds"])
+        )
 
     def finish(self, frames: int) -> None:
         """The batch merged.  In a sharded service the coordinator IS the

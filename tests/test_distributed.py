@@ -224,7 +224,7 @@ def test_coordinator_drains_healthy_shards_when_one_errors(monkeypatch):
     repo = _repository()
     raw = OracleDetector(repo)
     with ShardCoordinator(repo, 2, start_method="fork") as coordinator:
-        # frame 5 -> shard 0 errors; frame 310 -> shard 1 answers fine
+        # two frames, two slices: 5 -> shard 0 errors; 310 -> shard 1 is fine
         with pytest.raises(RuntimeError, match="poisoned"):
             coordinator.detect_many([5, 310])
         # both shards' wire streams are still in sync afterwards
@@ -254,15 +254,25 @@ def test_coordinator_lazy_spawn_skips_idle_shards():
 
 
 def test_coordinator_zero_clip_shards_are_noops():
+    """What never reaches a worker never costs one: an empty repository
+    and an empty batch spawn nothing, and a batch of k < num_shards
+    frames touches at most k workers."""
+    with ShardCoordinator(empty_repository("live"), 8) as coordinator:
+        assert coordinator.detect_many([]) == []
+        assert coordinator.workers_alive() == []
     repo = _repository()
-    # more shards than clips: trailing shards own nothing and never spawn
+    raw = OracleDetector(repo)
     with ShardCoordinator(repo, 8) as coordinator:
-        frames = list(range(0, repo.horizon, 37))
-        raw = OracleDetector(repo)
+        assert coordinator.detect_many([]) == []
+        assert coordinator.workers_alive() == []
+        frames = [5, 145, 310]
         assert coordinator.detect_many(frames) == [raw.detect(f) for f in frames]
-        occupied = {s.shard_id for s in coordinator.plan.shards() if not s.empty}
-        assert set(coordinator.workers_alive()) <= occupied
-        assert len(coordinator.workers_alive()) <= repo.num_clips
+        assert coordinator.workers_alive() == [0, 1, 2]
+        # a repeat is one frame to the fleet: two distinct -> two workers
+        assert coordinator.detect_many([25, 25, 60]) == [
+            raw.detect(25), raw.detect(25), raw.detect(60),
+        ]
+        assert coordinator.workers_alive() == [0, 1, 2, 3, 4]
 
 
 def test_coordinator_empty_live_repository_then_ingest():

@@ -32,6 +32,7 @@ SERIES_NAMES = [
     "repro_exec_frames_total",
     "repro_serving_frames_total",
     "repro_serving_plan_seconds",
+    "repro_serving_planned_ahead_total",
     "repro_serving_session_deficit_frames",
     "repro_serving_session_grant_frames",
     "repro_serving_sessions_schedulable",
@@ -39,6 +40,7 @@ SERIES_NAMES = [
     "repro_serving_tick_frames",
     "repro_serving_tick_seconds",
     "repro_serving_ticks_total",
+    "repro_shard_busy_seconds_total",
     "repro_shard_frames_total",
     "repro_shard_inflight_peak_requests",
     "repro_shard_inflight_requests",

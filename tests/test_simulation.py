@@ -233,6 +233,20 @@ def test_sharded_run_is_bit_reproducible_across_worker_kills(tmp_path):
     assert a.event_log == b.event_log
 
 
+@pytest.mark.parametrize("seed", [27, 43])
+def test_sharded_run_with_ingestion_is_bit_reproducible(seed, tmp_path):
+    """The pin for plan-ahead: these two seeds ingest footage while
+    sessions hold a planned-ahead batch, and diverged between runs when
+    who got planned ahead depended on how fast the workers answered."""
+    from repro.simulation.scenario import sharded_variant
+
+    scenario = sharded_variant(generate_scenario(seed, "quick"), 2)
+    assert scenario.ingests
+    a = run_scenario(scenario, workdir=tmp_path / "a")
+    b = run_scenario(scenario, workdir=tmp_path / "b")
+    assert a.event_log == b.event_log
+
+
 def test_stress_profile_natively_generates_sharded_scenarios():
     executions = {
         generate_scenario(seed, "stress").execution for seed in range(30)
