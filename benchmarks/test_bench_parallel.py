@@ -1,4 +1,4 @@
-"""Bench: the batched + parallel detection execution layer.
+"""Bench: batched detection over the one parallel execution substrate.
 
 Workload: the Fig. 2 setting — a heavily skewed synthetic corpus whose
 instances concentrate in a small fraction of the video — searched by the
@@ -7,11 +7,13 @@ ExSample loop, with detector cost simulated as a fixed per-call latency
 batching and pipelining).  Two execution modes run the *same* sampling
 policy:
 
-* **sequential** — frame-at-a-time ``detect`` calls, each paying the
-  full per-call latency (``batch_size=1``, one worker);
+* **sequential** — frame-at-a-time ``detect`` calls in this process,
+  each paying the full per-call latency (``batch_size=1``, through
+  :func:`~repro.detection.execution.with_latency`);
 * **batched + parallel** — the policy emits §III-F batches which a
-  :class:`~repro.detection.execution.ParallelDetector` fans out over a
-  worker pool, overlapping the per-call latency.
+  :class:`~repro.distributed.coordinator.ShardCoordinator` splits over
+  worker processes, each charging the same per-call latency through the
+  same wrapper, concurrently.
 
 Measured claims:
 
@@ -30,7 +32,9 @@ import numpy as np
 from repro.core.chunking import even_count_chunks
 from repro.core.sampler import ExSample
 from repro.detection.detector import SimulatedDetector
-from repro.detection.execution import ParallelDetector
+from repro.detection.execution import with_latency
+from repro.distributed.coordinator import ShardCoordinator
+from repro.distributed.worker import DetectorSpec
 from repro.experiments.reporting import format_table, section
 from repro.tracking.discriminator import OracleDiscriminator
 from repro.video.repository import single_clip_repository
@@ -40,7 +44,7 @@ TOTAL_FRAMES = 40_000
 INSTANCES = 120
 NUM_CHUNKS = 16
 LATENCY = 0.002  # 2 ms per detector call, the overhead batching hides
-WORKERS = 8
+WORKERS = 4
 BATCH = 8
 BUDGET = 320  # detector-charged frames per run
 SEED = 3
@@ -63,23 +67,33 @@ def _sampler(repo, detector, batch_size):
     )
 
 
-def _timed_run(repo, workers, batch_size, latency=LATENCY):
-    # context-managed so the worker pool is shut down even if the run
-    # raises — repeated benchmark invocations must not accumulate threads
-    with ParallelDetector(
-        SimulatedDetector(repo, seed=SEED), workers=workers, latency=latency
-    ) as detector:
-        sampler = _sampler(repo, detector, batch_size)
-        start = time.perf_counter()
-        sampler.run(max_samples=BUDGET)
-        elapsed = time.perf_counter() - start
-    return sampler, elapsed
+def _fleet(repo, latency=LATENCY):
+    return ShardCoordinator(
+        repo, WORKERS,
+        detector_spec=DetectorSpec(kind="simulated", seed=SEED),
+        latency=latency,
+    )
+
+
+def _timed_run(repo, detector, batch_size):
+    sampler = _sampler(repo, detector, batch_size)
+    start = time.perf_counter()
+    sampler.run(max_samples=BUDGET)
+    return sampler, time.perf_counter() - start
+
+
+def _local(repo, batch_size, latency):
+    detector = with_latency(SimulatedDetector(repo, seed=SEED), latency)
+    return _timed_run(repo, detector, batch_size)
 
 
 def _run():
     repo = _repo()
-    sequential, t_seq = _timed_run(repo, workers=1, batch_size=1)
-    parallel, t_par = _timed_run(repo, workers=WORKERS, batch_size=BATCH)
+    sequential, t_seq = _local(repo, batch_size=1, latency=LATENCY)
+    # context-managed so the workers are shut down even if the run raises
+    with _fleet(repo) as fleet:
+        fleet.warm_up()  # spawn cost is set-up, not throughput
+        parallel, t_par = _timed_run(repo, fleet, BATCH)
     return repo, sequential, parallel, t_seq, t_par
 
 
@@ -92,14 +106,13 @@ def test_bench_parallel(benchmark, save_report):
     speedup = par_tput / seq_tput
 
     # ------- parity: same seed, same batch structure, execution-mode blind
-    # (a) the parallel fan-out returns exactly the per-frame detections
+    # (a) the fleet returns exactly the per-frame detections
     frames = [int(f) for f in parallel.history.frame_indices[:64]]
     raw = SimulatedDetector(repo, seed=SEED)
-    fanned = ParallelDetector(SimulatedDetector(repo, seed=SEED), workers=WORKERS)
-    assert fanned.detect_many(frames) == [raw.detect(f) for f in frames]
-    fanned.close()
-    # (b) the same batched plan executed sequentially lands on the same answer
-    replay, _ = _timed_run(repo, workers=1, batch_size=BATCH, latency=0.0)
+    with _fleet(repo, latency=0.0) as fanned:
+        assert fanned.detect_many(frames) == [raw.detect(f) for f in frames]
+    # (b) the same batched plan executed locally lands on the same answer
+    replay, _ = _local(repo, batch_size=BATCH, latency=0.0)
     np.testing.assert_array_equal(
         replay.history.frame_indices, parallel.history.frame_indices
     )
@@ -111,9 +124,9 @@ def test_bench_parallel(benchmark, save_report):
     )
 
     rows = [
-        ["sequential (b=1, w=1)", sequential.frames_processed,
+        ["sequential (b=1, local)", sequential.frames_processed,
          f"{t_seq:.3f}", f"{seq_tput:.0f}", sequential.results_found],
-        [f"batched+parallel (b={BATCH}, w={WORKERS})", parallel.frames_processed,
+        [f"batched+parallel (b={BATCH}, shards={WORKERS})", parallel.frames_processed,
          f"{t_par:.3f}", f"{par_tput:.0f}", parallel.results_found],
     ]
     report = "\n".join(

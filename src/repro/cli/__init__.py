@@ -29,14 +29,14 @@ back — or executes a scripted session transcript:
 Execution-layer flags (see :mod:`repro.detection.execution`): both
 ``query`` and ``serve`` take ``--batch-size`` (frames the sampling
 policy chooses per iteration, issued to the detector as one batched
-call) and ``--workers`` / ``--detector-latency`` (service batches over
-a worker pool, overlapping simulated per-call detector overhead).
-Workers never change a query's answer; batch size changes only which
-frames the policy picks, deterministically per seed:
+call) and ``--detector-latency`` (simulated per-call detector overhead,
+the cost ``--shards`` overlaps).  Latency never changes a query's
+answer; batch size changes only which frames the policy picks,
+deterministically per seed:
 
     python -m repro query dashcam bicycle --limit 20 \
-        --batch-size 8 --workers 8 --detector-latency 0.002
-    python -m repro serve --state-dir ./state --batch-size 8 --workers 8
+        --batch-size 8 --detector-latency 0.002
+    python -m repro serve --state-dir ./state --batch-size 8
 
 Shard-parallel execution (see :mod:`repro.distributed`): ``--shards N``
 on ``query``/``serve``/``submit`` moves detection into N worker

@@ -1,7 +1,7 @@
 """The one flag table: every ``--flag`` of every subcommand, declared once.
 
 A command module never calls ``add_argument`` for an option; it names
-the flags it takes by dest (``add(parser, "batch_size", "workers")``)
+the flags it takes by dest (``add(parser, "batch_size", "shards")``)
 and this table supplies the literal, ``type``, ``default``, ``action``,
 ``choices`` and ``metavar`` — so a flag means the same thing on every
 parser that carries it, and ``grep -- --cache-budget`` finds its one
@@ -65,13 +65,9 @@ FLAGS: dict[str, dict] = {
              "(§III-F batched sampling); on serve/server, the default for "
              "sessions that set none",
     ),
-    "--workers": dict(
-        type=int, default=1,
-        help="detector worker pool size; batches are serviced concurrently",
-    ),
     "--detector-latency": dict(
         type=float, default=0.0,
-        help="simulated per-detector-call overhead in seconds (what --workers hides)",
+        help="simulated per-detector-call overhead in seconds (what --shards overlaps)",
     ),
     "--shards": dict(
         type=int, default=None,
@@ -240,19 +236,11 @@ def execution_error(args: argparse.Namespace) -> str | None:
         return "--frames-per-tick must be positive"
     if args.batch_size < 1:
         return "--batch-size must be at least 1"
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        return "--workers must be at least 1"
     if getattr(args, "detector_latency", 0.0) < 0.0:
         return "--detector-latency must be non-negative"
     shards = getattr(args, "shards", None)
     if shards is not None and shards < 1:
         return "--shards must be at least 1"
-    if shards is not None and shards > 1 and workers > 1:
-        return (
-            "--shards and --workers are mutually exclusive: sharded "
-            "execution runs its own worker processes"
-        )
     budget = getattr(args, "cache_budget", None)
     if budget is not None and budget < 0:
         return "--cache-budget must be non-negative"

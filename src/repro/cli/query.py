@@ -82,7 +82,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         category=args.category,
         chunk_frames=scaled_chunk_frames(args.dataset, args.scale),
         batch_size=args.batch_size,
-        workers=args.workers,
         detector_latency=args.detector_latency,
         shards=args.shards or 1,
         seed=args.seed,
@@ -150,6 +149,6 @@ def register(sub) -> None:
     stop = query.add_mutually_exclusive_group()
     flags.add(stop, "limit", "recall")
     flags.add(
-        query, "method", "compare", "scale", "max_samples", "batch_size", "workers",
+        query, "method", "compare", "scale", "max_samples", "batch_size",
         "detector_latency", "shards", "seed", "json", "metrics_out",
     )

@@ -33,7 +33,7 @@ from . import flags
 
 #: the flags ``serve`` and ``server`` share, one declaration for both
 SERVICE_FLAGS = (
-    "state_dir", "frames_per_tick", "batch_size", "workers", "detector_latency",
+    "state_dir", "frames_per_tick", "batch_size", "detector_latency",
     "shards", "cache_budget", "scheduler", "scale", "seed", "json",
     "metrics_out", "trace_out",
 )
@@ -52,7 +52,6 @@ def _boot(
         seed=args.seed,
         shards=args.shards,
         cache_budget=args.cache_budget,
-        workers=args.workers,
         scheduler=args.scheduler,
         frames_per_tick=args.frames_per_tick,
         batch_size=args.batch_size,
@@ -272,7 +271,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             _print_summary(service, args.json)
         return code
     finally:
-        service.close()  # worker pools, shard workers, buffered cache writes
+        service.close()  # shard workers, buffered cache writes
 
 
 # ------------------------------------------------------------------ server

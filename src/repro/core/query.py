@@ -28,7 +28,7 @@ from ..baselines.sequential import SequentialScanSampler
 from ..baselines.uniform import UniformRandomSampler
 from ..detection.costmodel import ThroughputModel
 from ..detection.detector import Detector, OracleDetector, SimulatedDetector
-from ..detection.execution import wrap_parallel
+from ..detection.execution import with_latency
 from ..distributed.coordinator import ShardCoordinator
 from ..distributed.worker import DetectorSpec
 from ..tracking.discriminator import (
@@ -122,7 +122,6 @@ class QueryEngine:
         throughput: ThroughputModel | None = None,
         use_random_plus: bool = True,
         batch_size: int = 1,
-        workers: int = 1,
         detector_latency: float = 0.0,
         shards: int = 1,
         oracle: bool = True,
@@ -142,17 +141,10 @@ class QueryEngine:
         self._chunk_frames = chunk_frames
         self._policy = policy
         self._throughput = throughput if throughput is not None else ThroughputModel()
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         if detector_latency < 0.0:
             raise ValueError("detector_latency must be non-negative")
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        if shards > 1 and workers > 1:
-            raise ValueError(
-                "workers is the in-process pool knob; sharded execution "
-                "runs its own worker processes (use shards alone)"
-            )
         if shards > 1 and detector_factory is not None:
             raise ValueError(
                 "sharded execution builds detectors inside the workers; "
@@ -160,7 +152,6 @@ class QueryEngine:
             )
         self._use_random_plus = use_random_plus
         self._batch_size = batch_size
-        self._workers = workers
         self._detector_latency = detector_latency
         self._shards = shards
         self._oracle = oracle
@@ -196,8 +187,8 @@ class QueryEngine:
             detector = SimulatedDetector(
                 self._repository, category=self._category, seed=self._seed
             )
-        # execution-layer wrapper: score-equivalent, only faster/slower
-        return wrap_parallel(detector, self._workers, self._detector_latency)
+        # the same per-call cost a shard worker charges: score-equivalent
+        return with_latency(detector, self._detector_latency)
 
     def _make_discriminator(self) -> Discriminator:
         if self._discriminator_factory is not None:
@@ -275,7 +266,7 @@ class QueryEngine:
                 satisfied = self._run_to_recall(sampler, target, query.max_samples)
         finally:
             closer = getattr(detector, "close", None)
-            if closer is not None:  # release any worker pool promptly
+            if closer is not None:  # stop the shard workers promptly
                 closer()
 
         distinct = len(sampler.discriminator.distinct_true_instances())

@@ -369,8 +369,8 @@ class ExSample:
 
         With ``detections=None`` the batch goes to the sampler's own
         detector as **one** batched call (:func:`batch_detect` — a
-        sequential fallback for plain detectors, a parallel fan-out for
-        :class:`~repro.detection.execution.ParallelDetector`).  A caller
+        sequential fallback for plain detectors, a fan-out over worker
+        processes for the shard coordinator).  A caller
         that already ran the detector (the serving layer's coalesced
         tick) passes ``detections`` mapping each planned frame to its
         detection list instead.  Either way the frames are matched and

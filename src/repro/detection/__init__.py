@@ -19,7 +19,7 @@ from .detector import (
     OracleDetector,
     SimulatedDetector,
 )
-from .execution import ParallelDetector, batch_detect, wrap_parallel
+from .execution import batch_detect, with_latency
 
 __all__ = [
     "CacheBackend",
@@ -39,7 +39,6 @@ __all__ = [
     "DetectorStats",
     "OracleDetector",
     "SimulatedDetector",
-    "ParallelDetector",
     "batch_detect",
-    "wrap_parallel",
+    "with_latency",
 ]

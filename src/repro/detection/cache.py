@@ -227,14 +227,20 @@ class SqliteBackend:
         # drops the per-commit fsync to one per WAL checkpoint — safe
         # here because the cache is rebuildable (a lost tail costs
         # re-detection, never answers) and WAL commits stay torn-proof
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS detections ("
-            "dataset TEXT NOT NULL, frame INTEGER NOT NULL, payload TEXT NOT NULL, "
-            "PRIMARY KEY (dataset, frame))"
-        )
-        self._conn.commit()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS detections ("
+                "dataset TEXT NOT NULL, frame INTEGER NOT NULL, payload TEXT NOT NULL, "
+                "PRIMARY KEY (dataset, frame))"
+            )
+            self._conn.commit()
+        except sqlite3.DatabaseError:
+            # connect() is lazy: a file that is not a database fails here,
+            # with the handle already open and no object left to close it
+            self._conn.close()
+            raise
 
     @property
     def path(self) -> pathlib.Path:

@@ -36,7 +36,6 @@ dataset nobody queries) never costs a process.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from typing import Sequence
 
 from .. import telemetry
@@ -52,10 +51,7 @@ _DEAD_WORKER_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError, OSError)
 
 def _start_method() -> str:
     """``fork`` where available (fast, and the replica needs no pickling),
-    else ``spawn``; overridable for debugging via ``REPRO_MP_START``."""
-    override = os.environ.get("REPRO_MP_START")
-    if override:
-        return override
+    else ``spawn``."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 

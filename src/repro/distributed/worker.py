@@ -40,6 +40,7 @@ from typing import Sequence
 from .. import telemetry
 from ..detection.cache import _decode, _encode
 from ..detection.detector import Detector, OracleDetector, SimulatedDetector
+from ..detection.execution import with_latency
 from ..video.instances import ObjectInstance
 from ..video.repository import VideoRepository
 
@@ -89,10 +90,10 @@ class WorkerSpec:
     """Everything a worker process needs besides the repository replica.
 
     ``latency`` is the simulated fixed per-detection overhead in seconds
-    (the same knob :class:`~repro.detection.execution.ParallelDetector`
-    models); each worker pays it serially for its own frames while other
-    shards' workers pay theirs concurrently — the lever the distributed
-    throughput benchmark measures.
+    (charged by :func:`~repro.detection.execution.with_latency`, exactly
+    as a local engine charges it); each worker pays it serially for its
+    own frames while other shards' workers pay theirs concurrently — the
+    lever the throughput benchmarks measure.
 
     ``telemetry`` mirrors the parent's pipeline state at spawn time:
     when true, :func:`worker_main` enables a *fresh* pipeline in the
@@ -125,7 +126,7 @@ class ShardWorker:
     def __init__(self, spec: WorkerSpec, repository: VideoRepository):
         self._spec = spec
         self._repository = repository
-        self._detector = spec.detector.build(repository)
+        self._detector = with_latency(spec.detector.build(repository), spec.latency)
         self._served = 0
 
     @property
@@ -160,8 +161,6 @@ class ShardWorker:
         for frame in frames:
             if frame in rows_by_frame:  # a repeat within the batch
                 continue
-            if self._spec.latency > 0.0:
-                time.sleep(self._spec.latency)  # the overhead shards overlap
             rows_by_frame[frame] = _encode(self._detector.detect(frame))
         self._served += len(frames)
         tel = telemetry.get()

@@ -432,11 +432,12 @@ class AsyncQueryServer:
     # ------------------------------------------------------------ admission
 
     def _active_tenant_sessions(self, tenant: str) -> int:
+        sessions = self._service.sessions  # a copy of the map: read it once
         live = sum(
             1
             for session_id, owner in self._tenants.items()
             if owner == tenant
-            and (session := self._service.sessions.get(session_id)) is not None
+            and (session := sessions.get(session_id)) is not None
             and not session.state.terminal
         )
         return live + self._queued_by_tenant.get(tenant, 0)

@@ -37,7 +37,7 @@ from ..core.rng import DecisionRng
 from ..core.sampler import ExSample
 from ..detection.cache import CachingDetector, CategoryFilterDetector, DetectionCache
 from ..detection.detector import Detection, Detector, OracleDetector
-from ..detection.execution import wrap_parallel
+from ..detection.execution import with_latency
 from ..detection.cache import TieredBackend
 from ..distributed.coordinator import ShardCoordinator
 from ..distributed.worker import DetectorSpec
@@ -102,12 +102,11 @@ class QueryService:
         session's policy chooses per engine iteration (1 = the serial
         Algorithm 1).  Rides each session's spec, so restores replay
         with the batch structure the session actually ran with.
-    workers / detector_latency:
-        Execution-layer knobs: with ``workers > 1`` (or a simulated
-        ``detector_latency``) each per-dataset shared detector is
-        wrapped in a :class:`~repro.detection.execution.ParallelDetector`
-        so the coalesced per-tick batches are serviced concurrently.
-        Score-equivalent to sequential execution by construction.
+    detector_latency:
+        Simulated per-detector-call overhead in seconds, charged through
+        :func:`~repro.detection.execution.with_latency` — in this
+        process under local execution, inside each worker under sharded
+        (which is what overlaps it).  Never changes an answer.
     execution / shards / detector_spec:
         The execution backend.  ``"local"`` (default) runs detection in
         this process; ``"sharded"`` hands each coalesced batch to a
@@ -118,7 +117,7 @@ class QueryService:
         process, so a sharded service returns byte-identical answers to
         a local one — sharding only moves detector work.  Sharded
         execution builds detectors in the workers, so it excludes a
-        custom ``detector_factory`` and the in-process ``workers`` pool.
+        custom ``detector_factory``.
     seed:
         Seeds the scheduler RNG and the per-session default seeds.
         Session decisions use only per-session RNGs (see module
@@ -136,7 +135,6 @@ class QueryService:
         discriminator_factory: Callable[[VideoRepository, str], Discriminator] | None = None,
         use_random_plus: bool = True,
         batch_size: int = 1,
-        workers: int = 1,
         detector_latency: float = 0.0,
         execution: str = "local",
         shards: int = 1,
@@ -152,8 +150,6 @@ class QueryService:
             raise ValueError("frames_per_tick must be positive")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         if detector_latency < 0.0:
             raise ValueError("detector_latency must be non-negative")
         if execution not in ("local", "sharded"):
@@ -164,17 +160,11 @@ class QueryService:
             raise ValueError("shards must be at least 1")
         if execution == "local" and shards > 1:
             raise ValueError("shards > 1 requires execution='sharded'")
-        if execution == "sharded":
-            if detector_factory is not None:
-                raise ValueError(
-                    "sharded execution builds detectors inside the workers "
-                    "from detector_spec; detector_factory is local-only"
-                )
-            if workers > 1:
-                raise ValueError(
-                    "workers is the in-process pool knob; sharded execution "
-                    "runs its own worker processes (use shards instead)"
-                )
+        if execution == "sharded" and detector_factory is not None:
+            raise ValueError(
+                "sharded execution builds detectors inside the workers "
+                "from detector_spec; detector_factory is local-only"
+            )
         if cache_budget is not None and cache_budget < 0:
             raise ValueError("cache_budget must be non-negative")
         self._repos = dict(repositories)
@@ -199,7 +189,6 @@ class QueryService:
         )
         self._use_random_plus = use_random_plus
         self._batch_size = batch_size
-        self._workers = workers
         self._detector_latency = detector_latency
         self._execution = execution
         self._shards = shards
@@ -433,9 +422,8 @@ class QueryService:
         — stage 1 only, no detections needed); the planned frames are
         merged per dataset with duplicates collapsed, issued to the
         shared caching detector as **one batched call** (partial cache
-        hits split off, misses fanned out by the
-        :class:`~repro.detection.execution.ParallelDetector` when workers
-        are configured), and handed back for each session to commit in
+        hits split off, misses fanned out over the shard workers under
+        sharded execution), and handed back for each session to commit in
         submission order.  Because a session's plan depends only on its
         own seed and step count — never on other sessions — coalescing
         is invisible to every query's answer: each session processes
@@ -614,7 +602,7 @@ class QueryService:
         return collected
 
     def close(self) -> None:
-        """Release execution resources: detector worker pools and the
+        """Release execution resources: the shard workers and the
         cache handle (committing any buffered on-disk writes).  Under
         sharded execution each coordinator harvests its workers'
         telemetry before shutting them down; open traces are closed so
@@ -703,7 +691,7 @@ class QueryService:
         detector = self._detectors.get(dataset)
         if detector is None:
             # execution sits *inside* the cache so hits never pay the
-            # (simulated) per-call overhead — local worker pools and the
+            # (simulated) per-call overhead — a local detector and the
             # sharded coordinator alike only ever see cache misses
             if self._execution == "sharded":
                 inner: Detector = ShardCoordinator(
@@ -714,9 +702,8 @@ class QueryService:
                     dataset=dataset,
                 )
             else:
-                inner = wrap_parallel(
+                inner = with_latency(
                     self._detector_factory(self._repository(dataset)),
-                    self._workers,
                     self._detector_latency,
                 )
             detector = CachingDetector(inner, self._cache, dataset)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+import sqlite3
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -61,13 +62,13 @@ __all__ = [
 
 
 class StateError(ValueError):
-    """A state directory that cannot be served as asked: a file that
-    does not read back, or a recorded default that excludes a flag.
+    """A state directory that cannot be served: a file that does not
+    read back.
 
-    Every file here is one plain ``write_text`` — not atomic, and torn
-    by a crash mid-write — so a file that does not parse is either that
-    or real corruption.  The CLI surfaces both as one clean line naming
-    the file (exit 2) instead of a traceback."""
+    Every file here but the cache is one plain ``write_text`` — not
+    atomic, and torn by a crash mid-write — so a file that does not
+    parse is either that or real corruption.  The CLI surfaces both as
+    one clean line naming the file (exit 2) instead of a traceback."""
 
 CONFIG_FILENAME = "service.json"
 CACHE_FILENAME = "cache.sqlite"
@@ -252,7 +253,6 @@ def boot(
     seed: int = 0,
     shards: int | None = None,
     cache_budget: int | None = None,
-    workers: int = 1,
     scheduler: str = "round-robin",
     **service_options,
 ) -> Boot:
@@ -290,17 +290,12 @@ def boot(
             ) from exc
         if shards is None:
             shards = int(config.get("shards", 1) or 1)
-            # the sticky default must pass the same exclusion the explicit
-            # flag does, or it surfaces as a QueryService traceback
-            if shards > 1 and workers > 1:
-                raise StateError(
-                    f"this state directory defaults to sharded execution "
-                    f"(shards={shards}), which excludes --workers; pass "
-                    "--shards 1 to force local execution"
-                )
         if cache_budget is None and config.get("cache_budget") is not None:
             cache_budget = int(config["cache_budget"])
-        backend = SqliteBackend(directory / CACHE_FILENAME)
+        try:
+            backend = SqliteBackend(directory / CACHE_FILENAME)
+        except sqlite3.DatabaseError as exc:
+            raise StateError(f"corrupt cache file {CACHE_FILENAME}: {exc}") from exc
         if cache_budget is not None:
             # a bounded memory tier over the persistent store: eviction
             # drops only the memory copy, sqlite keeps every detection
@@ -315,7 +310,6 @@ def boot(
         # every profile, not just the ones built now: a profile dataset
         # first named mid-run must chunk exactly as it will after a restart
         chunk_frames={name: scaled_chunk_frames(name, scale) for name in dataset_names()},
-        workers=workers,
         execution="sharded" if shards > 1 else "local",
         shards=shards,
         cache_budget=cache_budget,
@@ -327,6 +321,6 @@ def boot(
         if directory is not None:
             cursor = restore_state(service, directory, seed, factory)
     except BaseException:
-        service.close()  # worker pools, shard workers, the sqlite handle
+        service.close()  # shard workers, the sqlite handle
         raise
     return Boot(service, seed, cursor, factory)

@@ -7,9 +7,8 @@ directory (they need no hooks).  *Detector-level* faults — transient
 errors and latency spikes — need a seam inside the detection stack;
 :class:`FlakyDetector` is that seam, installed by the runner's detector
 factory so it sits **inside** the service's
-:class:`~repro.detection.cache.CachingDetector` and (when workers are
-configured) :class:`~repro.detection.execution.ParallelDetector`, exactly
-where a real GPU detector would fail.
+:class:`~repro.detection.cache.CachingDetector`, exactly where a real
+GPU detector would fail.
 
 All faults are armed from the scenario's deterministic fault plan, never
 from ambient randomness, so an injected failure strikes the same

@@ -209,7 +209,6 @@ class SimulationRunner:
                 self._raw_detector(repo), self.controller
             ),
             batch_size=1,
-            workers=self.scenario.workers,
             detector_latency=self.scenario.detector_latency,
             seed=self.scenario.seed,
         )
@@ -459,7 +458,7 @@ class SimulationRunner:
             f"scenario seed={scenario.seed} profile={scenario.profile} "
             f"scheduler={scenario.scheduler} fpt={scenario.frames_per_tick} "
             f"ticks={scenario.ticks} chunk={scenario.chunk_frames} "
-            f"backend={scenario.cache_backend} workers={scenario.workers} "
+            f"backend={scenario.cache_backend} "
             f"detector={scenario.detector} execution={scenario.execution} "
             f"shards={scenario.shards}"
         )

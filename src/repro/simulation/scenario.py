@@ -3,8 +3,8 @@
 A :class:`Scenario` is a complete, declarative description of one
 randomized end-to-end run: what footage exists (and when it arrives),
 which queries are submitted (and when), which faults strike (and when),
-and every execution-layer knob (scheduler, budget, batch sizes, workers,
-cache backend, detector noise).  Scenarios are plain frozen dataclasses
+and every execution-layer knob (scheduler, budget, batch sizes, cache
+backend, detector noise).  Scenarios are plain frozen dataclasses
 — JSON-able, diffable, and **pure functions of one integer seed** — so a
 failing run is fully described by the seed that generated it.
 
@@ -147,7 +147,6 @@ class Scenario:
     frames_per_tick: int = 16
     ticks: int = 12
     chunk_frames: int | None = None
-    workers: int = 1
     detector_latency: float = 0.0
     cache_backend: str = "memory"  # memory | sqlite
     detector: str = "oracle"  # oracle | noisy
@@ -184,7 +183,6 @@ class Profile:
     ingests: tuple[int, int] = (0, 3)
     faults: tuple[int, int] = (0, 3)
     ops: tuple[int, int] = (0, 2)
-    workers: tuple[int, int] = (1, 2)
     max_latency: float = 0.0  # latency-spike ceiling, seconds
     # four entries on purpose: a scenario's backend is drawn as an index
     # into this tuple, so its length fixes every later draw of the seed
@@ -210,7 +208,6 @@ PROFILES: Mapping[str, Profile] = {
         ingests=(0, 5),
         faults=(0, 4),
         ops=(0, 3),
-        workers=(1, 4),
         max_latency=0.0005,
         noisy_detector_prob=0.35,
     ),
@@ -228,7 +225,6 @@ PROFILES: Mapping[str, Profile] = {
         ingests=(1, 8),
         faults=(1, 6),
         ops=(0, 4),
-        workers=(1, 4),
         max_latency=0.002,
         noisy_detector_prob=0.4,
         sharded_prob=0.25,
@@ -404,6 +400,11 @@ def generate_scenario(seed: int, profile: str = "default") -> Scenario:
     scheduler = ("round-robin", "priority", "thompson")[int(rng.integers(3))]
     chunk_frames = None if rng.random() < 0.5 else int(rng.integers(40, 200))
     noisy = rng.random() < p.noisy_detector_prob
+    frames_per_tick = _int(rng, p.frames_per_tick)
+    # the retired thread-pool size was drawn here; an integers() draw over
+    # any small range takes one 64-bit word, so burning one keeps every
+    # later draw — and so every seed's scenario — where it was
+    rng.integers(1)
     scenario = Scenario(
         seed=int(seed),
         profile=profile,
@@ -413,10 +414,9 @@ def generate_scenario(seed: int, profile: str = "default") -> Scenario:
         faults=tuple(faults),
         ops=tuple(ops),
         scheduler=scheduler,
-        frames_per_tick=_int(rng, p.frames_per_tick),
+        frames_per_tick=frames_per_tick,
         ticks=ticks,
         chunk_frames=chunk_frames,
-        workers=_int(rng, p.workers),
         detector_latency=0.0,
         cache_backend=str(p.backends[int(rng.integers(len(p.backends)))]),
         detector="noisy" if noisy else "oracle",
@@ -443,9 +443,7 @@ def sharded_variant(scenario: Scenario, shards: int) -> Scenario:
     analogue: ``detector_error`` and ``latency_spike`` become
     ``worker_kill``, ``latency_clear`` drops.  One ``worker_kill`` is
     always added at a seed-derived tick, so every sharded scenario
-    exercises the coordinator's respawn-from-spec path.  ``workers`` is
-    forced to 1 — the in-process pool and the sharded backend are
-    mutually exclusive by design.
+    exercises the coordinator's respawn-from-spec path.
     """
     import dataclasses
 
@@ -473,7 +471,6 @@ def sharded_variant(scenario: Scenario, shards: int) -> Scenario:
         scenario,
         execution="sharded",
         shards=int(shards),
-        workers=1,
         faults=tuple(faults),
     )
 

@@ -272,9 +272,8 @@ class DispatchObserver:
         )
 
     def finish(self, frames: int) -> None:
-        """The batch merged.  In a sharded service the coordinator IS the
-        execution backend (workers>1 and shards>1 are mutually exclusive),
-        so it publishes the exec batch series or sharded runs lose them."""
+        """The batch merged: the coordinator is the one parallel
+        execution backend, so this is the exec batch series' one writer."""
         tel = self._tel
         tel.counter("repro_exec_batches_total").inc()
         tel.counter("repro_exec_frames_total").inc(frames)

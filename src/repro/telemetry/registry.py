@@ -10,9 +10,9 @@ layer's determinism contract:
   registration (never adapted to observed data) and snapshots serialize
   series in sorted order, so two runs that do the same work produce
   snapshots that differ only in measured durations, never in structure;
-* **thread-safe** — counters and gauges are touched from
-  :class:`~repro.detection.execution.ParallelDetector` worker threads,
-  so every mutation happens under the instrument's lock.
+* **thread-safe** — the thread-hosted server (``server/thread.py``)
+  ticks on one thread while snapshot readers run on another, so every
+  mutation happens under the instrument's lock.
 
 Series identity is ``name`` plus an optional label mapping, rendered
 Prometheus-style (``repro_shard_frames_total{shard="2"}``) with label

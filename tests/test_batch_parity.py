@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.detection.cache import CachingDetector, DetectionCache
 from repro.detection.detector import OracleDetector, SimulatedDetector
-from repro.detection.execution import ParallelDetector
+from repro.detection.execution import with_latency
 from repro.video.repository import single_clip_repository
 from repro.video.synthetic import place_instances
 
@@ -56,15 +56,16 @@ def test_simulated_detect_many_matches_per_frame(frames, seed):
     assert batched.detect_many(frames) == [reference.detect(f) for f in frames]
 
 
-@given(frames=frames_strategy, seed=seed_strategy, workers=st.integers(1, 6))
+@given(frames=frames_strategy, seed=seed_strategy)
 @SETTINGS
-def test_parallel_detect_many_matches_per_frame(frames, seed, workers):
-    parallel = ParallelDetector(SimulatedDetector(REPO, seed=seed), workers=workers)
+def test_latency_wrapper_matches_per_frame(frames, seed):
+    """The simulated per-call cost is wall-clock only: same detections,
+    same order, as the detector it wraps — on both entry points."""
+    delayed = with_latency(SimulatedDetector(REPO, seed=seed), 1e-6)
     reference = SimulatedDetector(REPO, seed=seed)
-    try:
-        assert parallel.detect_many(frames) == [reference.detect(f) for f in frames]
-    finally:
-        parallel.close()
+    expected = [reference.detect(f) for f in frames]
+    assert delayed.detect_many(frames) == expected
+    assert [delayed.detect(f) for f in frames] == expected
 
 
 @given(

@@ -104,6 +104,21 @@ def test_torn_tenant_ledger_is_a_clean_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["serve", "--ticks", "1"], ["server"]],
+                         ids=["serve", "server"])
+def test_corrupt_cache_file_is_a_clean_error(tmp_path, capsys, command):
+    """cache.sqlite that is not a database used to escape `boot` as a
+    sqlite3.DatabaseError traceback (exit 1); it is one more unreadable
+    state file: one line naming it, exit 2."""
+    _submit(tmp_path)
+    (tmp_path / "cache.sqlite").write_bytes(b"this is not a sqlite database\n" * 64)
+    capsys.readouterr()
+    assert main([*command, "--state-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt cache file cache.sqlite")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # --------------------------------------------------------- broken journal
 
 def test_serve_malformed_journal_entry(tmp_path, capsys):
@@ -184,7 +199,6 @@ def _assert_clean_rejection(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--workers", "0"),
     ("--batch-size", "0"),
     ("--batch-size", "-3"),
     ("--shards", "0"),
@@ -199,7 +213,6 @@ def test_query_rejects_non_positive_execution_flags(capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--workers", "0"),
     ("--batch-size", "0"),
     ("--shards", "0"),
 ])
@@ -226,46 +239,26 @@ def test_submit_rejects_non_positive_execution_flags(tmp_path, capsys, flag, val
     assert not list((tmp_path / "sessions").glob("*.json"))
 
 
-def test_serve_sticky_sharded_state_dir_rejects_workers(tmp_path, capsys):
-    """The regression: a state dir whose recorded default is sharded
-    (submit --shards N) plus `serve --workers W` used to crash with a
-    QueryService ValueError traceback — the sticky default bypassed the
-    flag-level mutual-exclusion check."""
-    _submit(tmp_path, "--shards", "2")
-    assert main(["serve", "--state-dir", str(tmp_path), "--workers", "4"]) == 2
+_WORKERS_ARGV = {
+    "query": ["query", "dashcam", "bicycle", "--limit", "2"],
+    "serve": ["serve"],
+    "server": ["server"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WORKERS_ARGV))
+def test_the_retired_workers_flag_is_unrecognized(tmp_path, capsys, command):
+    """`--workers` went with the thread pool (use `--shards N`): argparse's
+    own exit 2 is the whole migration story — no alias, no special case."""
+    argv = [*_WORKERS_ARGV[command], "--workers", "2"]
+    if command != "query":
+        argv += ["--state-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert "sharded" in err and "--workers" in err
-    # an explicit --shards 1 overrides the sticky default and unblocks
-    assert main(
-        ["serve", "--state-dir", str(tmp_path), "--workers", "4",
-         "--shards", "1", "--ticks", "1"]
-    ) == 0
-
-
-@pytest.mark.parametrize("command", ["serve", "server"])
-def test_sticky_sharded_state_dir_rejects_workers_on_both_commands(
-    tmp_path, capsys, command
-):
-    """`serve` and `server` boot through one function, so the sticky
-    shard default meets --workers with the same one-line exit 2 on
-    both (`server` used to die in QueryService.__init__ instead)."""
-    _submit(tmp_path, "--shards", "2")
-    assert main([command, "--state-dir", str(tmp_path), "--workers", "2"]) == 2
-    assert capsys.readouterr().err == (
-        "error: this state directory defaults to sharded execution "
-        "(shards=2), which excludes --workers; pass --shards 1 to force "
-        "local execution\n"
-    )
-
-
-def test_shards_and_workers_are_mutually_exclusive(capsys):
-    assert main(
-        ["query", "dashcam", "bicycle", "--limit", "2",
-         "--shards", "2", "--workers", "2"]
-    ) == 2
-    err = capsys.readouterr().err
-    assert "--shards" in err and "--workers" in err
+    assert "unrecognized arguments: --workers 2" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_rejects_bad_shards(capsys):

@@ -48,7 +48,7 @@ def test_each_flag_literal_is_declared_once():
     assert set(counts) == set(flags.FLAGS)
     exposed = {literal for parser in _subparsers().values() for literal in _options(parser)}
     assert exposed == set(flags.FLAGS)  # nothing undeclared, nothing unused
-    assert len(flags.FLAGS) == 50
+    assert len(flags.FLAGS) == 49
 
 
 def test_no_command_declares_an_option_outside_the_table():
@@ -82,7 +82,7 @@ def test_serve_and_server_share_their_service_flags():
     subparsers = _subparsers()
     serve, server = _options(subparsers["serve"]), _options(subparsers["server"])
     shared = {"--" + dest.replace("_", "-") for dest in SERVICE_FLAGS}
-    assert {"--state-dir", "--shards", "--workers", "--batch-size", "--detector-latency",
+    assert {"--state-dir", "--shards", "--batch-size", "--detector-latency",
             "--cache-budget", "--frames-per-tick", "--scheduler", "--scale", "--seed",
             "--json", "--metrics-out", "--trace-out"} == shared
     assert shared <= set(serve) and shared <= set(server)

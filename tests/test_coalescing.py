@@ -387,25 +387,24 @@ def test_failed_final_batch_is_not_dropped_on_exhaustion():
     assert run(failures=1) == run(failures=0)
 
 
-def test_workers_do_not_change_any_session_answer():
+def test_detector_latency_does_not_change_any_session_answer():
     repo = make_repo()
 
-    def run(workers):
+    def run(latency):
         service = QueryService(
             repo,
             cache=DetectionCache(),
             chunk_frames=repo.total_frames // 8,
             frames_per_tick=16,
             batch_size=4,
-            workers=workers,
-            detector_latency=0.0005 if workers > 1 else 0.0,
+            detector_latency=latency,
         )
         a = service.submit("synthetic", "bus", limit=10, seed=1)
         b = service.submit("synthetic", "truck", limit=10, seed=2)
         service.run_until_idle()
         return [service.results(sid) for sid in (a, b)]
 
-    assert run(workers=1) == run(workers=6)
+    assert run(0.0) == run(0.0002)
 
 
 def test_batched_session_snapshot_restores_exactly():

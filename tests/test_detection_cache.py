@@ -377,6 +377,26 @@ def test_sqlite_corrupt_file_fails_loudly_on_open(tmp_path):
         SqliteBackend(path)
 
 
+def test_sqlite_corrupt_file_leaves_no_open_connection(tmp_path, monkeypatch):
+    """The failed construction returns no object to close, so it must
+    close its own handle (it used to leak one per attempt)."""
+    path = tmp_path / "cache.sqlite"
+    path.write_bytes(b"not a database " * 64)
+    opened = []
+    real_connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        opened.append(real_connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    with pytest.raises(sqlite3.DatabaseError):
+        SqliteBackend(path)
+    (connection,) = opened
+    with pytest.raises(sqlite3.ProgrammingError, match="closed database"):
+        connection.execute("SELECT 1")
+
+
 # -------------------------------------------------- flush/close lifecycle
 
 def _lifecycle_backends(tmp_path):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.detection.detector import OracleDetector
-from repro.detection.execution import ParallelDetector, batch_detect
+from repro.detection.execution import batch_detect, with_latency
 from repro.distributed.coordinator import ShardCoordinator
 from repro.distributed.worker import ShardWorker
 from repro.serving.scheduler import (
@@ -220,14 +220,11 @@ def test_the_hook_reaches_only_a_detector_that_overlaps():
     repo = _repository()
     calls = []
     plain = OracleDetector(repo)
-    pooled = ParallelDetector(OracleDetector(repo), workers=2)
-    try:
-        for detector in (plain, pooled):
-            assert batch_detect(detector, [5, 25], lambda: calls.append("x")) == [
-                plain.detect(5), plain.detect(25),
-            ]
-    finally:
-        pooled.close()
+    delayed = with_latency(OracleDetector(repo), 1e-6)
+    for detector in (plain, delayed):  # in-process: nothing to wait for
+        assert batch_detect(detector, [5, 25], lambda: calls.append("x")) == [
+            plain.detect(5), plain.detect(25),
+        ]
     assert calls == []
     coordinator = _LoopbackCoordinator(repo, 2)
     assert batch_detect(coordinator, [5, 25], lambda: calls.append("x")) == [
@@ -243,7 +240,7 @@ def test_a_local_service_never_plans_ahead(monkeypatch):
     monkeypatch.setattr(QueryService, "_plan_ahead", staticmethod(forbidden))
     service = QueryService(
         _repository(), frames_per_tick=8, batch_size=4, detector_latency=0.0005,
-        workers=2, seed=1,
+        seed=1,
     )
     try:
         for category in ("bus", "car", "person"):

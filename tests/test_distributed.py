@@ -165,6 +165,30 @@ def test_worker_latency_validation():
         WorkerSpec(shard_id=-1, dataset="cam0")
 
 
+def test_worker_pays_latency_once_per_distinct_frame(monkeypatch):
+    """The worker charges through the same wrapper a local engine does:
+    one sleep per real detector call, none for a repeat inside a batch."""
+    from repro.detection import execution
+
+    sleeps = []
+    monkeypatch.setattr(execution.time, "sleep", sleeps.append)
+    worker, repo = _worker(latency=0.25)
+    raw = OracleDetector(repo)
+    frames = [5, 145, 5, 310, 145]
+    status, _, reply = worker.handle(("detect", 0, {"frames": frames}))
+    assert status == "ok"
+    from repro.distributed.worker import decode_rows
+
+    assert [decode_rows(rows) for rows in reply["rows"]] == [
+        raw.detect(f) for f in frames
+    ]
+    assert sleeps == [0.25] * 3
+    assert reply["span"]["detector_calls"] == 3
+    assert worker.detector_calls == 3
+    _, _, stats = worker.handle(("stats", 1, None))
+    assert (stats["served"], stats["detector_calls"]) == (5, 3)
+
+
 # ------------------------------------------------------------ ShardCoordinator
 
 @pytest.mark.parametrize("num_shards", [1, 2, 4])
@@ -315,8 +339,6 @@ def test_service_sharded_validation():
     with pytest.raises(ValueError):
         QueryService(repo, shards=2)  # local + shards>1
     with pytest.raises(ValueError):
-        QueryService(repo, execution="sharded", shards=2, workers=4)
-    with pytest.raises(ValueError):
         QueryService(
             repo,
             execution="sharded",
@@ -424,5 +446,8 @@ def test_query_engine_shards_validation():
     repo = _repository()
     with pytest.raises(ValueError):
         QueryEngine(repo, category="bus", shards=0)
-    with pytest.raises(ValueError):
-        QueryEngine(repo, category="bus", shards=2, workers=2)
+    with pytest.raises(ValueError, match="detector_factory is local-only"):
+        QueryEngine(
+            repo, category="bus", shards=2,
+            detector_factory=lambda: OracleDetector(repo),
+        )

@@ -1,18 +1,20 @@
-"""Tests for the batched + parallel detection execution layer."""
+"""Tests for the detection execution layer: batch dispatch, the
+simulated per-call cost, and the shard processes' lifetime."""
 
-import time
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from repro.detection import execution
 from repro.detection.cache import (
     CachingDetector,
     CategoryFilterDetector,
     DetectionCache,
     SqliteBackend,
 )
-from repro.detection.detector import OracleDetector, SimulatedDetector
-from repro.detection.execution import ParallelDetector, batch_detect
+from repro.detection.detector import DetectorStats, OracleDetector, SimulatedDetector
+from repro.detection.execution import batch_detect, with_latency
 from repro.video.repository import single_clip_repository
 from repro.video.synthetic import place_instances
 
@@ -60,97 +62,104 @@ def test_batch_detect_falls_back_to_per_frame_loop():
     assert batch_detect(plain, frames) == [reference.detect(f) for f in frames]
 
 
-# -------------------------------------------------------- ParallelDetector
+# ------------------------------------------------------------ with_latency
 
-def test_parallel_detector_validation():
+class ExplodingDetector:
+    """Raises on a chosen frame; remembers the frames it did run."""
+
+    def __init__(self, bad_frame):
+        self.bad_frame = bad_frame
+        self.stats = DetectorStats()
+        self.ran = []
+
+    def detect(self, frame_index):
+        if frame_index == self.bad_frame:
+            raise RuntimeError("detector blew up")
+        self.ran.append(frame_index)
+        return []
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Stands in for ``time.sleep``: the seconds each call asked for."""
+    calls = []
+    monkeypatch.setattr(execution.time, "sleep", calls.append)
+    return calls
+
+
+def test_with_latency_rejects_a_negative_latency():
+    with pytest.raises(ValueError, match="non-negative"):
+        with_latency(OracleDetector(make_repo()), -0.1)
+
+
+def test_with_latency_zero_is_the_detector_itself():
+    inner = OracleDetector(make_repo())
+    assert with_latency(inner, 0.0) is inner
+
+
+def test_with_latency_detect_pays_once_per_call(sleeps):
     repo = make_repo()
-    inner = OracleDetector(repo)
-    with pytest.raises(ValueError):
-        ParallelDetector(inner, workers=0)
-    with pytest.raises(ValueError):
-        ParallelDetector(inner, latency=-0.1)
+    delayed = with_latency(OracleDetector(repo), 0.25)
+    assert delayed.detect(5) == OracleDetector(repo).detect(5)
+    delayed.detect(5)  # a repeat is another call: caching is not its job
+    assert sleeps == [0.25, 0.25]
 
 
-def test_parallel_detector_preserves_input_order():
+def test_with_latency_detect_many_pays_once_per_frame(sleeps):
     repo = make_repo()
     reference = SimulatedDetector(repo, seed=1)
-    parallel = ParallelDetector(SimulatedDetector(repo, seed=1), workers=4)
-    frames = list(range(0, 3000, 37))
-    assert parallel.detect_many(frames) == [reference.detect(f) for f in frames]
-    parallel.close()
+    delayed = with_latency(SimulatedDetector(repo, seed=1), 0.25)
+    frames = list(range(0, 3000, 370))
+    assert delayed.detect_many(frames) == [reference.detect(f) for f in frames]
+    assert sleeps == [0.25] * len(frames)
 
 
-def test_parallel_detector_counts_frames_and_matches_inner_stats():
-    repo = make_repo()
-    parallel = ParallelDetector(OracleDetector(repo), workers=3)
-    parallel.detect(5)
-    parallel.detect_many([10, 20, 30])
-    assert parallel.stats.frames_processed == 4
-    assert parallel.wrapped.stats.frames_processed == 4
-    assert parallel.stats.detections_emitted == parallel.wrapped.stats.detections_emitted
-    parallel.close()
+def test_with_latency_shares_the_wrapped_stats(sleeps):
+    inner = OracleDetector(make_repo())
+    delayed = with_latency(inner, 0.25)
+    delayed.detect(5)
+    delayed.detect_many([10, 20, 30])
+    assert delayed.stats is inner.stats
+    assert inner.stats.frames_processed == 4
 
 
-def test_parallel_detector_overlaps_latency():
-    repo = make_repo()
-    latency = 0.02
-    parallel = ParallelDetector(OracleDetector(repo), workers=8, latency=latency)
-    frames = list(range(0, 800, 100))  # 8 frames
-    start = time.perf_counter()
-    parallel.detect_many(frames)
-    elapsed = time.perf_counter() - start
-    parallel.close()
-    # sequential would pay 8 * 20 ms = 160 ms; 8 workers overlap the sleeps
-    assert elapsed < len(frames) * latency * 0.75
+def test_with_latency_stops_a_batch_at_the_first_failure(sleeps):
+    """Sequential by construction: the frames behind a failing one are
+    neither charged nor run (a pool ran them and threw them away)."""
+    inner = ExplodingDetector(bad_frame=13)
+    with pytest.raises(RuntimeError, match="blew up"):
+        with_latency(inner, 0.25).detect_many([1, 2, 13, 4, 5])
+    assert sleeps == [0.25] * 3
+    assert inner.ran == [1, 2]
 
 
-def test_parallel_detector_close_is_idempotent_and_reusable():
-    repo = make_repo()
-    parallel = ParallelDetector(OracleDetector(repo), workers=2)
-    parallel.detect_many([1, 2, 3])
-    parallel.close()
-    parallel.close()
-    assert parallel.detect_many([4, 5]) == [
-        OracleDetector(repo).detect(4), OracleDetector(repo).detect(5)
-    ]
-    parallel.close()
+# ------------------------------------------ shard processes do not outlive
 
-
-def test_parallel_detector_single_worker_never_builds_a_pool():
-    repo = make_repo()
-    parallel = ParallelDetector(OracleDetector(repo), workers=1)
-    parallel.detect_many(list(range(0, 50, 10)))
-    assert parallel._pool is None  # degenerates to the sequential loop
-    parallel.close()
-
-
-def test_query_engine_releases_worker_pool_threads():
-    import threading
-
+def test_query_engine_sharded_execute_leaves_no_child_process():
     from repro.core.query import DistinctObjectQuery, QueryEngine
 
     repo = make_repo()
-    engine = QueryEngine(repo, category="bus", chunk_frames=1000, workers=4)
-    before = threading.active_count()
-    engine.execute(DistinctObjectQuery("bus", limit=2, max_samples=50))
-    assert threading.active_count() == before  # pool joined, not leaked
+    engine = QueryEngine(repo, category="bus", chunk_frames=1000, batch_size=4, shards=2)
+    before = set(multiprocessing.active_children())
+    result = engine.execute(DistinctObjectQuery("bus", limit=2, max_samples=50))
+    assert result.frames_processed > 0
+    assert set(multiprocessing.active_children()) <= before  # joined, not leaked
 
 
-def test_query_service_close_releases_pools_and_cache():
-    import threading
-
+def test_query_service_close_leaves_no_child_process():
     from repro.serving import QueryService
 
     repo = make_repo()
     service = QueryService(
-        repo, chunk_frames=1000, frames_per_tick=16, batch_size=4, workers=4
+        repo, chunk_frames=1000, frames_per_tick=16, batch_size=4,
+        execution="sharded", shards=2,
     )
-    before = threading.active_count()
+    before = set(multiprocessing.active_children())
     service.submit(repo.name, "bus", limit=3, seed=1)
     service.run_until_idle(max_ticks=50)
-    assert threading.active_count() > before  # pool is live while serving
+    assert set(multiprocessing.active_children()) - before  # workers live while serving
     service.close()
-    assert threading.active_count() == before
+    assert set(multiprocessing.active_children()) <= before
 
 
 # ----------------------------------------------- batch-aware cache facade
@@ -224,55 +233,3 @@ def test_category_filter_detect_many_filters_per_frame():
     assert batches == [view.detect(f) for f in frames]
 
 
-# ---------------------------------------------- pool shutdown on exceptions
-
-class ExplodingDetector:
-    """Raises on a chosen frame — the regression trigger for pool leaks."""
-
-    def __init__(self, bad_frame=13):
-        from repro.detection.detector import DetectorStats
-
-        self.bad_frame = bad_frame
-        self.stats = DetectorStats()
-
-    def detect(self, frame_index):
-        if frame_index == self.bad_frame:
-            raise RuntimeError("detector blew up")
-        return []
-
-
-def test_parallel_detector_context_manager_closes_pool_on_exception():
-    """The regression: a batch that raises used to leave the worker pool
-    (and its threads) alive until someone remembered to call close() —
-    repeated benchmark runs accumulated threads.  The context manager
-    must shut the pool down on the exception path."""
-    import threading
-
-    before = set(threading.enumerate())
-    detector = ParallelDetector(ExplodingDetector(), workers=4)
-    with pytest.raises(RuntimeError, match="blew up"):
-        with detector:
-            detector.detect_many([1, 2, 13, 4, 5, 6])
-    assert detector._pool is None  # shut down despite the exception
-    # shutdown(wait=True) joined the threads; none of ours may linger
-    assert set(threading.enumerate()) <= before
-
-
-def test_repeated_failing_runs_do_not_leak_threads():
-    import threading
-
-    before = set(threading.enumerate())
-    for _ in range(8):
-        with pytest.raises(RuntimeError):
-            with ParallelDetector(ExplodingDetector(), workers=4) as detector:
-                detector.detect_many(list(range(10, 20)))
-    assert set(threading.enumerate()) <= before
-
-
-def test_parallel_detector_pool_size_matches_workers():
-    """Worker-count accounting: the pool must be created with exactly the
-    configured number of workers (not a default, not one per frame)."""
-    with ParallelDetector(OracleDetector(make_repo()), workers=3) as detector:
-        detector.detect_many([0, 1, 2, 3, 4, 5])
-        assert detector._pool is not None
-        assert detector._pool._max_workers == 3

@@ -213,6 +213,44 @@ def test_tenant_quota_caps_concurrent_sessions():
             assert client.stats()["rejected"] == 1
 
 
+def test_quota_check_reads_the_session_map_once():
+    """``QueryService.sessions`` copies the whole map; the quota check
+    used to evaluate it once per ledger entry of the tenant — quadratic
+    in resident sessions, on every submit."""
+    reads = []
+
+    class CountingService(QueryService):
+        @property
+        def sessions(self):
+            reads.append(1)
+            return super().sessions
+
+    service = CountingService(make_repo(), chunk_frames=2500)
+    server = AsyncQueryServer(service, ServerConfig(tenant_quota=201, max_queue=256))
+    submit = {"op": "submit", "dataset": "synthetic", "category": "bus",
+              "follow": True, "warm_start": False, "tenant": "team-a"}
+
+    async def scenario():
+        parked = [asyncio.ensure_future(server._admit("submit", submit))
+                  for _ in range(200)]
+        await asyncio.sleep(0)
+        server._apply_commands()
+        for future in parked:
+            assert (await future)["ok"]
+        assert server._active_tenant_sessions("team-a") == 200
+        del reads[:]
+        last = asyncio.ensure_future(server._admit("submit", submit))
+        await asyncio.sleep(0)  # admitted (one under quota) and parked
+        assert len(reads) == 1
+        server._apply_commands()
+        assert (await last)["ok"]
+        rejected = await server._admit("submit", submit)
+        assert rejected["error"] == "quota-exceeded"
+
+    asyncio.run(scenario())
+    service.close()
+
+
 def test_pre_drained_server_thread_exits_cleanly():
     server = AsyncQueryServer(QueryService({}))
     server.request_drain()
