@@ -205,9 +205,8 @@ async def _feed(
                 serving_state.save_sessions(service, state_dir)
                 service.cache.flush()
             cursor, ticks, rounds = fed, service.ticks, rounds + 1
-            sessions = service.sessions.values()
             if (rounds_cap is not None and rounds >= rounds_cap) or (
-                sessions and all(s.state.terminal for s in sessions)
+                service.sessions and not service.live_sessions()
             ):
                 break
             await asyncio.sleep(0 if ticked else idle_poll)

@@ -432,13 +432,12 @@ class AsyncQueryServer:
     # ------------------------------------------------------------ admission
 
     def _active_tenant_sessions(self, tenant: str) -> int:
-        sessions = self._service.sessions  # a copy of the map: read it once
+        # over the service's non-terminal sessions, not over the tenant
+        # ledger: that one holds every session ever admitted
         live = sum(
             1
-            for session_id, owner in self._tenants.items()
-            if owner == tenant
-            and (session := sessions.get(session_id)) is not None
-            and not session.state.terminal
+            for session in self._service.live_sessions()
+            if self._tenants.get(session.session_id) == tenant
         )
         return live + self._queued_by_tenant.get(tenant, 0)
 
@@ -592,9 +591,7 @@ class AsyncQueryServer:
             "connections_total": self._counts["connections"],
             "queue_depth": len(self._pending),
             "sessions": len(sessions),
-            "sessions_active": sum(
-                1 for s in sessions.values() if not s.state.terminal
-            ),
+            "sessions_active": len(self._service.live_sessions()),
             "ticks": self._service.ticks,
             "detector_calls": self._service.detector_calls,
             "draining": self._draining,
@@ -630,9 +627,7 @@ class AsyncQueryServer:
                     "rejected": self._counts["rejected"],
                     "protocol_errors": self._counts["protocol_errors"],
                     "sessions": len(sessions),
-                    "sessions_active": sum(
-                        1 for s in sessions.values() if not s.state.terminal
-                    ),
+                    "sessions_active": len(self._service.live_sessions()),
                     "ticks": self._service.ticks,
                     "detector_calls": self._service.detector_calls,
                 },

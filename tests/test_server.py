@@ -214,16 +214,15 @@ def test_tenant_quota_caps_concurrent_sessions():
 
 
 def test_quota_check_reads_the_session_map_once():
-    """``QueryService.sessions`` copies the whole map; the quota check
-    used to evaluate it once per ledger entry of the tenant — quadratic
-    in resident sessions, on every submit."""
+    """The quota check walks the service's live-session index once per
+    submit — not once per ledger entry of the tenant, which is quadratic
+    in resident sessions."""
     reads = []
 
     class CountingService(QueryService):
-        @property
-        def sessions(self):
+        def live_sessions(self):
             reads.append(1)
-            return super().sessions
+            return super().live_sessions()
 
     service = CountingService(make_repo(), chunk_frames=2500)
     server = AsyncQueryServer(service, ServerConfig(tenant_quota=201, max_queue=256))

@@ -1,0 +1,378 @@
+"""A tick costs O(sessions in flight): the live-session index.
+
+``QueryService`` keeps the non-terminal sessions in an index beside the
+map of every session, and everything that runs per tick reads the index.
+The contracts under test, none of them by the clock:
+
+* *equivalence* — after any sequence of operations the index answers
+  exactly what a walk over every session would: same objects, same
+  order, same absorbed footage;
+* *cost* — with hundreds of terminal residents a tick looks at the live
+  sessions only (counted reads), and keeps doing so as sessions churn;
+* *server* — the per-tick and per-admission paths of
+  ``AsyncQueryServer`` neither copy nor walk the whole map, and the
+  tenant quota counts non-terminal sessions;
+* *answers* — a seeded churn of one-batch sessions through the server
+  returns the payloads it returned before the index existed.
+"""
+
+import asyncio
+import collections
+import dataclasses
+import hashlib
+import json
+import random
+import time
+
+import numpy as np
+import pytest
+
+from repro.server import AsyncQueryServer, ServerConfig, ServerThread
+from repro.serving import QueryService, ServingClient, SessionState
+from repro.serving.session import QuerySession, SessionSnapshot
+from repro.video.instances import InstanceSet
+from repro.video.repository import VideoClip, VideoRepository, single_clip_repository
+from repro.video.synthetic import place_instances
+
+RESIDENTS = 500
+
+
+def clip_instances(start, frames, count, start_id):
+    rng = np.random.default_rng((7, start))
+    return place_instances(
+        count, frames, rng, mean_duration=60, skew_fraction=None,
+        category="bus", with_boxes=False, start_id=start_id,
+        frame_offset=start,
+    )
+
+
+def growing_repo():
+    """One clip of footage that later clips can be appended to."""
+    instances = clip_instances(0, 2400, 8, start_id=0)
+    return VideoRepository(
+        [VideoClip(0, "clip-0", 0, 2400)], InstanceSet(instances), name="cam"
+    )
+
+
+def fixed_repo(total_frames=20_000, count=25):
+    rng = np.random.default_rng(0)
+    buses = place_instances(
+        count, total_frames, rng, mean_duration=120, skew_fraction=0.1,
+        category="bus", with_boxes=False,
+    )
+    return single_clip_repository(total_frames, list(buses))
+
+
+def with_residents(service, dataset, count=RESIDENTS):
+    """``count`` terminal sessions: most cancelled, every tenth run to
+    its one-batch end."""
+    for i in range(count):
+        sid = service.submit(dataset, "bus", limit=1, max_samples=8,
+                             batch_size=8, seed=i, warm_start=False)
+        if i % 10:
+            service.cancel(sid)
+        else:
+            while not service.sessions[sid].state.terminal:
+                service.tick()
+    assert all(s.state.terminal for s in service.sessions.values())
+
+
+# ------------------------------------------------------------ equivalence
+
+def assert_index_matches_full_walk(service, repo):
+    expected = [s for s in service.sessions.values() if s.schedulable]
+    got = service.schedulable_sessions()
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))
+    # what one absorb_new_footage() per session ever held would return
+    # (no batch is ever left pending here: the detector never fails)
+    owed = {
+        sid: repo.horizon - s.horizon
+        for sid, s in service.sessions.items()
+        if not s.state.terminal and s.horizon < repo.horizon
+    }
+    assert service.sync() == owed
+    assert service.sync() == {}
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_index_equals_a_walk_over_every_session(seed):
+    rng = random.Random(seed)
+    repo = growing_repo()
+    first = QueryService(repo, chunk_frames=600, frames_per_tick=16, seed=seed)
+    second = QueryService(repo, chunk_frames=600, frames_per_tick=16, seed=seed)
+    next_instance = [1000]
+
+    def any_session(predicate=lambda s: True):
+        pool = [s for s in first.sessions.values() if predicate(s)]
+        return rng.choice(pool) if pool else None
+
+    def submit():
+        first.submit("cam", "bus", limit=rng.choice([1, 3, None]),
+                     max_samples=rng.choice([8, 40, 200]),
+                     batch_size=rng.choice([1, 8]),
+                     warm_start=rng.random() < 0.5)
+
+    def submit_warm_complete():
+        # a limit the cached frames already satisfy completes inside
+        # submit(): the session enters terminal and is never scheduled
+        before = len(first.sessions)
+        sid = first.submit("cam", "bus", limit=1, warm_start=True)
+        assert len(first.sessions) == before + 1
+        if first.status(sid).warm_frames_replayed and first.status(sid).satisfied:
+            assert first.sessions[sid].state is SessionState.COMPLETED
+
+    def submit_follow():
+        first.submit("cam", "bus", limit=rng.choice([2, None]), follow=True,
+                     max_samples=rng.choice([30, None]), warm_start=False)
+
+    def tick():
+        rng.choice([first, second]).tick()
+
+    def pause():
+        session = any_session(lambda s: not s.state.terminal)
+        if session is not None:
+            first.pause(session.session_id)
+
+    def resume():
+        session = any_session(lambda s: s.state is SessionState.PAUSED)
+        if session is not None:
+            first.resume(session.session_id)
+
+    def cancel():
+        session = any_session()
+        if session is not None:
+            first.cancel(session.session_id)
+
+    def cancel_behind_the_service():
+        session = any_session(lambda s: not s.state.terminal)
+        if session is not None:
+            session.cancel()
+
+    def feed():
+        frames = rng.choice([600, 900])
+        start = repo.horizon
+        instances = clip_instances(start, frames, 3, start_id=next_instance[0])
+        next_instance[0] += 3
+        if rng.random() < 0.5:
+            first.feed("cam", frames, instances)
+        else:  # around the services: the next sync finds it
+            repo.append_clip(frames, instances)
+
+    def restore(terminal):
+        session = any_session(
+            lambda s: s.state.terminal == terminal
+            and s.session_id not in second.sessions
+        )
+        if session is not None:
+            second.restore(first.snapshot(session.session_id))
+            restored = second.sessions[session.session_id]
+            assert (restored.engine is None) == terminal
+
+    ops = [submit, submit, submit_warm_complete, submit_follow, tick, tick,
+           tick, pause, resume, cancel, cancel_behind_the_service, feed,
+           lambda: restore(terminal=False), lambda: restore(terminal=True)]
+    submit()
+    for _ in range(48):
+        rng.choice(ops)()
+        for service in (first, second):
+            assert_index_matches_full_walk(service, repo)
+    for service in (first, second):
+        service.run_until_idle(max_ticks=2000)
+        assert_index_matches_full_walk(service, repo)
+        assert service.live_sessions() == [
+            s for s in service.sessions.values() if not s.state.terminal
+        ]
+        service.close()
+
+
+# ------------------------------------------------------------------- cost
+
+@pytest.fixture
+def touched(monkeypatch):
+    """Counts the per-session reads a walk makes."""
+    counts = collections.Counter()
+    schedulable = QuerySession.schedulable.fget
+    results_found = QuerySession.results_found.fget
+    absorb = QuerySession.absorb_new_footage
+
+    def counted(name, function):
+        def wrapper(self):
+            counts[name] += 1
+            return function(self)
+        return wrapper
+
+    monkeypatch.setattr(
+        QuerySession, "schedulable", property(counted("schedulable", schedulable))
+    )
+    monkeypatch.setattr(
+        QuerySession, "results_found",
+        property(counted("results_found", results_found)),
+    )
+    monkeypatch.setattr(
+        QuerySession, "absorb_new_footage", counted("absorb", absorb)
+    )
+    return counts
+
+
+def test_a_tick_looks_at_live_sessions_only(touched):
+    service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+    with_residents(service, "synthetic")
+    live = service.submit("synthetic", "bus", max_samples=10_000,
+                          warm_start=False, seed=99)
+    service.tick()  # retires the residents from the index
+
+    def one_tick():
+        touched.clear()
+        assert service.tick() == {live: 8}
+        return touched["schedulable"], touched["absorb"]
+
+    reads, absorbs = one_tick()
+    assert reads <= 4 and absorbs <= 2, (reads, absorbs)
+    # 500 more sessions churn through beside the live one
+    for i in range(RESIDENTS):
+        sid = service.submit("synthetic", "bus", limit=1, max_samples=8,
+                             batch_size=8, seed=1000 + i, warm_start=False)
+        while not service.sessions[sid].state.terminal:
+            service.tick()
+    assert len(service.sessions) == 2 * RESIDENTS + 1
+    service.tick()
+    assert one_tick() == (reads, absorbs)
+    assert [s.session_id for s in service.live_sessions()] == [live]
+    service.close()
+
+
+# ----------------------------------------------------------------- server
+
+def test_first_result_check_touches_only_awaiting_sessions(touched):
+    service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+    with_residents(service, "synthetic")
+    server = AsyncQueryServer(service)
+    awaiting = [
+        service.submit("synthetic", "bus", max_samples=10_000, follow=True,
+                       warm_start=False, seed=seed)
+        for seed in (1, 2)
+    ]
+    for sid in awaiting:
+        server._awaiting_first[sid] = time.perf_counter()
+    touched.clear()
+    server._note_first_results()
+    assert touched["results_found"] == 2
+    assert set(server._awaiting_first) == set(awaiting)  # no result yet
+    service.close()
+
+
+def test_sessions_is_a_read_only_live_view():
+    service = QueryService(fixed_repo(), chunk_frames=2500)
+    view = service.sessions
+    assert len(view) == 0
+    sid = service.submit("synthetic", "bus", limit=1, warm_start=False)
+    assert list(view) == [sid] and view[sid] is service.sessions[sid]
+    with pytest.raises(TypeError):
+        service.sessions["x"] = view[sid]
+    with pytest.raises(TypeError):
+        del service.sessions[sid]
+    assert dict(view) == {sid: view[sid]}  # copying stays the caller's call
+    service.close()
+
+
+def test_tenant_quota_counts_non_terminal_sessions_only(touched):
+    service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+    server = AsyncQueryServer(service, ServerConfig(tenant_quota=2, max_queue=8))
+    request = {"op": "submit", "dataset": "synthetic", "category": "bus",
+               "follow": True, "warm_start": False, "tenant": "team-a"}
+
+    async def submit(**overrides):
+        task = asyncio.ensure_future(server._admit("submit", {**request, **overrides}))
+        await asyncio.sleep(0)
+        server._apply_commands()
+        return await task
+
+    async def scenario():
+        # a long history of team-a sessions, every one terminal
+        for _ in range(RESIDENTS // 10):
+            reply = await submit()
+            service.cancel(reply["session_id"])
+        held = [(await submit())["session_id"] for _ in range(2)]
+        assert server._active_tenant_sessions("team-a") == 2
+        rejected = await submit()
+        assert rejected["error"] == "quota-exceeded"
+        assert (await submit(tenant="team-b"))["ok"]
+        service.pause(held[0])  # paused is still concurrent
+        assert (await submit())["error"] == "quota-exceeded"
+        service.sessions[held[1]].cancel()  # terminal, behind the service
+        readmitted = await submit()
+        assert readmitted["ok"]
+        assert server._active_tenant_sessions("team-a") == 2
+        stats = server._op_stats()["stats"]
+        assert stats["sessions"] == RESIDENTS // 10 + 4
+        assert stats["sessions_active"] == 3
+
+    asyncio.run(scenario())
+    service.close()
+
+
+# ---------------------------------------------------------------- answers
+
+# measured at the parent commit (dict(self._sessions) copies, full walks)
+CHURN_DIGEST = "1c672925ca2805e8bb07838d84fd78c2c77b7d348997d57e8698d0e69f40ed32"
+
+
+def churn_digest():
+    """200 one-batch sessions, one after another, through the server."""
+    payloads = []
+    with ServerThread(
+        lambda: AsyncQueryServer(
+            QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+        )
+    ) as host:
+        with ServingClient(*host.address) as client:
+            for i in range(200):
+                sid = client.submit(
+                    "synthetic", "bus", limit=1, max_samples=8, batch_size=8,
+                    seed=5000 + i, warm_start=False, tenant=f"t{i % 2}",
+                )
+                client.wait_terminal(sid, poll=0.001)
+                payloads.append(client.results(sid))
+    blob = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_churn_answers_are_the_ones_served_before_the_index():
+    assert churn_digest() == CHURN_DIGEST
+    assert churn_digest() == CHURN_DIGEST
+
+
+# ------------------------------------------------------- to_dict satellite
+
+def test_to_dict_equals_the_asdict_form():
+    """``to_dict`` stopped deep-copying through ``dataclasses.asdict``;
+    the dict it builds is the same one, key order included."""
+    service = QueryService(growing_repo(), chunk_frames=600, frames_per_tick=16)
+    seeded = service.submit("cam", "bus", limit=2, warm_start=False, seed=3)
+    service.run_until_idle()
+    sid = service.submit("cam", "bus", limit=6, max_samples=64, seed=4)
+    service.tick()
+    service.feed("cam", 600, clip_instances(2400, 600, 3, start_id=500))
+    service.tick()
+
+    status = service.status(sid)
+    assert status.to_dict() == dataclasses.asdict(status)
+    assert list(status.to_dict()) == list(dataclasses.asdict(status))
+
+    snapshot = service.snapshot(sid)
+    assert snapshot.warm_start_frames and snapshot.result_frames
+    assert len(snapshot.horizons) == 2
+    old = dataclasses.asdict(snapshot)
+    old["warm_start_frames"] = list(snapshot.warm_start_frames)
+    old["result_frames"] = list(snapshot.result_frames)
+    old["horizons"] = [list(pair) for pair in snapshot.horizons]
+    new = snapshot.to_dict()
+    assert new == old and list(new) == list(old)
+    assert json.loads(json.dumps(new)) == json.loads(json.dumps(old))
+    assert SessionSnapshot.from_dict(new) == snapshot
+    pending = dataclasses.replace(snapshot, warm_start_frames=None)
+    assert pending.to_dict()["warm_start_frames"] is None
+    assert SessionSnapshot.from_dict(pending.to_dict()) == pending
+    assert service.status(seeded).to_dict()["state"] == "completed"
+    service.close()
