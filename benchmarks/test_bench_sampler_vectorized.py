@@ -11,7 +11,10 @@ serving batch size, and checks the two throughput claims the PR gates:
   an extra penalty;
 * at the served shape (30 chunks, batch 1) the numpy backend's plan is
   no slower than 1.25x the fallback's: the draw hands rounds that small
-  to the scalar code, so having numpy installed never costs a session.
+  to the scalar code, so having numpy installed never costs a session;
+* a served tick round — 8 such engines — planned through ``plan_many``
+  (one multi-stream Thompson draw) is at least 2x faster than the 8
+  plans one by one.
 
 The ``benchmark`` timing (the regression-gated number) measures the
 backend the run actually uses, so the nightly baseline tracks the fast
@@ -26,7 +29,7 @@ from repro.core.belief import DEFAULT_ALPHA0, DEFAULT_BETA0
 from repro.core.chunking import fixed_size_chunks
 from repro.core.estimator import ChunkStatistics
 from repro.core.rng import DecisionRng
-from repro.core.sampler import ExSample
+from repro.core.sampler import ExSample, plan_many
 from repro.detection.detector import OracleDetector
 from repro.tracking.discriminator import OracleDiscriminator
 from repro.video.repository import single_clip_repository
@@ -102,6 +105,35 @@ def plan_microseconds(num_chunks: int, batch: int, attempts: int = 5) -> dict:
                     engine.plan(batch_size=batch)
                 elapsed = (time.perf_counter() - start) / 12
                 best[forced] = min(best[forced], elapsed * 1e6)
+    finally:
+        backend.set_force_fallback(old)
+    return best
+
+
+def tick_round_microseconds(engines: int = 8, attempts: int = 25) -> dict:
+    """Best-of-``attempts`` cost of planning one served tick round —
+    ``engines`` engines at 30 chunks, batch 1 — on the numpy backend, as
+    ``{"one_by_one": us, "plan_many": us}``.  The two ways alternate
+    attempt by attempt over fresh engines with the same posteriors."""
+    best = {"one_by_one": math.inf, "plan_many": math.inf}
+    old = backend.set_force_fallback(False)
+    try:
+        for _ in range(attempts):
+            for mode in best:
+                group = [
+                    build_engine(seed=10 + i, num_chunks=SERVED_CHUNKS, batch=1)
+                    for i in range(engines)
+                ]
+                plan_many([(engine, 1) for engine in group])  # warm
+                start = time.perf_counter()
+                for _ in range(12):
+                    if mode == "plan_many":
+                        plan_many([(engine, 1) for engine in group])
+                    else:
+                        for engine in group:
+                            engine.plan(batch_size=1)
+                elapsed = (time.perf_counter() - start) / 12
+                best[mode] = min(best[mode], elapsed * 1e6)
     finally:
         backend.set_force_fallback(old)
     return best
@@ -227,4 +259,16 @@ def test_bench_sampler_vectorized(benchmark, save_report):
                 "at the served shape the numpy backend plans slower than the "
                 f"fallback it accelerates ({cost[False]:.0f} vs {cost[True]:.0f} us)"
             )
+    if backend.HAVE_NUMPY:
+        cost = tick_round_microseconds()
+        speedup = cost["one_by_one"] / cost["plan_many"]
+        lines.append(
+            f"tick round, 8 engines x M={SERVED_CHUNKS} batch=1 (best of 25): "
+            f"one by one {cost['one_by_one']:.0f} us   plan_many "
+            f"{cost['plan_many']:.0f} us   speedup {speedup:.1f}x"
+        )
+        assert speedup >= 2.0, (
+            "one Thompson draw for a served tick round is only "
+            f"{speedup:.1f}x planning its sessions one by one"
+        )
     save_report("sampler_vectorized", "\n".join(lines))

@@ -129,6 +129,20 @@ class ThompsonSampling:
         draws = belief.sample(stats, rng, size=batch_size)
         return masked_argmax_rows(draws, available)
 
+    def draw_request(
+        self,
+        stats: ChunkStatistics,
+        rng,
+        available,
+        batch_size: int = 1,
+    ) -> tuple:
+        """The :func:`~repro.core.rng.gamma_matrices` request whose matrix
+        :meth:`choose` would take the arg-maxes of — how a caller
+        planning many samplers draws all their beliefs in one call."""
+        _validate(stats, available, batch_size)
+        belief = GammaBelief(self.alpha0, self.beta0)
+        return (rng, belief.alphas(stats), belief.betas(stats), batch_size)
+
 
 @dataclass(frozen=True)
 class BayesUCB:

@@ -10,8 +10,9 @@ generator: :class:`DecisionRng`, a SplitMix64 stream with
 * **scalar draws** (``random``, ``integers``, ``normal``, ``shuffle``,
   ``choice``, ...) implemented once in pure Python and therefore
   trivially identical with and without numpy, and
-* **one bulk operation**, :meth:`DecisionRng.gamma_matrix` — the
-  Thompson draw over all arms — with twin implementations: a
+* **one bulk operation**, :func:`gamma_matrices` — the Thompson draw
+  over all arms, for one stream (:meth:`DecisionRng.gamma_matrix`, its
+  one-request case) or for many at once — with twin implementations: a
   numpy-vectorized fast path and a pure-Python fallback that execute the
   *same* counter-based draw schedule and the same IEEE-754 operation
   sequence, so their outputs are bit-identical.
@@ -36,6 +37,15 @@ on a handful of elements costs more than the arithmetic.  The threshold
 is a module constant, never configuration: it chooses an executor and
 cannot reach a result.
 
+One call may serve many streams.  Each request takes its own op key
+(in request order) and keeps its own substream, schedule and cursor;
+the numpy twin lays the requests' elements out side by side and runs
+each round over all of them at once, every stream drawing its block at
+its own cursor.  Streams never share a uniform, so the result is the
+one-by-one calls' to the bit.  The handover applies per stream: once a
+round has shrunk to the threshold in total, each stream still in it
+finishes through the scalar code at its own cursor.
+
 Floating-point equality then only needs every arithmetic step to be an
 exactly-rounded IEEE-754 operation evaluated in the same order: ``+ - *
 / sqrt`` and ``frexp/ldexp`` already are (numpy's elementwise kernels do
@@ -55,10 +65,11 @@ from __future__ import annotations
 
 import math
 import random as _stdlib_random
+from itertools import accumulate
 
 from . import backend
 
-__all__ = ["DecisionRng", "derive_key"]
+__all__ = ["DecisionRng", "derive_key", "gamma_matrices"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -365,38 +376,69 @@ class DecisionRng:
 
         Shapes and rates must be positive and finite (a NaN shape would
         be rejected by every round forever).  Returns an ``ndarray`` on
-        the numpy backend, a list of row lists on the fallback.
+        the numpy backend, a list of row lists on the fallback.  The
+        one-request case of :func:`gamma_matrices`.
         """
+        return gamma_matrices([(self, alphas, betas, rows)])[0]
+
+
+def gamma_matrices(requests) -> list:
+    """Many Thompson draws in one kernel call.
+
+    ``requests`` is a sequence of ``(rng, alphas, betas, rows)`` tuples;
+    entry ``i`` of the returned list is exactly the matrix
+    ``rng.gamma_matrix(alphas, betas, rows)`` would have returned had
+    the requests been made one by one in list order — the same bits,
+    and every ``rng`` left at the same position.  Every request is
+    validated before any op key is taken, so an invalid one raises with
+    no stream advanced; op keys are then taken in request order, so an
+    ``rng`` that appears twice equals two back-to-back calls.
+    """
+    requests = list(requests)
+    if not requests:
+        return []
+    for _rng, _alphas, _betas, rows in requests:
         if rows <= 0:
             raise ValueError("rows must be positive")
-        if backend.use_numpy():
-            np = backend.np
+    if backend.use_numpy():
+        np = backend.np
+        cols = []
+        for _rng, alphas, betas, _rows in requests:
             a_cols = np.asarray(alphas, dtype=np.float64)
             b_cols = np.asarray(betas, dtype=np.float64)
             if a_cols.ndim != 1 or a_cols.shape != b_cols.shape:
                 raise ValueError("alphas and betas must align")
-            if not ((a_cols > 0.0) & (a_cols < math.inf)).all():
-                raise ValueError("gamma shapes must be positive")
-            if not ((b_cols > 0.0) & (b_cols < math.inf)).all():
-                raise ValueError("gamma rates must be positive")
-            op_key = self._next_u64()
-            if not a_cols.size:
-                return np.zeros((rows, 0), dtype=np.float64)
-            return _gamma_matrix_np(op_key, a_cols, b_cols, rows)
+            cols.append((a_cols, b_cols))
+        a_all = np.concatenate([a for a, _ in cols])
+        b_all = np.concatenate([b for _, b in cols])
+        if not ((a_all > 0.0) & (a_all < math.inf)).all():
+            raise ValueError("gamma shapes must be positive")
+        if not ((b_all > 0.0) & (b_all < math.inf)).all():
+            raise ValueError("gamma rates must be positive")
+        draws = [
+            (rng._next_u64(), a_cols, b_cols, rows)
+            for (rng, _a, _b, rows), (a_cols, b_cols) in zip(requests, cols)
+        ]
+        return _gamma_matrices_np(draws, a_all, b_all)
+    cols = []
+    for _rng, alphas, betas, _rows in requests:
         a_cols = [float(a) for a in alphas]
         b_cols = [float(b) for b in betas]
         if len(a_cols) != len(b_cols):
             raise ValueError("alphas and betas must align")
-        for a in a_cols:
-            if not 0.0 < a < math.inf:
-                raise ValueError("gamma shapes must be positive")
-        for b in b_cols:
-            if not 0.0 < b < math.inf:
-                raise ValueError("gamma rates must be positive")
-        op_key = self._next_u64()
-        if not a_cols:
-            return [[] for _ in range(rows)]
-        return _gamma_matrix_py(op_key, a_cols, b_cols, rows)
+        if not all(0.0 < a < math.inf for a in a_cols):
+            raise ValueError("gamma shapes must be positive")
+        if not all(0.0 < b < math.inf for b in b_cols):
+            raise ValueError("gamma rates must be positive")
+        cols.append((a_cols, b_cols))
+    out = []
+    for (rng, _a, _b, rows), (a_cols, b_cols) in zip(requests, cols):
+        op_key = rng._next_u64()
+        if a_cols:
+            out.append(_gamma_matrix_py(op_key, a_cols, b_cols, rows))
+        else:
+            out.append([[] for _ in range(rows)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +450,10 @@ class DecisionRng:
 # The schedule is per *round*, not per call, and both twins read one
 # cursor, so either twin may execute any round.  The scalar round code
 # below is written once: ``_gamma_matrix_py`` drives it over every
-# element, and ``_gamma_matrix_np`` hands it each round that has shrunk
-# to ``_SCALAR_ROUND_MAX`` elements or fewer — the tail rounds of a
-# rejection loop, where a numpy dispatch costs more than the arithmetic.
+# element, and ``_gamma_matrices_np`` hands it each round that has shrunk
+# to ``_SCALAR_ROUND_MAX`` elements or fewer in total — the tail rounds
+# of a rejection loop, where a numpy dispatch costs more than the
+# arithmetic — stream by stream, each at its own cursor.
 # ---------------------------------------------------------------------------
 
 # Rounds over at most this many elements run through the scalar code on
@@ -422,15 +465,24 @@ class DecisionRng:
 #   M=1000 batch 1:  729 / 566 / 550 / 504 / 507 / 530 / 548 / 543
 #   M=30   batch 8:  517 / 347 / 318 / 327 / 331 / 353 / 383 / 389
 # Flat within ~5% over 16..48; 32 also makes the served shape (M=30,
-# batch 1: 154 us scalar against 215 us at 24) one scalar draw.
+# batch 1: 154 us scalar against 215 us at 24) one scalar draw.  The
+# threshold compares a round's total over all its streams; re-measured
+# with many streams per call (best of 14, us per call, same columns):
+#   M=1000 batch 1:            677 / 554 / 522 / 511 / 520 / 508 / 562 / 544
+#   M=30   batch 8:            480 / 363 / 346 / 342 / 353 / 358 / 401 / 413
+#   8 streams, M=30 batch 1:   678 / 459 / 445 / 460 / 466 / 460 / 500 / 505
+#   32 streams, M=30 batch 1:  985 / 796 / 787 / 793 / 814 / 823 / 905 / 922
+# Still flat within ~5% over 16..48 for one stream or many, so it stays.
 _SCALAR_ROUND_MAX = 32
 
 
 class _Substream:
     """One op's counter substream ``u_j = mix64(key + (j+1)·GOLDEN)``.
 
-    Holds the single cursor both twins advance, which is what lets a
-    draw change executor between rounds without moving any uniform.
+    Holds the cursor the scalar rounds advance; the vector rounds keep
+    the same cursor in :class:`_Streams` and hand it back and forth,
+    which is what lets a draw change executor between rounds without
+    moving any uniform.
     """
 
     __slots__ = ("key", "cursor")
@@ -455,27 +507,94 @@ class _Substream:
         self.cursor += count
         return out
 
-    def take_vec(self, count: int):
-        """Vector twin of :meth:`take` — the same uniforms, as an array."""
+
+def _unit_vec(z):
+    """:func:`_mix64` then the (0, 1) map, over an array of u64 words
+    (mixed in place) — the vector twin of :meth:`_Substream.take`'s body."""
+    np = backend.np
+    u64 = np.uint64
+    t = z >> u64(30)
+    z ^= t
+    z *= u64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, u64(27), out=t)
+    z ^= t
+    z *= u64(0x94D049BB133111EB)
+    np.right_shift(z, u64(31), out=t)
+    z ^= t
+    z >>= u64(11)
+    out = z.astype(np.float64)
+    out += 0.5
+    out *= _TO_UNIT
+    return out
+
+
+class _Streams:
+    """The substreams of one :func:`gamma_matrices` call, side by side.
+
+    Elements are laid out stream-major: stream ``s`` (one request, one
+    op key) owns the contiguous index range ``[starts[s], starts[s+1])``
+    and its own cursor.  A vector round draws, for the elements it is
+    handed, each stream's block from that stream's substream at that
+    stream's cursor — ``z = (j+1)·GOLDEN + base_s`` over the round's
+    positions ``j``, where ``base_s = key_s + (cursor_s - offset_s)·GOLDEN``
+    folds the stream's key, cursor and block offset into one word — so
+    every stream sees exactly the uniforms a call of its own would.
+    """
+
+    __slots__ = ("keys", "cursors", "starts", "_steps", "_keys_u64")
+
+    def __init__(self, keys: list, sizes: list):
+        np = backend.np
+        self.keys = keys
+        self.starts = np.array(list(accumulate(sizes, initial=0)))
+        # (j+1)·GOLDEN for every position a round of two blocks can use
+        self._steps = np.arange(1, 2 * int(self.starts[-1]) + 1, dtype=np.uint64)
+        self._steps *= np.uint64(_GOLDEN)
+        if len(keys) == 1:
+            # one stream: a Python-int cursor and no per-round bookkeeping
+            # (the array bookkeeping costs a one-stream draw 5-12%)
+            self.cursors = [0]
+        else:
+            self.cursors = np.zeros(len(keys), dtype=np.int64)
+            self._keys_u64 = np.array(keys * 2, dtype=np.uint64)  # one per block
+
+    def take_vec(self, idx, blocks: int = 1):
+        """``blocks`` (1 or 2) blocks of uniforms for the elements
+        ``idx`` (ascending): block ``b`` gives each stream its next
+        ``k_s`` draws, ``k_s`` being its element count in ``idx`` — the
+        polar round's u1 block then u2 block, or the accept round's one."""
         np = backend.np
         u64 = np.uint64
-        z = np.arange(self.cursor + 1, self.cursor + count + 1, dtype=u64)
-        self.cursor += count
-        z *= u64(_GOLDEN)
-        z += u64(self.key)
-        t = z >> u64(30)
-        z ^= t
-        z *= u64(0xBF58476D1CE4E5B9)
-        np.right_shift(z, u64(27), out=t)
-        z ^= t
-        z *= u64(0x94D049BB133111EB)
-        np.right_shift(z, u64(31), out=t)
-        z ^= t
-        z >>= u64(11)
-        out = z.astype(np.float64)
-        out += 0.5
-        out *= _TO_UNIT
-        return out
+        k = idx.size
+        if len(self.keys) == 1:
+            base = (self.keys[0] + self.cursors[0] * _GOLDEN) & _MASK64
+            self.cursors[0] += blocks * k
+            return _unit_vec(self._steps[:blocks * k] + u64(base))
+        at = idx.searchsorted(self.starts)  # where each stream begins in idx
+        counts = at[1:] - at[:-1]
+        shift = self.cursors - at[:-1]  # cursor_s - offset_s
+        self.cursors += blocks * counts
+        if blocks == 2:
+            # the u2 block: each stream k_s draws on, at round positions k on
+            shift = np.concatenate((shift, shift + (counts - k)))
+            counts = np.concatenate((counts, counts))
+        bases = shift.astype(u64)
+        bases *= u64(_GOLDEN)
+        bases += self._keys_u64[:bases.size]
+        return _unit_vec(self._steps[:blocks * k] + np.repeat(bases, counts))
+
+    def scalar_rounds(self, idx):
+        """Hand the elements ``idx`` (ascending) to the scalar round code,
+        stream by stream: yields ``(substream, lo, hi)`` — the stream's
+        elements are ``idx[lo:hi]`` — with the substream at the stream's
+        cursor, and takes the cursor back when the consumer moves on."""
+        at = idx.searchsorted(self.starts).tolist()
+        for s, (lo, hi) in enumerate(zip(at, at[1:])):
+            if lo < hi:
+                stream = _Substream(self.keys[s])
+                stream.cursor = int(self.cursors[s])
+                yield stream, lo, hi
+                self.cursors[s] = stream.cursor
 
 
 def _polar_normals(stream: _Substream, count: int) -> list:
@@ -566,71 +685,106 @@ def _gamma_matrix_py(op_key: int, a_cols: list, b_cols: list, rows: int):
     return out
 
 
-def _gamma_matrix_np(op_key: int, a_cols, b_cols, rows: int):
+def _gamma_matrices_np(draws: list, a_all, b_all) -> list:
+    """The numpy executor over ``(op_key, a_cols, b_cols, rows)`` draws;
+    ``a_all`` / ``b_all`` are the draws' columns end to end."""
     np = backend.np
-    M = a_cols.size
-    n = rows * M
+    out: list = [None] * len(draws)
+    live = []  # (index, op key, shapes, rates, rows) of the draws with arms
+    for i, (key, a_cols, b_cols, rows) in enumerate(draws):
+        if a_cols.size:
+            live.append((i, key, a_cols, b_cols, rows))
+        else:
+            out[i] = np.zeros((rows, 0), dtype=np.float64)
+    sizes = [rows * a_cols.size for _i, _key, a_cols, _b, rows in live]
+    n = sum(sizes)
     if n <= _SCALAR_ROUND_MAX:
-        # the first round is already a tail round: the whole draw is scalar
-        return np.array(
-            _gamma_matrix_py(op_key, a_cols.tolist(), b_cols.tolist(), rows)
-        )
-    stream = _Substream(op_key)
-    boost_u = stream.take_vec(n)
+        # the first round is already a tail round: every draw is scalar
+        for i, key, a_cols, b_cols, rows in live:
+            out[i] = np.array(
+                _gamma_matrix_py(key, a_cols.tolist(), b_cols.tolist(), rows)
+            )
+        return out
+    if len(live) == 1:
+        # one stream: a (rows, M) layout, the columns broadcast over rows
+        # and d, c computed per column: flat, one stream reads 1.04-1.10x
+        # the (rows, M) draw at M=1000 batch 8
+        _i, _key, a_cols, b_cols, rows = live[0]
+    else:
+        # many: one row holding every request's rows end to end
+        rows = 1
+        if all(r == 1 for *_, r in live):
+            a_cols, b_cols = a_all, b_all
+        else:
+            a_cols = np.concatenate([np.tile(a, r) for _i, _k, a, _b, r in live])
+            b_cols = np.concatenate([np.tile(b, r) for _i, _k, _a, b, r in live])
+    streams = _Streams([key for _i, key, *_ in live], sizes)
+    pending = np.arange(n)
+    boost_u = streams.take_vec(pending)
 
     small_cols = a_cols < 1.0
     d_cols = np.where(small_cols, a_cols + 1.0, a_cols)
     d_cols -= 1.0 / 3.0
     c_cols = 1.0 / np.sqrt(9.0 * d_cols)
-    d = np.tile(d_cols, rows)
-    c = np.tile(c_cols, rows)
+    d = np.tile(d_cols, rows) if rows > 1 else d_cols
+    c = np.tile(c_cols, rows) if rows > 1 else c_cols
 
     x = np.empty(n, dtype=np.float64)
     val = np.empty(n, dtype=np.float64)
-    pending = np.arange(n)
     while pending.size > _SCALAR_ROUND_MAX:
         need = pending
         while need.size > _SCALAR_ROUND_MAX:
             k = need.size
-            us = stream.take_vec(2 * k)  # the u1 block, then the u2 block
-            v1 = 2.0 * us[:k] - 1.0
-            v2 = 2.0 * us[k:] - 1.0
+            v12 = 2.0 * streams.take_vec(need, blocks=2)  # the u1 block, then u2
+            v12 -= 1.0
+            v1, v2 = v12[:k], v12[k:]
             s = v1 * v1 + v2 * v2
             ok = (0.0 < s) & (s < 1.0)
             s_ok = s[ok]
             x[need[ok]] = v1[ok] * np.sqrt(-2.0 * _ln_vec(s_ok) / s_ok)
             need = need[~ok]
-        if need.size:
-            x[need] = _polar_normals(stream, need.size)
+        normals = []
+        for stream, lo, hi in streams.scalar_rounds(need):
+            normals += _polar_normals(stream, hi - lo)
+        x[need] = normals
         xs = x[pending]
         t = 1.0 + c[pending] * xs
         has_v = t > 0.0
         tpos = pending[has_v]
         tv = t[has_v]
         v = tv * tv * tv
-        us = stream.take_vec(tpos.size)
+        us = streams.take_vec(tpos)
         xe = xs[has_v]
         x2 = xe * xe
         accept = us < 1.0 - 0.0331 * (x2 * x2)
         log_test = np.flatnonzero(~accept)
         if log_test.size:
             vl = v[log_test]
-            lhs = _ln_vec(us[log_test])
-            rhs = 0.5 * x2[log_test] + d[tpos[log_test]] * (1.0 - vl + _ln_vec(vl))
+            # ln(u) and ln(v) in one pass: elementwise, so the same bits
+            lns = _ln_vec(np.concatenate((us[log_test], vl)))
+            lhs = lns[:log_test.size]
+            rhs = 0.5 * x2[log_test] + d[tpos[log_test]] * (1.0 - vl + lns[log_test.size:])
             accept[log_test] = lhs < rhs
         good = tpos[accept]
         val[good] = d[good] * v[accept]
         rejected = ~has_v
         rejected[has_v] = ~accept
         pending = pending[rejected]
-    if pending.size:
-        val[pending] = _rejection_rounds(
-            stream, d[pending].tolist(), c[pending].tolist()
-        )
+    ds, cs, vals = d[pending].tolist(), c[pending].tolist(), []
+    for stream, lo, hi in streams.scalar_rounds(pending):
+        vals += _rejection_rounds(stream, ds[lo:hi], cs[lo:hi])
+    val[pending] = vals
 
-    val = val.reshape(rows, M)
+    # one stream's matrix is (rows, M); many streams' elements are one
+    # flat row, indexed flat (a 2-D boolean index costs twice as much)
+    grid, boost, pick = val, boost_u, small_cols
+    if rows > 1:
+        grid = val.reshape(rows, a_cols.size)
+        boost = boost_u.reshape(rows, a_cols.size)
+        pick = (slice(None), small_cols)
     if small_cols.any():
-        boost_u = boost_u.reshape(rows, M)[:, small_cols]
-        val[:, small_cols] *= _exp_vec(_ln_vec(boost_u) / a_cols[small_cols])
-    val /= b_cols
-    return val
+        grid[pick] *= _exp_vec(_ln_vec(boost[pick]) / a_cols[small_cols])
+    grid /= b_cols
+    for (i, _key, shapes, _b, r), lo, hi in zip(live, streams.starts, streams.starts[1:]):
+        out[i] = val[lo:hi].reshape(r, shapes.size)
+    return out

@@ -37,13 +37,14 @@ from ..video.repository import VideoRepository
 from . import backend
 from .chunking import Chunk
 from .estimator import ChunkStatistics
-from .policies import ChunkPolicy, ThompsonSampling
-from .rng import DecisionRng
+from .policies import ChunkPolicy, ThompsonSampling, masked_argmax_rows
+from .rng import DecisionRng, gamma_matrices
 
 __all__ = [
     "StepRecord",
     "SamplingHistory",
     "ExSample",
+    "plan_many",
     "process_frame",
     "process_frame_detailed",
 ]
@@ -311,7 +312,9 @@ class ExSample:
         """
         return self.commit(self.plan())
 
-    def plan(self, batch_size: int | None = None) -> list[tuple[int, int]]:
+    def plan(
+        self, batch_size: int | None = None, draws=None
+    ) -> list[tuple[int, int]]:
         """Stage 1 of Algorithm 1 for one iteration: choose the batch.
 
         Returns the ``(chunk_index, frame_index)`` pairs to process —
@@ -320,18 +323,21 @@ class ExSample:
         RNG and the chunks' without-replacement orders but needs no
         detections, which is what lets a scheduler gather many sessions'
         plans into one batched detector call before any of them commits.
-        """
-        if self.exhausted:
-            raise RuntimeError("all chunks are exhausted")
-        if batch_size is None:
-            batch_size = self._batch_size
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
 
+        ``draws`` is this plan's Thompson matrix when :func:`plan_many`
+        has already drawn it (one row per frame): the picks are its
+        masked arg-maxes instead of a fresh policy draw.
+        """
+        batch_size = self._plan_size(batch_size)
         draw_start = time.perf_counter()
-        picks = self._policy.choose(
-            self._stats, self._rng, self._available, batch_size=batch_size
-        )
+        if draws is None:
+            picks = self._policy.choose(
+                self._stats, self._rng, self._available, batch_size=batch_size
+            )
+        elif len(draws) != batch_size:
+            raise ValueError("draws must hold one row per planned frame")
+        else:
+            picks = masked_argmax_rows(draws, self._available)
         score_start = time.perf_counter()
         draw_seconds = score_start - draw_start
         redraw_seconds = 0.0
@@ -359,6 +365,16 @@ class ExSample:
             "score": (time.perf_counter() - score_start) - redraw_seconds,
         }
         return pending
+
+    def _plan_size(self, batch_size: int | None) -> int:
+        """The batch :meth:`plan` would choose, after its checks."""
+        if self.exhausted:
+            raise RuntimeError("all chunks are exhausted")
+        if batch_size is None:
+            batch_size = self._batch_size
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        return batch_size
 
     def commit(
         self,
@@ -480,3 +496,54 @@ class ExSample:
             if callback is not None:
                 callback(record)
         return self._history
+
+
+def plan_many(plans) -> list[list[tuple[int, int]]]:
+    """:meth:`ExSample.plan` for many samplers, with one Thompson draw.
+
+    ``plans`` is a sequence of ``(engine, batch_size)`` pairs (``None``
+    meaning the engine's own batch).  Every Thompson-sampling engine on
+    a :class:`DecisionRng` contributes its request to **one**
+    :func:`gamma_matrices` call; each engine then plans from its own
+    matrix, through ``engine.plan`` (so whatever wraps that method sees
+    every plan), in list order.  Other policies plan one at a time.
+    The result is exactly what planning the engines one by one in list
+    order returns, and every RNG, availability mask and chunk order
+    ends where it would have: each engine's op key precedes its own
+    chunk draws either way.  That needs one RNG per engine — two
+    engines sharing one raise ``ValueError``, since the shared draw
+    would reorder its op keys against its chunk draws.
+
+    Each engine's ``last_plan_timings["draw"]`` is charged its element
+    share of the shared draw.
+    """
+    plans = [(engine, engine._plan_size(size)) for engine, size in plans]
+    rngs = {id(engine._rng) for engine, _ in plans}
+    if len(rngs) != len(plans):
+        raise ValueError(
+            "engines planned together must not share an rng: one draw "
+            "for all of them would reorder its op keys and chunk draws"
+        )
+    requests = [
+        engine._policy.draw_request(
+            engine._stats, engine._rng, engine._available, size
+        )
+        if isinstance(engine._policy, ThompsonSampling)
+        and isinstance(engine._rng, DecisionRng)
+        else None
+        for engine, size in plans
+    ]
+    batched = [request for request in requests if request is not None]
+    start = time.perf_counter()
+    draws = iter(gamma_matrices(batched) if batched else ())
+    seconds = time.perf_counter() - start
+    elements = sum(len(alphas) * rows for _rng, alphas, _betas, rows in batched)
+    per_element = seconds / max(elements, 1)
+    out = []
+    for (engine, size), request in zip(plans, requests):
+        if request is None:
+            out.append(engine.plan(size))
+            continue
+        out.append(engine.plan(size, draws=next(draws)))
+        engine.last_plan_timings["draw"] += per_element * len(request[1]) * request[3]
+    return out

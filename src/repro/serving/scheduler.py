@@ -212,12 +212,10 @@ class ThompsonSumScheduler:
         _validate(sessions, budget)
         if not sessions:
             return {}
-        bids = []
-        for session in sessions:
-            bid = session.thompson_draw(rng)
-            if self._priority_weighted:
-                bid *= session.priority
-            bids.append(bid)
+        # one kernel call for every session's bid (QuerySession.thompson_draws)
+        bids = QuerySession.thompson_draws(sessions, rng)
+        if self._priority_weighted:
+            bids = [bid * session.priority for bid, session in zip(bids, sessions)]
         return proportional_allocation(
             [s.session_id for s in sessions], bids, budget
         )

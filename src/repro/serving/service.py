@@ -461,7 +461,8 @@ class QueryService:
 
         The tick runs in *rounds*.  Each round, every session with budget
         left plans one engine iteration (its next §III-F batch of frames
-        — stage 1 only, no detections needed); the planned frames are
+        — stage 1 only, no detections needed; the round's Thompson draws
+        are one kernel call, :meth:`QuerySession.plan_steps`); the planned frames are
         merged per dataset with duplicates collapsed, issued to the
         shared caching detector as **one batched call** (partial cache
         hits split off, misses fanned out over the shard workers under
@@ -483,7 +484,7 @@ class QueryService:
 
         Failure containment: if the shared detector raises mid-tick, the
         sessions that had already planned keep their planned batch and
-        re-offer it on the next tick (:meth:`QuerySession.plan_step`),
+        re-offer it on the next tick (:meth:`QuerySession.plan_steps`),
         so a transient detector error loses at most the tick in flight —
         the same durability the state layer promises.
 
@@ -534,12 +535,11 @@ class QueryService:
         completed = False
         try:
             while True:
-                # stage 1, all sessions: plan one engine iteration each
+                # stage 1, all sessions: plan one engine iteration each,
+                # in submission order, policy-free — one Thompson draw
                 plans: list[tuple[QuerySession, list[tuple[int, int]]]] = []
-                for session in active:  # submission order, policy-free
-                    if remaining[session.session_id] <= 0:
-                        continue
-                    pending = session.plan_step()
+                due = [s for s in active if remaining[s.session_id] > 0]
+                for session, pending in zip(due, QuerySession.plan_steps(due)):
                     obs.planned(session, pending)
                     if pending:
                         plans.append((session, pending))
@@ -598,16 +598,17 @@ class QueryService:
         Every session of ``active`` that is
         :attr:`QuerySession.plannable_ahead` — which rules out the ones
         in this round: their batch is parked until it commits — plans
-        one batch, in submission order: work a later tick would
+        one batch, in submission order and in one Thompson draw
+        (:meth:`QuerySession.plan_steps`): work a later tick would
         otherwise do with the workers idle.  Who plans depends on the
         tick history alone, never on how long the workers take: a parked
         batch defers absorption, so a clock would get to pick a
         session's chunk set.
         """
         obs.planning_ahead()
-        for session in active:
-            if session.plannable_ahead:
-                obs.planned_ahead(session, session.plan_step())
+        ready = [s for s in active if s.plannable_ahead]
+        for session, pending in zip(ready, QuerySession.plan_steps(ready)):
+            obs.planned_ahead(session, pending)
 
     def run_until_idle(self, max_ticks: int | None = None) -> int:
         """Tick until no session can be advanced (or ``max_ticks``);

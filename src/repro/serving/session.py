@@ -47,7 +47,8 @@ from typing import Sequence
 
 from ..core import backend
 from ..core.belief import GammaBelief
-from ..core.sampler import ExSample
+from ..core.rng import DecisionRng, gamma_matrices
+from ..core.sampler import ExSample, plan_many
 from ..detection.cache import DetectionCache
 from ..detection.detector import Detector
 
@@ -334,7 +335,7 @@ class QuerySession:
 
     Built by :class:`~repro.serving.service.QueryService`; not normally
     constructed directly.  The session advances only through
-    ``plan_step`` / ``commit_step`` (one whole engine batch at a time),
+    ``plan_steps`` / ``commit_step`` (one whole engine batch at a time),
     which is what makes the step count a complete serialization of its
     progress.
     """
@@ -367,10 +368,10 @@ class QuerySession:
         if not self._horizon_log and chunker is not None:
             self._horizon_log = [(0, chunker.horizon)]
         # a planned-but-uncommitted batch (a detector failure mid-tick):
-        # re-offered by the next plan_step so no planned frame is lost
+        # re-offered by the next plan_steps so no planned frame is lost
         self._pending: list[tuple[int, int]] = []
         # draw/score wall time of the most recent *fresh* plan (zeros when
-        # the last plan_step re-offered a pending batch) — observational
+        # the last plan_steps re-offered a pending batch) — observational
         # only, read by the service's plan-stage telemetry
         self.last_plan_timings: dict[str, float] = {"draw": 0.0, "score": 0.0}
         if self._state is SessionState.ACTIVE:
@@ -582,36 +583,52 @@ class QuerySession:
 
     # ------------------------------------------------------------- execution
 
-    # Two-phase stepping: the coalescing seam.  ``plan_step`` is stage 1
-    # of one engine iteration (pure choice, no detections), so a
-    # scheduler can gather many sessions' plans, run ONE batched detector
-    # call over the union of frames, and hand each session its share via
-    # ``commit_step``.  plan → commit equals the engine's own
-    # plan/commit exactly: the session's decisions never depend on who
-    # else is being served.
+    # Two-phase stepping: the coalescing seam.  ``plan_steps`` is stage 1
+    # of one engine iteration for many sessions (pure choice, no
+    # detections), so a scheduler can gather their plans, run ONE
+    # batched detector call over the union of frames, and hand each
+    # session its share via ``commit_step``.  plan → commit equals the
+    # engine's own plan/commit exactly: the session's decisions never
+    # depend on who else is being served.
 
-    def plan_step(self) -> list[tuple[int, int]]:
-        """Stage 1 of one engine iteration: the ``(chunk, frame)`` batch
-        this session wants next, or ``[]`` when it is not schedulable
-        (paused, satisfied, exhausted, or over its sample cap).
+    @staticmethod
+    def plan_steps(sessions) -> list[list[tuple[int, int]]]:
+        """Stage 1 of one engine iteration for each of ``sessions``: the
+        ``(chunk, frame)`` batch each wants next, or ``[]`` for one that
+        is not schedulable (paused, satisfied, exhausted, or over its
+        sample cap).
 
         A batch planned earlier but never committed (its tick's detector
         call failed) is re-offered as-is, so a transient detector error
         costs nothing but the tick in flight — the sampling stream stays
         a pure function of the session's seed and committed step count.
+        The fresh plans go through :func:`~repro.core.sampler.plan_many`:
+        one Thompson draw for all of them, each session's batch exactly
+        the one it would have planned alone.
         """
-        self.last_plan_timings = {"draw": 0.0, "score": 0.0}
-        self._refresh_state()
-        if self._state is not SessionState.ACTIVE:
-            return []
-        if self._pending:
-            return list(self._pending)
-        if self._engine.exhausted:
-            return []
-        size = self._spec.next_batch_size(self._engine.frames_processed)
-        self._pending = self._engine.plan(batch_size=size)
-        self.last_plan_timings = dict(self._engine.last_plan_timings)
-        return list(self._pending)
+        out: list[list[tuple[int, int]]] = []
+        fresh: list[tuple[int, QuerySession]] = []
+        for session in sessions:
+            session.last_plan_timings = {"draw": 0.0, "score": 0.0}
+            session._refresh_state()
+            if session._state is not SessionState.ACTIVE:
+                out.append([])
+            elif session._pending:
+                out.append(list(session._pending))
+            elif session._engine.exhausted:
+                out.append([])
+            else:
+                fresh.append((len(out), session))
+                out.append([])
+        planned = plan_many(
+            (s._engine, s._spec.next_batch_size(s._engine.frames_processed))
+            for _, s in fresh
+        )
+        for (i, session), pending in zip(fresh, planned):
+            session._pending = pending
+            session.last_plan_timings = dict(session._engine.last_plan_timings)
+            out[i] = list(pending)
+        return out
 
     def commit_step(self, pending, detections_by_frame) -> int:
         """Stage 2+3 of a planned iteration, with detections supplied by
@@ -639,17 +656,39 @@ class QuerySession:
         """One Thompson sample of this session's best-chunk yield — its
         bid in the :class:`~repro.serving.scheduler.ThompsonSumScheduler`
         budget auction (generalizing ``MultiQueryExSample``'s arg-max of
-        summed draws)."""
+        summed draws).  0.0 once the engine is gone or exhausted."""
         if self._engine is None or self._engine.exhausted:
             return 0.0
-        draws = self._belief.sample(self._engine.stats, rng, size=1)[0]
+        draws = self._belief.sample(self._engine.stats, rng, size=1)
+        return self._best_available(draws[0])
+
+    @staticmethod
+    def thompson_draws(sessions, rng) -> list[float]:
+        """:meth:`thompson_draw` for each of ``sessions`` in order, with a
+        :class:`DecisionRng` drawing every bid in one
+        :func:`~repro.core.rng.gamma_matrices` call — the same op keys,
+        in the same order, as the one-by-one loop, so the same bids."""
+        if not isinstance(rng, DecisionRng):
+            return [session.thompson_draw(rng) for session in sessions]
+        bidding = [s._engine is not None and not s._engine.exhausted for s in sessions]
+        draws = iter(gamma_matrices([
+            (rng, s._belief.alphas(s._engine.stats), s._belief.betas(s._engine.stats), 1)
+            for s, bids in zip(sessions, bidding) if bids
+        ]))
+        return [
+            s._best_available(next(draws)[0]) if bids else 0.0
+            for s, bids in zip(sessions, bidding)
+        ]
+
+    def _best_available(self, row) -> float:
+        """The largest draw of ``row`` over the chunks with frames left."""
         available = self._engine.chunk_availability
         np_mod = backend.np
-        if np_mod is not None and isinstance(draws, np_mod.ndarray):
-            masked = np_mod.where(np_mod.asarray(available, dtype=bool), draws, -np_mod.inf)
+        if np_mod is not None and isinstance(row, np_mod.ndarray):
+            masked = np_mod.where(np_mod.asarray(available, dtype=bool), row, -np_mod.inf)
             return float(masked.max())
         best = -math.inf
-        for v, ok in zip(draws, available):
+        for v, ok in zip(row, available):
             if ok and v > best:
                 best = v
         return best if best > -math.inf else 0.0

@@ -119,20 +119,29 @@ class TickObserver:
             gauges[0].set(allocation.get(session_id, 0))
         self._mark = self._span_mark = perf_counter()
 
-    def _session_span(self, session, name: str, frames: int) -> None:
-        """One per-session span, from the previous observed event to now."""
-        now = perf_counter()
+    def _session_span(self, session, name: str, frames: int, seconds=None) -> None:
+        """One per-session span from the previous observed event: to now,
+        or ``seconds`` long when the session's share is known."""
+        start = self._span_mark
+        if seconds is None:
+            seconds = perf_counter() - start
         self._tel.tracer.record_span(
             self._contexts[session.session_id][0], name,
-            self._span_mark, now - self._span_mark, tick=self._tick, frames=frames,
+            start, seconds, tick=self._tick, frames=frames,
         )
-        self._span_mark = now
+        self._span_mark = start + seconds
 
     def planned(self, session, pending) -> None:
+        """The sessions of a round plan in one call, then report one by
+        one: each ``plan`` span is the session's own share (its draw and
+        score seconds), laid end to end from the start of the planning."""
+        timings = session.last_plan_timings
         for part in _PLAN_SPLIT:
-            self._seconds[part] += session.last_plan_timings[part]
+            self._seconds[part] += timings[part]
         if self._contexts is not None:
-            self._session_span(session, "plan", len(pending))
+            self._session_span(
+                session, "plan", len(pending), timings["draw"] + timings["score"]
+            )
 
     def planning_ahead(self) -> None:
         """A dispatch is in flight and the tick may plan ahead: the first
@@ -140,18 +149,18 @@ class TickObserver:
         born here, so it exists exactly where planning ahead can happen
         — local runs never get this far."""
         self._ahead = self._tel.counter("repro_serving_planned_ahead_total")
-        self._span_mark = perf_counter()
+        self._span_mark = self._ahead_mark = perf_counter()
 
     def planned_ahead(self, session, pending) -> None:
         """``session`` planned its next batch inside the round's ``detect``
         stage: the seconds are ``plan`` work, so they move from one to
         the other (the coming ``lap("detect")`` adds the whole wait)."""
-        seconds = perf_counter() - self._span_mark
+        seconds = perf_counter() - self._ahead_mark
         self._seconds["plan"] += seconds
         self._seconds["detect"] -= seconds
         self._ahead.inc()
         self.planned(session, pending)
-        self._span_mark = perf_counter()
+        self._ahead_mark = perf_counter()
 
     def lap(self, stage: str) -> None:
         """``stage`` of the current round just ended."""

@@ -409,3 +409,104 @@ def test_ln_exp_scalar_and_vector_twins_agree():
     assert all(
         math.isclose(_exp(x), math.exp(x), rel_tol=1e-15) for x in exp_pts
     )
+
+
+# ------------------------------------------------- many streams, one call
+
+def _mixes(count):
+    """``count`` seeded request mixes: 1, 2, 8 or 40 streams, arm counts
+    around the round threshold and far from it, rows 1-8, every shape
+    regime, and now and then one rng asked twice in the same call."""
+    sizes = (0, 1, T - 1, T, T + 1, 30, 1000)
+    for mix in range(count):
+        base = DecisionRng((0x6A77, mix))
+        streams = (1, 2, 8, 40)[mix % 4]
+        requests = []
+        for s in range(streams):
+            arms = sizes[base.integers(len(sizes))]
+            if arms == 1000 and streams > 8:
+                arms = 1 + base.integers(60)  # keep a 40-stream mix quick
+            alphas, betas = _shapes(arms, ("small", "large", "mixed")[base.integers(3)])
+            seed = (mix, s)
+            if s and base.random() < 0.15:
+                seed = requests[-1][0]  # the same rng again, inside one call
+            requests.append((seed, alphas, betas, 1 + base.integers(8)))
+        yield requests
+
+
+def _one_by_one(requests):
+    rngs = {}
+    got = [
+        rngs.setdefault(seed, DecisionRng(seed)).gamma_matrix(alphas, betas, rows)
+        for seed, alphas, betas, rows in requests
+    ]
+    return got, rngs
+
+
+def _in_one_call(requests):
+    rngs = {}
+    got = rng_module.gamma_matrices([
+        (rngs.setdefault(seed, DecisionRng(seed)), alphas, betas, rows)
+        for seed, alphas, betas, rows in requests
+    ])
+    return got, rngs
+
+
+def _bits(result):
+    """Element bits, then every stream's position and its next draw."""
+    matrices, rngs = result
+    return (
+        [[[float(v) for v in row] for row in m] for m in matrices],
+        {seed: (rng.state, rng.random()) for seed, rng in rngs.items()},
+    )
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_gamma_matrices_equal_one_by_one_calls(fallback_guard, forced):
+    """The multi-stream kernel returns each request exactly the matrix
+    its own ``gamma_matrix`` call would, and leaves every stream — an
+    rng asked twice included — where the calls one by one leave it."""
+    if forced and not backend.HAVE_NUMPY:
+        pytest.skip("force-fallback run is redundant without numpy")
+    backend.set_force_fallback(forced)
+    # the fallback is a loop of the scalar draw: fewer mixes pin it
+    mixes = list(_mixes(64 if forced else 200))
+    assert any(len({r[0] for r in m}) < len(m) for m in mixes)  # repeats occur
+    for requests in mixes:
+        assert _bits(_in_one_call(requests)) == _bits(_one_by_one(requests))
+
+
+@needs_numpy
+@pytest.mark.parametrize("threshold", [0, T, 10**9])
+def test_gamma_matrices_threshold_cannot_reach_a_decision(
+    fallback_guard, monkeypatch, threshold
+):
+    """Rounds handed over by *total* size, stream by stream: every
+    executor choice is the fallback's one-by-one draw."""
+    mixes = list(_mixes(40))
+    backend.set_force_fallback(True)
+    reference = [_bits(_one_by_one(requests)) for requests in mixes]
+    backend.set_force_fallback(False)
+    monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", threshold)
+    assert [_bits(_in_one_call(requests)) for requests in mixes] == reference
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_gamma_matrices_validate_every_request_first(fallback_guard, forced):
+    """An invalid request anywhere in the call raises before any stream
+    takes its op key — the valid requests before it included."""
+    backend.set_force_fallback(forced)
+    alphas, betas = _shapes(12, "mixed")
+    for bad in (
+        ([1.0], [1.0], 0),
+        ([0.0], [1.0], 1),
+        ([1.0], [float("nan")], 1),
+        ([1.0, 2.0], [1.0], 1),
+    ):
+        first, second = DecisionRng(1), DecisionRng(2)
+        with pytest.raises(ValueError):
+            rng_module.gamma_matrices(
+                [(first, alphas, betas, 2), (second, *bad)]
+            )
+        assert (first.state, second.state) == (DecisionRng(1).state, DecisionRng(2).state)
+    assert rng_module.gamma_matrices([]) == []

@@ -315,14 +315,15 @@ def test_mutation_sampler_rng_leak_is_caught(monkeypatch, tmp_path):
     """A sampler bug: session planning consumes extra RNG (the classic
     hidden-nondeterminism bug — an unseeded draw on the decision path).
     The oracle re-run diverges at the first perturbed decision."""
-    orig = QuerySession.plan_step
+    orig = QuerySession.plan_steps
 
-    def leaky(self):
-        if self._engine is not None and not self._engine.exhausted:
-            self._engine._rng.integers(1 << 16)  # the leak
-        return orig(self)
+    def leaky(sessions):
+        for session in sessions:
+            if session._engine is not None and not session._engine.exhausted:
+                session._engine._rng.integers(1 << 16)  # the leak
+        return orig(sessions)
 
-    monkeypatch.setattr(QuerySession, "plan_step", leaky)
+    monkeypatch.setattr(QuerySession, "plan_steps", staticmethod(leaky))
     exc = _run_until_caught(range(4), tmp_path)
     assert exc is not None
     assert "seed" in str(exc)
@@ -377,14 +378,15 @@ def test_mutation_stale_cache_results_are_caught(monkeypatch, tmp_path):
 def test_cli_simulate_prints_replayable_failing_seed(
     monkeypatch, tmp_path, capsys
 ):
-    orig = QuerySession.plan_step
+    orig = QuerySession.plan_steps
 
-    def leaky(self):
-        if self._engine is not None and not self._engine.exhausted:
-            self._engine._rng.integers(1 << 16)
-        return orig(self)
+    def leaky(sessions):
+        for session in sessions:
+            if session._engine is not None and not session._engine.exhausted:
+                session._engine._rng.integers(1 << 16)
+        return orig(sessions)
 
-    monkeypatch.setattr(QuerySession, "plan_step", leaky)
+    monkeypatch.setattr(QuerySession, "plan_steps", staticmethod(leaky))
     failures = tmp_path / "failing_seeds.txt"
     code = main(
         ["simulate", "--scenarios", "4", "--quiet",
