@@ -18,13 +18,16 @@ policy:
 Measured claims:
 
 * batched+parallel achieves >= 2x detector-call throughput over the
-  sequential reference on the same budget;
+  sequential reference on the same budget — gated on the median speedup
+  of the timed pair and ``EXTRA_PAIRS`` more pairs whose order
+  alternates, so one slow run on a loaded machine cannot decide it;
 * **parity** — execution mode is invisible to the answer: with the same
   seed, the batch path returns identical detections for every frame and
   the query lands on identical results/recall (the score-equivalence
   contract of the execution layer).
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -48,6 +51,9 @@ WORKERS = 4
 BATCH = 8
 BUDGET = 320  # detector-charged frames per run
 SEED = 3
+# (sequential, parallel) pairs timed beside the ``benchmark`` one, outside
+# it, so the regression-gated runtime stays the one pair's
+EXTRA_PAIRS = 4
 
 
 def _repo():
@@ -97,13 +103,32 @@ def _run():
     return repo, sequential, parallel, t_seq, t_par
 
 
+def _extra_speedups(repo) -> list[float]:
+    """Per-pair ``t_seq / t_par`` over ``EXTRA_PAIRS`` more pairs, the
+    parallel run first in even pairs and second in odd ones (the timed
+    pair runs sequential first)."""
+    speedups = []
+    with _fleet(repo) as fleet:
+        fleet.warm_up()
+        for pair in range(EXTRA_PAIRS):
+            seconds = {}
+            for mode in ("par", "seq") if pair % 2 == 0 else ("seq", "par"):
+                if mode == "seq":
+                    _, seconds[mode] = _local(repo, batch_size=1, latency=LATENCY)
+                else:
+                    _, seconds[mode] = _timed_run(repo, fleet, BATCH)
+            speedups.append(seconds["seq"] / seconds["par"])
+    return speedups
+
+
 def test_bench_parallel(benchmark, save_report):
     repo, sequential, parallel, t_seq, t_par = benchmark.pedantic(
         _run, rounds=1, iterations=1
     )
     seq_tput = sequential.frames_processed / t_seq
     par_tput = parallel.frames_processed / t_par
-    speedup = par_tput / seq_tput
+    speedups = [par_tput / seq_tput] + _extra_speedups(repo)
+    speedup = statistics.median(speedups)
 
     # ------- parity: same seed, same batch structure, execution-mode blind
     # (a) the fleet returns exactly the per-frame detections
@@ -138,12 +163,14 @@ def test_bench_parallel(benchmark, save_report):
             format_table(
                 ["mode", "frames", "seconds", "frames/s", "results"], rows
             ),
-            f"throughput: {speedup:.2f}x sequential "
-            f"(parity: identical detections and results per seed)",
+            f"throughput: {speedup:.2f}x sequential, the median of "
+            f"{len(speedups)} alternating pairs "
+            f"({', '.join(f'{s:.2f}' for s in speedups)}; parity: identical "
+            "detections and results per seed)",
         ]
     )
     save_report("parallel", report)
 
     assert sequential.frames_processed == parallel.frames_processed == BUDGET
     # the acceptance claim: >= 2x detector-call throughput
-    assert speedup >= 2.0
+    assert speedup >= 2.0, f"median speedup {speedup:.2f}x over pairs {speedups}"

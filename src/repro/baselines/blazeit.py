@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..core import backend
+import numpy as np
+
 from ..detection.detector import Detector
 from ..tracking.discriminator import Discriminator
 from ..video.instances import InstanceSet
@@ -52,7 +53,6 @@ class ProxyModel:
         noise: float = 0.1,
         seed: int = 0,
     ):
-        backend.require_numpy("the BlazeIt proxy-model baseline")
         if noise < 0:
             raise ValueError("noise must be non-negative")
         self._total_frames = total_frames
@@ -68,7 +68,6 @@ class ProxyModel:
     def scores(self):
         """Score every frame (the 'scan'); cached after the first call."""
         if self._scores is None:
-            np = backend.np
             occupancy = np.zeros(self._total_frames + 1, dtype=np.float64)
             for inst in self._instances:
                 occupancy[inst.start_frame] += 1.0
@@ -83,7 +82,6 @@ class ProxyModel:
     def auc_proxy_quality(self) -> float:
         """Probability a random positive frame outscores a random negative
         frame (AUC) — a diagnostic for how good the simulated proxy is."""
-        np = backend.np
         scores = self.scores()
         occupancy = np.zeros(self._total_frames + 1, dtype=np.int64)
         for inst in self._instances:
@@ -111,10 +109,9 @@ def score_ordered_frames(scores, min_gap: int = 0) -> Iterator[int]:
     (they would almost certainly show the same objects).  Suppressed
     frames are *not* revisited — the scan already spent their budget.
     """
-    backend.require_numpy("the BlazeIt score ordering")
     if min_gap < 0:
         raise ValueError("min_gap must be non-negative")
-    order = backend.np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores, kind="stable")
     if min_gap == 0:
         yield from (int(f) for f in order)
         return

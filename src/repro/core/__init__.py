@@ -1,6 +1,5 @@
 """ExSample core: beliefs, policies, chunking, the Algorithm-1 loop, queries."""
 
-from . import backend
 from .adaptive import AdaptiveChunk, AdaptiveExSample
 from .belief import DEFAULT_ALPHA0, DEFAULT_BETA0, GammaBelief
 from .rng import DecisionRng, derive_key
@@ -46,7 +45,6 @@ __all__ = [
     "AdaptiveChunk",
     "AdaptiveExSample",
     "DecisionRng",
-    "backend",
     "derive_key",
     "DEFAULT_ALPHA0",
     "DEFAULT_BETA0",

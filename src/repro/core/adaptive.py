@@ -33,10 +33,11 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from ..detection.detector import Detector
 from ..tracking.discriminator import Discriminator
 from ..video.repository import VideoRepository
-from . import backend
 from .belief import DEFAULT_ALPHA0, DEFAULT_BETA0
 from .sampler import SamplingHistory, StepRecord, process_frame_detailed
 
@@ -167,7 +168,6 @@ class AdaptiveExSample:
         rng=None,
         repository: VideoRepository | None = None,
     ):
-        backend.require_numpy("the adaptive re-chunking sampler")
         if total_frames <= 0:
             raise ValueError("total_frames must be positive")
         if not 1 <= initial_chunks <= total_frames:
@@ -190,10 +190,9 @@ class AdaptiveExSample:
         self._max_chunks = max_chunks
         self._alpha0 = alpha0
         self._beta0 = beta0
-        self._rng = rng if rng is not None else backend.np.random.default_rng()
+        self._rng = rng if rng is not None else np.random.default_rng()
         self._repository = repository
         self._history = SamplingHistory()
-        np = backend.np
         edges = np.linspace(0, total_frames, initial_chunks + 1).round().astype(np.int64)
         self._chunks = [
             AdaptiveChunk(int(edges[k]), int(edges[k + 1]))
@@ -308,7 +307,6 @@ class AdaptiveExSample:
 
     def _thompson_pick(self) -> int:
         """Gamma-Thompson draw over the current partition (Eq. III.4)."""
-        np = backend.np
         alphas = np.array([c.n1 for c in self._chunks]) + self._alpha0
         betas = np.array([float(c.n) for c in self._chunks]) + self._beta0
         draws = self._rng.gamma(shape=alphas, scale=1.0 / betas)

@@ -13,9 +13,9 @@ so Thompson sampling keeps producing non-zero draws and the sampler can
 recover from early bad luck.
 
 Sampling dispatches on the generator type: a
-:class:`~repro.core.rng.DecisionRng` takes the backend-independent bulk
-contract (:meth:`DecisionRng.gamma_matrix` — bit-identical with and
-without numpy), while a ``numpy.random.Generator`` keeps the historical
+:class:`~repro.core.rng.DecisionRng` takes the bulk contract
+(:meth:`DecisionRng.gamma_matrix` — bit-identical whichever executor
+runs each round), while a ``numpy.random.Generator`` keeps the historical
 ``rng.gamma`` stream so existing experiment seeds reproduce unchanged.
 """
 
@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import backend
+import numpy as np
+
 from .estimator import ChunkStatistics
 from .rng import DecisionRng
 
@@ -54,72 +55,54 @@ class GammaBelief:
     # ------------------------------------------------------------ parameters
 
     def alphas(self, stats: ChunkStatistics):
-        if backend.use_numpy():
-            np = backend.np
-            return np.frombuffer(stats.n1_buffer, dtype=np.float64) + self.alpha0
-        return [v + self.alpha0 for v in stats.n1_buffer]
+        return np.frombuffer(stats.n1_buffer, dtype=np.float64) + self.alpha0
 
     def betas(self, stats: ChunkStatistics):
-        if backend.use_numpy():
-            np = backend.np
-            return np.frombuffer(stats.n_buffer, dtype=np.int64) + self.beta0
-        return [v + self.beta0 for v in stats.n_buffer]
+        return np.frombuffer(stats.n_buffer, dtype=np.int64) + self.beta0
 
     # ----------------------------------------------------------------- query
 
     def mean(self, stats: ChunkStatistics):
         """Belief means alpha/beta — the regularized Eq. III.1 estimate."""
-        alphas = self.alphas(stats)
-        betas = self.betas(stats)
-        if backend.use_numpy():
-            return alphas / betas
-        return [a / b for a, b in zip(alphas, betas)]
+        return self.alphas(stats) / self.betas(stats)
 
     def variance(self, stats: ChunkStatistics):
         """Belief variances alpha/beta² — matching the Eq. III.3 bound."""
-        alphas = self.alphas(stats)
         betas = self.betas(stats)
-        if backend.use_numpy():
-            return alphas / (betas * betas)
-        return [a / (b * b) for a, b in zip(alphas, betas)]
+        return self.alphas(stats) / (betas * betas)
 
     def sample(self, stats: ChunkStatistics, rng, size: int = 1):
         """Thompson draws: a ``(size, M)`` matrix of independent samples.
 
         One row is one Thompson-sampling round (Alg. 1 line 4); ``size > 1``
         produces the draws for a batched round (§III-F).  With a
-        :class:`DecisionRng` the draw follows the backend-independent
-        contract (ndarray under numpy, list-of-rows on the fallback);
-        with a numpy ``Generator`` it is the historical vectorized
-        ``rng.gamma`` call, bit-compatible with pre-contract seeds.
+        :class:`DecisionRng` the draw follows the bulk contract; with a
+        numpy ``Generator`` it is the historical vectorized ``rng.gamma``
+        call, bit-compatible with pre-contract seeds.
         """
         if size <= 0:
             raise ValueError("size must be positive")
         if isinstance(rng, DecisionRng):
             return rng.gamma_matrix(self.alphas(stats), self.betas(stats), size)
-        # a numpy Generator implies numpy is importable even when the
-        # fallback is forced; keep the historical array-in array-out call.
-        np = backend.np
-        alphas = np.asarray(self.alphas(stats), dtype=np.float64)
-        betas = np.asarray(self.betas(stats), dtype=np.float64)
-        return rng.gamma(shape=alphas, scale=1.0 / betas, size=(size, stats.num_chunks))
+        return rng.gamma(
+            shape=self.alphas(stats),
+            scale=1.0 / self.betas(stats),
+            size=(size, stats.num_chunks),
+        )
 
     def quantile(self, stats: ChunkStatistics, q: float):
         """Per-chunk belief quantiles, used by the Bayes-UCB policy."""
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        backend.require_numpy("Gamma belief quantiles (scipy)")
         from scipy import stats as _scipy_stats
 
-        np = backend.np
-        alphas = np.asarray(self.alphas(stats), dtype=np.float64)
-        betas = np.asarray(self.betas(stats), dtype=np.float64)
-        return _scipy_stats.gamma.ppf(q, a=alphas, scale=1.0 / betas)
+        return _scipy_stats.gamma.ppf(
+            q, a=self.alphas(stats), scale=1.0 / self.betas(stats)
+        )
 
     def density(self, n1: float, n: float, grid):
         """Belief pdf for a single (N1, n) pair on ``grid`` — the orange
         curve of Fig. 2."""
-        backend.require_numpy("Gamma belief densities (scipy)")
         from scipy import stats as _scipy_stats
 
         return _scipy_stats.gamma.pdf(

@@ -17,16 +17,15 @@ bookkeeping for all chunks, shared by every policy in
 :mod:`repro.core.policies`.
 
 Storage is a pair of flat parallel buffers (``array('d')`` for N1,
-``array('q')`` for n) regardless of backend: scalar updates index them
-directly, and the numpy fast path wraps the very same memory zero-copy
-via ``np.frombuffer`` for bulk math — one layout, two execution modes.
+``array('q')`` for n): scalar updates index them directly, and bulk math
+wraps the very same memory zero-copy via ``np.frombuffer``.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from . import backend
+import numpy as np
 
 __all__ = ["ChunkStatistics"]
 
@@ -57,7 +56,7 @@ class ChunkStatistics:
     def num_chunks(self) -> int:
         return len(self._n)
 
-    # The raw buffers, for backend-aware bulk consumers (belief, benches).
+    # The raw buffers, for bulk consumers (belief, benches).
     # Callers must treat them as read-only; numpy views made over them
     # go stale after :meth:`extend` (the buffer reallocates), so take
     # views per operation, never cache them.
@@ -72,25 +71,17 @@ class ChunkStatistics:
 
     @property
     def n1(self):
-        """Read-only view of the per-chunk N1 counts.
-
-        A locked numpy view on the numpy backend, a tuple on the
-        fallback — both index and iterate the same way.
-        """
-        if backend.use_numpy():
-            view = backend.np.frombuffer(self._n1, dtype=backend.np.float64)
-            view.flags.writeable = False
-            return view
-        return tuple(self._n1)
+        """Read-only (locked) numpy view of the per-chunk N1 counts."""
+        view = np.frombuffer(self._n1, dtype=np.float64)
+        view.flags.writeable = False
+        return view
 
     @property
     def n(self):
         """Read-only view of the per-chunk sample counts."""
-        if backend.use_numpy():
-            view = backend.np.frombuffer(self._n, dtype=backend.np.int64)
-            view.flags.writeable = False
-            return view
-        return tuple(self._n)
+        view = np.frombuffer(self._n, dtype=np.int64)
+        view.flags.writeable = False
+        return view
 
     @property
     def total_samples(self) -> int:
@@ -158,17 +149,10 @@ class ChunkStatistics:
         Chunks never sampled have no data; the *belief* layer, not this
         point estimate, is what keeps them explorable.
         """
-        if backend.use_numpy():
-            np = backend.np
-            n1 = np.frombuffer(self._n1, dtype=np.float64)
-            n = np.frombuffer(self._n, dtype=np.int64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                est = np.where(n > 0, n1 / np.maximum(n, 1), 0.0)
-            return est
-        return [
-            (self._n1[j] / self._n[j]) if self._n[j] > 0 else 0.0
-            for j in range(len(self._n))
-        ]
+        n1 = np.frombuffer(self._n1, dtype=np.float64)
+        n = np.frombuffer(self._n, dtype=np.int64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(n > 0, n1 / np.maximum(n, 1), 0.0)
 
     def _check_chunk(self, chunk: int) -> None:
         if not 0 <= chunk < self.num_chunks:

@@ -28,7 +28,6 @@ of queries (perfect overlap) and floored at ~1x (disjoint hot regions);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -36,34 +35,14 @@ from ..detection.detector import Detector
 from ..detection.execution import batch_detect
 from ..tracking.discriminator import Discriminator
 from ..video.repository import VideoRepository
-from . import backend
 from .belief import DEFAULT_ALPHA0, DEFAULT_BETA0, GammaBelief
 from .chunking import Chunk
 from .estimator import ChunkStatistics
+from .policies import masked_argmax_rows
 from .rng import DecisionRng
 from .sampler import SamplingHistory
 
 __all__ = ["QueryState", "MultiQueryExSample"]
-
-
-def _masked_argmax_row(row, available):
-    """First-max argmax of one score row over the available chunks.
-
-    Matches ``np.argmax`` (first maximum wins) in both layouts, and is
-    re-evaluated per batch slot because a pick can drain a chunk
-    mid-batch.
-    """
-    np_mod = backend.np
-    if np_mod is not None and isinstance(row, np_mod.ndarray):
-        masked = np_mod.where(np_mod.asarray(available, dtype=bool), row, -np_mod.inf)
-        return int(np_mod.argmax(masked))
-    best = -1
-    best_value = -math.inf
-    for m, ok in enumerate(available):
-        if ok and row[m] > best_value:
-            best_value = row[m]
-            best = m
-    return best
 
 
 @dataclass
@@ -227,33 +206,23 @@ class MultiQueryExSample:
             raise RuntimeError("all queries are satisfied")
 
         # combined Thompson score: sum of per-query draws per chunk, one
-        # independent draw-set per batch slot.  The per-query matrices are
-        # folded left-to-right in both layouts so the float sums (and thus
-        # the arg-maxes) are bit-identical across backends.
+        # independent draw-set per batch slot, the per-query matrices
+        # folded left to right.
         draws_per_query = [
             self._belief.sample(query.stats, self._rng, size=batch_size)
             for query in active
         ]
-        np_mod = backend.np
-        if np_mod is not None and all(
-            isinstance(d, np_mod.ndarray) for d in draws_per_query
-        ):
-            combined = draws_per_query[0].copy()
-            for draws in draws_per_query[1:]:
-                combined = combined + draws
-            rows = list(combined)
-        else:
-            rows = []
-            for r in range(batch_size):
-                acc = [0.0] * len(self._chunks)
-                for draws in draws_per_query:
-                    acc = [a + float(v) for a, v in zip(acc, draws[r])]
-                rows.append(acc)
+        combined = draws_per_query[0]
+        for draws in draws_per_query[1:]:
+            combined = combined + draws
         pending: list[tuple[int, int]] = []  # (chunk, frame)
-        for row in rows:
+        for r in range(batch_size):
             if not any(self._available):
                 break  # the batch drained every chunk
-            chunk_idx = _masked_argmax_row(row, self._available)
+            # re-masked per batch slot: a pick can drain a chunk mid-batch
+            chunk_idx = int(
+                masked_argmax_rows(combined[r : r + 1], self._available)[0]
+            )
             chunk = self._chunks[chunk_idx]
             frame = chunk.sample()
             if chunk.exhausted:

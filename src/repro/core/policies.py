@@ -10,22 +10,19 @@ the ablation benches can swap them freely.
 A policy picks *batch_size* chunk indices given the current statistics.
 Exhausted chunks are masked out by the caller via ``available``.
 
-:class:`ThompsonSampling` — the decision-path default — runs on either
-backend: the whole batch's draws come back as one ``(batch, M)`` matrix
-(ndarray under numpy, row lists on the fallback) and the masked row-wise
-argmax picks the first maximum in both, so chunk choices are
-bit-identical across backends.  The ablation-only policies (Bayes-UCB,
-greedy, epsilon-greedy, uniform) keep their numpy implementations and
-are exercised only when numpy is installed.
+:class:`ThompsonSampling` — the decision-path default — draws the whole
+batch as one ``(batch, M)`` matrix and picks each row's first maximum
+over the available chunks (:func:`masked_argmax_rows`, shared by every
+policy here).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from . import backend
+import numpy as np
+
 from .belief import DEFAULT_ALPHA0, DEFAULT_BETA0, GammaBelief
 from .estimator import ChunkStatistics
 
@@ -58,50 +55,22 @@ def _validate(stats: ChunkStatistics, available, batch_size: int) -> None:
         raise ValueError("batch_size must be positive")
     if len(available) != stats.num_chunks:
         raise ValueError("available mask must have one entry per chunk")
-    if backend.HAVE_NUMPY and isinstance(available, backend.np.ndarray):
-        some = bool(available.any())
-    else:
-        some = any(available)
-    if not some:
+    if not any(available):
         raise ValueError("no chunks available to sample")
 
 
 def masked_argmax_rows(draws, available):
-    """Row-wise argmax of a draw matrix restricted to available chunks.
+    """Row-wise argmax of a ``(rows, M)`` score matrix restricted to the
+    available chunks, taking the *first* maximum of each row.
 
-    Accepts the matrix in either backend layout (ndarray or list of row
-    lists) and an availability mask in any layout — the sampler's own
-    ``bytearray`` mask is wrapped zero-copy, for this call only.  Both
-    paths take the *first* maximum, so for bit-identical draws the
-    chosen indices are identical across backends.
+    ``available`` may be any boolean mask; the sampler's own
+    ``bytearray`` mask is wrapped zero-copy, for this call only.
     """
-    np = backend.np
-    if np is not None and isinstance(draws, np.ndarray):
-        if isinstance(available, bytearray):
-            avail = np.frombuffer(available, dtype=np.bool_)
-        else:
-            avail = np.asarray(available, dtype=bool)
-        masked = np.where(avail[None, :], draws, -np.inf)
-        return np.argmax(masked, axis=1)
-    avail = [bool(b) for b in available]
-    out = []
-    for row in draws:
-        best = -1
-        best_value = -math.inf
-        for m, ok in enumerate(avail):
-            if ok:
-                v = row[m]
-                if v > best_value:
-                    best_value = v
-                    best = m
-        out.append(best)
-    return out
-
-
-def _masked_argmax(scores, available):
-    """Row-wise argmax for the numpy-only ablation policies."""
-    np = backend.np
-    masked = np.where(np.asarray(available, dtype=bool)[None, :], scores, -np.inf)
+    if isinstance(available, bytearray):
+        avail = np.frombuffer(available, dtype=np.bool_)
+    else:
+        avail = np.asarray(available, dtype=bool)
+    masked = np.where(avail[None, :], draws, -np.inf)
     return np.argmax(masked, axis=1)
 
 
@@ -165,7 +134,6 @@ class BayesUCB:
         available,
         batch_size: int = 1,
     ):
-        backend.require_numpy("the Bayes-UCB policy")
         _validate(stats, available, batch_size)
         belief = GammaBelief(self.alpha0, self.beta0)
         t = stats.total_samples + 1
@@ -174,7 +142,7 @@ class BayesUCB:
         # deterministic scores: break ties randomly so identical chunks
         # (e.g. at t=0) are not always resolved toward index zero.
         jitter = rng.uniform(0.0, 1e-12, size=(batch_size, stats.num_chunks))
-        return _masked_argmax(scores[None, :] + jitter, available)
+        return masked_argmax_rows(scores[None, :] + jitter, available)
 
 
 @dataclass(frozen=True)
@@ -195,13 +163,11 @@ class GreedyMean:
         available,
         batch_size: int = 1,
     ):
-        backend.require_numpy("the greedy-mean policy")
         _validate(stats, available, batch_size)
-        np = backend.np
         belief = GammaBelief(self.alpha0, self.beta0)
-        scores = np.asarray(belief.mean(stats), dtype=np.float64)
+        scores = belief.mean(stats)
         jitter = rng.uniform(0.0, 1e-12, size=(batch_size, stats.num_chunks))
-        return _masked_argmax(scores[None, :] + jitter, available)
+        return masked_argmax_rows(scores[None, :] + jitter, available)
 
 
 @dataclass(frozen=True)
@@ -227,13 +193,11 @@ class EpsilonGreedy:
         available,
         batch_size: int = 1,
     ):
-        backend.require_numpy("the epsilon-greedy policy")
         _validate(stats, available, batch_size)
-        np = backend.np
         belief = GammaBelief(self.alpha0, self.beta0)
-        scores = np.asarray(belief.mean(stats), dtype=np.float64)
+        scores = belief.mean(stats)
         jitter = rng.uniform(0.0, 1e-12, size=(batch_size, stats.num_chunks))
-        greedy = _masked_argmax(scores[None, :] + jitter, available)
+        greedy = masked_argmax_rows(scores[None, :] + jitter, available)
         explorable = np.flatnonzero(np.asarray(available, dtype=bool))
         random_pick = rng.choice(explorable, size=batch_size)
         explore = rng.random(batch_size) < self.epsilon
@@ -260,9 +224,7 @@ class UniformPolicy:
         available,
         batch_size: int = 1,
     ):
-        backend.require_numpy("the uniform chunk policy")
         _validate(stats, available, batch_size)
-        np = backend.np
         avail = np.asarray(available, dtype=bool)
         if self.weights is None:
             w = avail.astype(np.float64)

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ..baselines.blazeit import BlazeItSampler
 from ..baselines.random_plus import RandomPlusSampler
 from ..baselines.sequential import SequentialScanSampler
@@ -37,7 +39,6 @@ from ..tracking.discriminator import (
     TrackingDiscriminator,
 )
 from ..video.repository import VideoRepository
-from . import backend
 from .chunking import make_chunks
 from .policies import ChunkPolicy, ThompsonSampling
 from .sampler import ExSample, SamplingHistory
@@ -250,9 +251,8 @@ class QueryEngine:
                 f"query asks for {query.category!r}"
             )
         # the experiment engine keeps the historical numpy streams so
-        # published seeds reproduce; it is not on the no-numpy decision path.
-        backend.require_numpy("the experiment query engine")
-        rng = backend.np.random.default_rng(self._seed if seed is None else seed)
+        # published seeds reproduce
+        rng = np.random.default_rng(self._seed if seed is None else seed)
         detector = self._make_detector()
         sampler = self._make_sampler(method, rng, detector)
         ground_truth = len(self._repository.instances_of(self._category))

@@ -1,21 +1,19 @@
-"""The decision-stream RNG contract shared by both backends.
+"""The decision-stream RNG contract.
 
 Everything the serving and simulation stack *decides* — which chunk a
 Thompson round picks, which frame a chunk order yields, what noise a
 simulated detector adds — must be a pure function of seeds, never of
-which backend happens to execute it.  Numpy's own ``Generator`` cannot
-give that guarantee without numpy, so the decision path owns its
-generator: :class:`DecisionRng`, a SplitMix64 stream with
+which code path happens to execute it.  The decision path therefore owns
+its generator: :class:`DecisionRng`, a SplitMix64 stream with
 
 * **scalar draws** (``random``, ``integers``, ``normal``, ``shuffle``,
-  ``choice``, ...) implemented once in pure Python and therefore
-  trivially identical with and without numpy, and
+  ``choice``, ...) implemented once in pure Python, and
 * **one bulk operation**, :func:`gamma_matrices` — the Thompson draw
   over all arms, for one stream (:meth:`DecisionRng.gamma_matrix`, its
-  one-request case) or for many at once — with twin implementations: a
-  numpy-vectorized fast path and a pure-Python fallback that execute the
-  *same* counter-based draw schedule and the same IEEE-754 operation
-  sequence, so their outputs are bit-identical.
+  one-request case) or for many at once — with two executors: numpy
+  vector rounds and pure-Python scalar rounds, which walk the *same*
+  counter-based draw schedule with the same IEEE-754 operation
+  sequence, so either may execute any round and the bits do not move.
 
 How the bulk contract stays bit-identical
 -----------------------------------------
@@ -24,22 +22,23 @@ How the bulk contract stays bit-identical
 key*.  All randomness inside the op comes from a counter-based substream
 ``u_j = mix64(op_key + (j+1)·GOLDEN)`` consumed in a fixed round-major
 schedule: rejection rounds process the pending elements in ascending
-element order, drawing one block of uniforms per round.  Both backends
+element order, drawing one block of uniforms per round.  Both executors
 walk the identical schedule, so draw ``j`` lands on the identical
 element in both.
 
-Because the schedule is fixed per *round*, not per call, either twin
-may execute any round.  The numpy twin uses that: a round over more
-than ``_SCALAR_ROUND_MAX`` pending elements runs vectorised, a round at
-or below it runs through the very scalar round code the fallback is
-made of (same cursor, same ``_ln``/``_exp``), because a numpy dispatch
-on a handful of elements costs more than the arithmetic.  The threshold
-is a module constant, never configuration: it chooses an executor and
-cannot reach a result.
+Because the schedule is fixed per *round*, not per call, either executor
+may run any round.  A round over more than ``_SCALAR_ROUND_MAX`` pending
+elements runs vectorised; a round at or below it runs through the scalar
+round code (same cursor, same ``_ln``/``_exp``), because a numpy
+dispatch on a handful of elements costs more than the arithmetic.  The
+threshold is a module constant, never configuration: it chooses an
+executor and cannot reach a result.  Raised past every draw's size, it
+makes the scalar code execute whole draws — the in-process oracle the
+contract tests compare the vector rounds against.
 
 One call may serve many streams.  Each request takes its own op key
 (in request order) and keeps its own substream, schedule and cursor;
-the numpy twin lays the requests' elements out side by side and runs
+the vector rounds lay the requests' elements out side by side and run
 each round over all of them at once, every stream drawing its block at
 its own cursor.  Streams never share a uniform, so the result is the
 one-by-one calls' to the bit.  The handover applies per stream: once a
@@ -58,7 +57,7 @@ implementation-defined in the last ulp and may disagree.
 
 Extending the sampler?  Read CONTRIBUTING.md ("The RNG contract") first:
 the draw *schedule* is load-bearing, and any new consumption of
-randomness must be added to both backends in the same order.
+randomness must be added to both executors in the same order.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import math
 import random as _stdlib_random
 from itertools import accumulate
 
-from . import backend
+import numpy as np
 
 __all__ = ["DecisionRng", "derive_key", "gamma_matrices"]
 
@@ -139,7 +138,7 @@ def derive_key(parts) -> int:
 
 
 def _ln(x: float) -> float:
-    """Exactly-reproducible natural log (both backends, same bits).
+    """Exactly-reproducible natural log (both executors, same bits).
 
     frexp range reduction to [sqrt(1/2), sqrt(2)), then the atanh series;
     accurate to a few ulp, which is far more than the samplers need —
@@ -177,7 +176,6 @@ def _ln_vec(x):
     ``*`` commute exactly, so ``p *= z`` is ``p * z`` and ``z * C0`` is
     the first Horner step.
     """
-    np = backend.np
     m, e = np.frexp(x)
     low = m < _SQRT_HALF
     np.multiply(m, 2.0, out=m, where=low)
@@ -205,7 +203,6 @@ def _ln_vec(x):
 
 def _exp_vec(x):
     """Vector twin of :func:`_exp` — identical operation sequence."""
-    np = backend.np
     kf = x * _INV_LN2
     kf += 0.5
     np.floor(kf, out=kf)
@@ -220,7 +217,7 @@ def _exp_vec(x):
 
 
 class DecisionRng:
-    """A backend-independent RNG for everything the system decides.
+    """The seeded RNG for everything the system decides.
 
     Scalar methods mirror the slice of ``numpy.random.Generator``'s API
     the decision path uses, so chunk orders, schedulers, and detectors
@@ -371,13 +368,12 @@ class DecisionRng:
         main stream advances exactly once (the op key) regardless of
         shape; all element randomness comes from the op's counter-based
         substream, consumed on the fixed round-major schedule described
-        in the module docstring, so the numpy and pure-Python backends
+        in the module docstring, so the vector and scalar executors
         return bit-identical matrices.
 
         Shapes and rates must be positive and finite (a NaN shape would
-        be rejected by every round forever).  Returns an ``ndarray`` on
-        the numpy backend, a list of row lists on the fallback.  The
-        one-request case of :func:`gamma_matrices`.
+        be rejected by every round forever).  Returns an ``ndarray``.
+        The one-request case of :func:`gamma_matrices`.
         """
         return gamma_matrices([(self, alphas, betas, rows)])[0]
 
@@ -400,66 +396,46 @@ def gamma_matrices(requests) -> list:
     for _rng, _alphas, _betas, rows in requests:
         if rows <= 0:
             raise ValueError("rows must be positive")
-    if backend.use_numpy():
-        np = backend.np
-        cols = []
-        for _rng, alphas, betas, _rows in requests:
-            a_cols = np.asarray(alphas, dtype=np.float64)
-            b_cols = np.asarray(betas, dtype=np.float64)
-            if a_cols.ndim != 1 or a_cols.shape != b_cols.shape:
-                raise ValueError("alphas and betas must align")
-            cols.append((a_cols, b_cols))
-        a_all = np.concatenate([a for a, _ in cols])
-        b_all = np.concatenate([b for _, b in cols])
-        if not ((a_all > 0.0) & (a_all < math.inf)).all():
-            raise ValueError("gamma shapes must be positive")
-        if not ((b_all > 0.0) & (b_all < math.inf)).all():
-            raise ValueError("gamma rates must be positive")
-        draws = [
-            (rng._next_u64(), a_cols, b_cols, rows)
-            for (rng, _a, _b, rows), (a_cols, b_cols) in zip(requests, cols)
-        ]
-        return _gamma_matrices_np(draws, a_all, b_all)
     cols = []
     for _rng, alphas, betas, _rows in requests:
-        a_cols = [float(a) for a in alphas]
-        b_cols = [float(b) for b in betas]
-        if len(a_cols) != len(b_cols):
+        a_cols = np.asarray(alphas, dtype=np.float64)
+        b_cols = np.asarray(betas, dtype=np.float64)
+        if a_cols.ndim != 1 or a_cols.shape != b_cols.shape:
             raise ValueError("alphas and betas must align")
-        if not all(0.0 < a < math.inf for a in a_cols):
-            raise ValueError("gamma shapes must be positive")
-        if not all(0.0 < b < math.inf for b in b_cols):
-            raise ValueError("gamma rates must be positive")
         cols.append((a_cols, b_cols))
-    out = []
-    for (rng, _a, _b, rows), (a_cols, b_cols) in zip(requests, cols):
-        op_key = rng._next_u64()
-        if a_cols:
-            out.append(_gamma_matrix_py(op_key, a_cols, b_cols, rows))
-        else:
-            out.append([[] for _ in range(rows)])
-    return out
+    a_all = np.concatenate([a for a, _ in cols])
+    b_all = np.concatenate([b for _, b in cols])
+    if not ((a_all > 0.0) & (a_all < math.inf)).all():
+        raise ValueError("gamma shapes must be positive")
+    if not ((b_all > 0.0) & (b_all < math.inf)).all():
+        raise ValueError("gamma rates must be positive")
+    draws = [
+        (rng._next_u64(), a_cols, b_cols, rows)
+        for (rng, _a, _b, rows), (a_cols, b_cols) in zip(requests, cols)
+    ]
+    return _gamma_matrices_np(draws, a_all, b_all)
 
 
 # ---------------------------------------------------------------------------
-# The twin gamma implementations.  Marsaglia-Tsang with the shape<1 boost;
+# The two gamma executors.  Marsaglia-Tsang with the shape<1 boost;
 # per-round draw blocks come from the op substream in ascending element
 # order.  Keep every arithmetic expression textually parallel between the
 # two: that parallelism IS the bit-identity proof obligation.
 #
-# The schedule is per *round*, not per call, and both twins read one
-# cursor, so either twin may execute any round.  The scalar round code
-# below is written once: ``_gamma_matrix_py`` drives it over every
-# element, and ``_gamma_matrices_np`` hands it each round that has shrunk
-# to ``_SCALAR_ROUND_MAX`` elements or fewer in total — the tail rounds
-# of a rejection loop, where a numpy dispatch costs more than the
-# arithmetic — stream by stream, each at its own cursor.
+# The schedule is per *round*, not per call, and both executors read one
+# cursor, so either may execute any round.  The scalar round code below
+# is written once: ``_gamma_matrix_py`` drives it over every element of
+# a draw no bigger than ``_SCALAR_ROUND_MAX``, and ``_gamma_matrices_np``
+# hands it each later round that has shrunk to that size in total — the
+# tail rounds of a rejection loop, where a numpy dispatch costs more than
+# the arithmetic — stream by stream, each at its own cursor.
 # ---------------------------------------------------------------------------
 
-# Rounds over at most this many elements run through the scalar code on
-# the numpy backend.  A constant, never configuration: it selects who
-# executes a round, and both executions return the same bits
-# (tests/test_rng_contract.py runs the numpy twin at 0 and at 10**9).
+# Rounds over at most this many elements run through the scalar code.
+# A constant, never configuration: it selects who executes a round, and
+# both executions return the same bits (tests/test_rng_contract.py runs
+# the vector rounds at 0, at 32 and at 10**9, where the scalar code
+# executes every draw whole and serves as the reference).
 # Measured crossover (numpy 2.4, CPython 3.11, us per draw at threshold
 # 0 / 8 / 16 / 24 / 32 / 48 / 64 / 96):
 #   M=1000 batch 1:  729 / 566 / 550 / 504 / 507 / 530 / 548 / 543
@@ -495,7 +471,7 @@ class _Substream:
         """The next ``count`` uniforms in (0, 1), as a list.
 
         :func:`_mix64` inlined over a running ``key + (j+1)·GOLDEN``: a
-        call per uniform is ~7% of a whole fallback draw.
+        call per uniform is ~7% of a whole scalar draw.
         """
         out = []
         z0 = (self.key + self.cursor * _GOLDEN) & _MASK64
@@ -511,7 +487,6 @@ class _Substream:
 def _unit_vec(z):
     """:func:`_mix64` then the (0, 1) map, over an array of u64 words
     (mixed in place) — the vector twin of :meth:`_Substream.take`'s body."""
-    np = backend.np
     u64 = np.uint64
     t = z >> u64(30)
     z ^= t
@@ -544,7 +519,6 @@ class _Streams:
     __slots__ = ("keys", "cursors", "starts", "_steps", "_keys_u64")
 
     def __init__(self, keys: list, sizes: list):
-        np = backend.np
         self.keys = keys
         self.starts = np.array(list(accumulate(sizes, initial=0)))
         # (j+1)·GOLDEN for every position a round of two blocks can use
@@ -563,7 +537,6 @@ class _Streams:
         ``idx`` (ascending): block ``b`` gives each stream its next
         ``k_s`` draws, ``k_s`` being its element count in ``idx`` — the
         polar round's u1 block then u2 block, or the accept round's one."""
-        np = backend.np
         u64 = np.uint64
         k = idx.size
         if len(self.keys) == 1:
@@ -688,7 +661,6 @@ def _gamma_matrix_py(op_key: int, a_cols: list, b_cols: list, rows: int):
 def _gamma_matrices_np(draws: list, a_all, b_all) -> list:
     """The numpy executor over ``(op_key, a_cols, b_cols, rows)`` draws;
     ``a_all`` / ``b_all`` are the draws' columns end to end."""
-    np = backend.np
     out: list = [None] * len(draws)
     live = []  # (index, op key, shapes, rates, rows) of the draws with arms
     for i, (key, a_cols, b_cols, rows) in enumerate(draws):

@@ -30,11 +30,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from ..detection.detector import Detection, Detector
 from ..detection.execution import batch_detect
 from ..tracking.discriminator import Discriminator
 from ..video.repository import VideoRepository
-from . import backend
 from .chunking import Chunk
 from .estimator import ChunkStatistics
 from .policies import ChunkPolicy, ThompsonSampling, masked_argmax_rows
@@ -85,42 +86,28 @@ class SamplingHistory:
     @property
     def samples(self):
         """1-based sample counts, aligned with :attr:`results`."""
-        if backend.use_numpy():
-            np = backend.np
-            return np.arange(1, len(self._results) + 1, dtype=np.int64)
-        return list(range(1, len(self._results) + 1))
+        return np.arange(1, len(self._results) + 1, dtype=np.int64)
 
     @property
     def results(self):
         """Cumulative distinct results after each sample."""
-        if backend.use_numpy():
-            return backend.np.asarray(self._results, dtype=backend.np.int64)
-        return list(self._results)
+        return np.asarray(self._results, dtype=np.int64)
 
     @property
     def frame_indices(self):
-        if backend.use_numpy():
-            return backend.np.asarray(self._frames, dtype=backend.np.int64)
-        return list(self._frames)
+        return np.asarray(self._frames, dtype=np.int64)
 
     @property
     def d0_counts(self):
         """Per-step count of new results, aligned with :attr:`frame_indices`
         — the decision stream differential tests compare run-for-run."""
-        if backend.use_numpy():
-            return backend.np.asarray(self._d0, dtype=backend.np.int64)
-        return list(self._d0)
+        return np.asarray(self._d0, dtype=np.int64)
 
     @property
     def new_result_frames(self):
         """Frames whose processing yielded at least one *new* result —
         the frames a user would actually open to inspect their results."""
-        if backend.use_numpy():
-            np = backend.np
-            d0 = np.asarray(self._d0, dtype=np.int64)
-            frames = np.asarray(self._frames, dtype=np.int64)
-            return frames[d0 > 0]
-        return [f for f, d in zip(self._frames, self._d0) if d > 0]
+        return self.frame_indices[self.d0_counts > 0]
 
     def samples_to_reach(self, target_results: int) -> int | None:
         """Frames processed when ``target_results`` was first reached, or
@@ -265,13 +252,10 @@ class ExSample:
 
         Exposed for schedulers that score a whole sampler (e.g. the
         serving layer's Thompson-sum budget allocation) and must ignore
-        drained chunks exactly as the policies do.  A bool ndarray under
-        numpy, a list of bools on the fallback.
+        drained chunks exactly as the policies do.  A bool ndarray copy:
+        a view would pin the buffer against extend().
         """
-        if backend.use_numpy():
-            # a copy: a view would pin the buffer against extend()
-            return backend.np.array(self._available, dtype=bool)
-        return [bool(b) for b in self._available]
+        return np.array(self._available, dtype=bool)
 
     # ------------------------------------------------------------- ingestion
 

@@ -10,11 +10,10 @@ Run from the command line::
 or call ``run_*``/``format_*`` pairs programmatically.
 """
 
-# The figure/table modules need numpy (and scipy); the package itself
-# must import without them so numpy-free deployments can still reach the
-# persistence/reporting utilities and the CLI.  Attribute access is
-# resolved lazily (PEP 562): the harness modules load on first use and a
-# missing numpy surfaces at that point, as a clear ModuleNotFoundError.
+# The figure/table modules pull in the whole evaluation harness (and
+# scipy); the persistence/reporting utilities and the CLI should not pay
+# for it.  Attribute access is resolved lazily (PEP 562): the harness
+# modules load on first use.
 import importlib
 
 _LAZY = {

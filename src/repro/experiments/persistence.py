@@ -26,7 +26,7 @@ import math
 import pathlib
 from typing import Any, Mapping, Sequence
 
-from ..core import backend
+import numpy as np
 
 __all__ = ["to_jsonable", "save_json", "load_json", "save_csv"]
 
@@ -39,17 +39,15 @@ def to_jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    np = backend.np
-    if np is not None:
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            value = float(obj)
-            return value if math.isfinite(value) else None
-        if isinstance(obj, np.ndarray):
-            return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        value = float(obj)
+        return value if math.isfinite(value) else None
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             field.name: to_jsonable(getattr(obj, field.name))

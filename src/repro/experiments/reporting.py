@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import backend
+import numpy as np
 
 __all__ = ["format_table", "format_ratio", "sparkline", "section"]
 
 # numpy scalar types participate in the numeric-alignment and float
-# formatting checks only when numpy is installed
-_INTEGRAL: tuple[type, ...] = (int,)
-_FLOATING: tuple[type, ...] = (float,)
-if backend.np is not None:
-    _INTEGRAL = (int, backend.np.integer)
-    _FLOATING = (float, backend.np.floating)
+# formatting checks
+_INTEGRAL = (int, np.integer)
+_FLOATING = (float, np.floating)
 
 
 def format_table(

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import bisect
 import enum
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from ..core import backend
+import numpy as np
+
 from ..core.belief import GammaBelief
 from ..core.rng import DecisionRng, gamma_matrices
 from ..core.sampler import ExSample, plan_many
@@ -682,16 +682,8 @@ class QuerySession:
 
     def _best_available(self, row) -> float:
         """The largest draw of ``row`` over the chunks with frames left."""
-        available = self._engine.chunk_availability
-        np_mod = backend.np
-        if np_mod is not None and isinstance(row, np_mod.ndarray):
-            masked = np_mod.where(np_mod.asarray(available, dtype=bool), row, -np_mod.inf)
-            return float(masked.max())
-        best = -math.inf
-        for v, ok in zip(row, available):
-            if ok and v > best:
-                best = v
-        return best if best > -math.inf else 0.0
+        masked = np.where(self._engine.chunk_availability, row, -np.inf)
+        return float(masked.max())
 
     # --------------------------------------------------------- serialization
 

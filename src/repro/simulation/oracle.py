@@ -73,9 +73,8 @@ def materialize_repositories(
 class ReferenceResult:
     """What the standalone re-run produced, ready for comparison.
 
-    The per-step sequences take the history's backend layout — ndarray
-    under numpy, plain lists on the fallback; the parity check only
-    indexes and measures them, which both support."""
+    The per-step sequences are the history's int64 ndarrays; the parity
+    check only indexes and measures them."""
 
     frames: Sequence[int]  # sampled frame per committed step
     d0: Sequence[int]  # new results per committed step

@@ -42,10 +42,10 @@ class MatchResult:
 def greedy_match(iou, threshold: float = 0.5) -> MatchResult:
     """Greedily match rows (detections) to columns (tracks).
 
-    ``iou`` may be an ndarray or a list of row lists (the two layouts
-    :func:`repro.video.geometry.iou_matrix` produces); matching scans
-    row-major and takes the *first* maximum, exactly like ``np.argmax``
-    on the flattened matrix, so the assignment is backend-independent.
+    ``iou`` may be an ndarray (what :func:`repro.video.geometry.iou_matrix`
+    produces) or a list of row lists; matching scans row-major and takes
+    the *first* maximum, exactly like ``np.argmax`` on the flattened
+    matrix.
     Ties below ``threshold`` are never matched.  Complexity is
     O(K · N·M) for K matches, which is trivial at per-frame scales.
     """

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from ..core import backend
+import numpy as np
+
 from .instances import InstanceSet, ObjectInstance
 from .repository import VideoClip, VideoRepository
 from .synthetic import place_instances
@@ -286,8 +287,7 @@ def build_dataset(
         count = max(4, int(round(cat.num_instances * scale)))
         # calibrated profiles keep their historical numpy streams so the
         # published per-seed ground truth is unchanged.
-        backend.require_numpy("calibrated dataset synthesis")
-        rng = backend.np.random.default_rng(_category_seed(seed, name, cat.category))
+        rng = np.random.default_rng(_category_seed(seed, name, cat.category))
         placed = place_instances(
             count,
             total,

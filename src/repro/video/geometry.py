@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core import backend
+import numpy as np
 
 __all__ = [
     "Box",
@@ -106,8 +106,6 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
     def to_array(self):
-        backend.require_numpy("Box.to_array")
-        np = backend.np
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
     @staticmethod
@@ -131,57 +129,31 @@ def iou(a: Box, b: Box) -> float:
 def iou_matrix(boxes_a, boxes_b):
     """Pairwise IoU between two box collections.
 
-    Accepts sequences of :class:`Box` (or ``(N, 4)`` float arrays, numpy
-    only) in corner convention.  Returns an ``(len(a), len(b))`` matrix —
-    an ndarray under numpy, a list of row lists on the fallback.  The two
-    layouts carry bit-identical values: both compute the same max/min/
-    multiply/divide per cell.  Empty inputs yield empty matrices, which
-    keeps tracker code branch-free.
+    Accepts sequences of :class:`Box` or ``(N, 4)`` float arrays in
+    corner convention.  Returns an ``(len(a), len(b))`` ndarray.  Empty
+    inputs yield empty matrices, which keeps tracker code branch-free.
     """
-    if backend.use_numpy():
-        np = backend.np
-        a = _as_box_array(boxes_a)
-        b = _as_box_array(boxes_b)
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
+    a = _as_box_array(boxes_a)
+    b = _as_box_array(boxes_b)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
 
-        ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-        iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-        ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-        iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-        iw = np.clip(ix2 - ix1, 0.0, None)
-        ih = np.clip(iy2 - iy1, 0.0, None)
-        inter = iw * ih
+    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
+    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
+    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
+    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
+    iw = np.clip(ix2 - ix1, 0.0, None)
+    ih = np.clip(iy2 - iy1, 0.0, None)
+    inter = iw * ih
 
-        area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-        area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-        union = area_a[:, None] + area_b[None, :] - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = np.where(union > 0.0, inter / union, 0.0)
-        return result
-    a = _as_box_rows(boxes_a)
-    b = _as_box_rows(boxes_b)
-    out = []
-    for ax1, ay1, ax2, ay2 in a:
-        area_a = (ax2 - ax1) * (ay2 - ay1)
-        row = []
-        for bx1, by1, bx2, by2 in b:
-            iw = min(ax2, bx2) - max(ax1, bx1)
-            if iw < 0.0:
-                iw = 0.0
-            ih = min(ay2, by2) - max(ay1, by1)
-            if ih < 0.0:
-                ih = 0.0
-            inter = iw * ih
-            area_b = (bx2 - bx1) * (by2 - by1)
-            union = area_a + area_b - inter
-            row.append(inter / union if union > 0.0 else 0.0)
-        out.append(row)
-    return out
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)
 
 
 def _as_box_array(boxes):
-    np = backend.np
     if isinstance(boxes, np.ndarray):
         if boxes.ndim != 2 or boxes.shape[1] != 4:
             raise ValueError("box array must have shape (N, 4)")
@@ -189,18 +161,6 @@ def _as_box_array(boxes):
     return np.array(
         [(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64
     ).reshape(-1, 4)
-
-
-def _as_box_rows(boxes) -> list[tuple[float, float, float, float]]:
-    rows = []
-    for b in boxes:
-        if isinstance(b, Box):
-            rows.append((b.x1, b.y1, b.x2, b.y2))
-            continue
-        if len(b) != 4:
-            raise ValueError("box rows must have exactly 4 coordinates")
-        rows.append((float(b[0]), float(b[1]), float(b[2]), float(b[3])))
-    return rows
 
 
 class Trajectory:
@@ -220,8 +180,7 @@ class Trajectory:
         if len(set(frames)) != len(frames):
             raise ValueError("duplicate keyframe frame indices")
         # plain lists/tuples: per-frame interpolation over 4 floats gains
-        # nothing from vectorization, and this keeps the motion model (and
-        # everything downstream of it) backend-independent.
+        # nothing from vectorization.
         self._frames = frames
         self._coords = [(b.x1, b.y1, b.x2, b.y2) for _, b in ordered]
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from ..core import backend
+import numpy as np
+
 from .geometry import Box, Trajectory
 
 __all__ = ["ObjectInstance", "InstanceSet"]
@@ -122,20 +123,14 @@ class InstanceSet:
         return visible
 
     def durations(self):
-        """Per-instance visible durations — ndarray under numpy, else a list."""
-        values = [inst.duration for inst in self._instances]
-        if backend.use_numpy():
-            return backend.np.asarray(values, dtype=backend.np.int64)
-        return values
+        """Per-instance visible durations."""
+        return np.asarray([inst.duration for inst in self._instances], dtype=np.int64)
 
     def probabilities(self, total_frames: int):
         """Vector of ``p_i`` for all instances relative to ``total_frames``."""
         if total_frames <= 0:
             raise ValueError("total_frames must be positive")
-        durations = self.durations()
-        if backend.use_numpy():
-            return durations / float(total_frames)
-        return [d / float(total_frames) for d in durations]
+        return self.durations() / float(total_frames)
 
     def count_in_range(self, start: int, end: int) -> int:
         """Instances whose midpoint falls in ``[start, end)``.

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core import backend
+import numpy as np
+
 from ..core.rng import DecisionRng
 from .geometry import Box, Trajectory
 from .instances import InstanceSet, ObjectInstance
@@ -75,7 +76,6 @@ def lognormal_probabilities(
             min(max(rng.lognormal(mu, sigma_log), 1e-12), max_p)
             for _ in range(num_instances)
         ]
-    np = backend.np
     p = rng.lognormal(mean=mu, sigma=sigma_log, size=num_instances)
     return np.clip(p, 1e-12, max_p)
 
@@ -100,7 +100,6 @@ def lognormal_durations(
             max(round(rng.lognormal(mu, sigma_log)), min_duration)
             for _ in range(num_instances)
         ]
-    np = backend.np
     durations = rng.lognormal(mean=mu, sigma=sigma_log, size=num_instances)
     return np.maximum(np.round(durations).astype(np.int64), min_duration)
 
@@ -179,8 +178,7 @@ def place_instances(
     center = center_fraction * total_frames
 
     if isinstance(rng, DecisionRng):
-        # scalar path, identical with and without numpy by construction:
-        # same block draw order as the vectorized path (all durations,
+        # scalar path on the decision RNG: same block draw order as the vectorized path (all durations,
         # then all midpoints, then per-instance trajectories).
         durations = [min(d, total_frames) for d in durations]
         if std is None:
@@ -211,7 +209,6 @@ def place_instances(
             starts = [s + frame_offset for s in starts]
             ends = [e + frame_offset for e in ends]
     else:
-        np = backend.np
         durations = np.minimum(durations, total_frames)
         if std is None:
             midpoints = rng.uniform(0, total_frames, size=num_instances)
@@ -351,8 +348,6 @@ def first_second_appearance(p, rng):
     This is equivalent to (but ~1000x cheaper than) tossing every coin for
     every sampled frame as the paper's simulation describes.
     """
-    backend.require_numpy("the closed-form appearance-time sampler")
-    np = backend.np
     p = np.asarray(p, dtype=np.float64)
     if np.any((p <= 0) | (p > 1)):
         raise ValueError("probabilities must lie in (0, 1]")

@@ -16,54 +16,30 @@ count keep their explicit pins and are intentionally *not* scaled.
 Workload sizing: tests that build synthetic footage honor the
 ``REPRO_TEST_SCALE`` multiplier (default 1.0); the nightly job raises it
 to exercise larger repositories with the same assertions.
-
-No-numpy runs: the decision path works without numpy, but many test
-modules drive numpy-only surfaces (the experiment harness, ablation
-policies, numpy-layout assertions).  When numpy is not importable,
-every test module that imports numpy or scipy at the top level is
-excluded from collection, leaving the backend-agnostic suite — the
-tier-1 leg the no-numpy CI job runs.
 """
 
 import os
-import pathlib
-import re
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("default", deadline=None, max_examples=25)
 settings.register_profile("nightly", deadline=None, max_examples=250)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-try:
-    import numpy  # noqa: F401
 
-    _HAVE_NUMPY = True
-except ImportError:
-    _HAVE_NUMPY = False
+@pytest.fixture
+def executor(monkeypatch):
+    """``executor(kind)`` picks who runs every Thompson draw from then on
+    by setting ``repro.core.rng._SCALAR_ROUND_MAX``: ``"vector"`` runs
+    every round through numpy, ``"scalar"`` runs every draw whole through
+    the pure-Python rounds — the bit-identity oracle — and ``"shipped"``
+    restores the module's own handover, as the end of the test does."""
+    from repro.core import rng as rng_module
 
-# Modules with no top-level numpy import that still exercise numpy-only
-# surfaces (the experiment/analysis harness, or repro features that call
-# backend.require_numpy).
-_NUMPY_ONLY_MODULES = {
-    "test_query.py",  # QueryEngine.execute keeps the legacy numpy streams
-    "test_integration.py",  # drives the analysis/experiment harness
-    # the CLI builds calibrated profile datasets (legacy numpy
-    # ground-truth streams, numpy-gated by design)
-    "test_cli.py",
-    "test_cli_errors.py",
-    "test_server_cli.py",  # subprocess CLI runs over profile datasets
-}
+    thresholds = {"vector": 0, "scalar": 10**9, "shipped": rng_module._SCALAR_ROUND_MAX}
 
-_TOP_LEVEL_NUMPY = re.compile(
-    r"^(?:import (?:numpy|scipy)\b|from (?:numpy|scipy)[.\s])", re.MULTILINE
-)
+    def use(kind: str) -> None:
+        monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", thresholds[kind])
 
-collect_ignore = []
-if not _HAVE_NUMPY:
-    _here = pathlib.Path(__file__).parent
-    for _path in sorted(_here.glob("test_*.py")):
-        if _path.name in _NUMPY_ONLY_MODULES or _TOP_LEVEL_NUMPY.search(
-            _path.read_text(encoding="utf-8")
-        ):
-            collect_ignore.append(_path.name)
+    return use

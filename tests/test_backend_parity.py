@@ -1,23 +1,27 @@
-"""Numpy-vs-fallback decision-stream parity, end to end.
+"""Vector-vs-scalar decision-stream parity, end to end.
 
-The vectorized sampler hot path runs on numpy when it is available and
-on a pure-Python twin when it is not.  The contract is that the choice
-of backend is **invisible in every decision**: same seed, same workload
+Every Thompson draw runs round by round, each round either through numpy
+vector rounds or through the pure-Python scalar rounds, picked by
+``repro.core.rng._SCALAR_ROUND_MAX``.  The contract is that the choice
+of executor is **invisible in every decision**: same seed, same workload
 => bit-identical sampled frames, result sets, schedules, and event logs.
-This module enforces the contract at three distances:
+The ``executor`` fixture (``tests/conftest.py``) sets the threshold to 0
+(every round vectorised) or past every draw (the scalar rounds execute
+each draw whole, the reference).  This module enforces the contract at
+three distances:
 
 * a serving-stack workload matrix (seed x scheduler x shards), flipping
-  the backend in-process with :func:`backend.set_force_fallback`;
+  the executor in-process (shard workers draw no Thompson matrices, so
+  the coordinating process is the only one that needs the switch);
 * the simulation harness: whole randomized scenarios (ingestion,
   faults, crash-restart, oracle parity) must produce the same event-log
-  digest under both backends;
-* a subprocess whose numpy import is physically blocked — proving the
-  fallback path is what actually runs when numpy is absent, not merely
-  when a flag is set.
+  digest under both executors;
+* a child process that sets the scalar threshold itself and must print
+  the digest the shipped executor logs in this process.
 
 It also pins the flat-array belief layout's behavioral edges — live
-``extend()`` growth and snapshot/restore — in both modes, including a
-snapshot JSON written in the pre-vectorization format.
+``extend()`` growth and snapshot/restore — under both executors,
+including a snapshot JSON written in the pre-vectorization format.
 """
 
 import json
@@ -27,7 +31,6 @@ import sys
 
 import pytest
 
-from repro.core import backend
 from repro.core.chunking import IncrementalChunker
 from repro.core.rng import DecisionRng
 from repro.core.sampler import ExSample
@@ -51,18 +54,6 @@ SCHEDULERS = {
     "priority": PriorityScheduler,
     "thompson": ThompsonSumScheduler,
 }
-
-needs_numpy = pytest.mark.skipif(
-    not backend.HAVE_NUMPY, reason="cross-backend comparison needs numpy"
-)
-
-
-@pytest.fixture
-def fallback_guard():
-    old = backend.set_force_fallback(False)
-    yield
-    backend.set_force_fallback(old)
-
 
 def parity_repository(seed: int) -> VideoRepository:
     clips, start = [], 0
@@ -116,71 +107,53 @@ def serve_fixed_workload(seed: int, scheduler: str, shards: int) -> bytes:
 
 # ----------------------------------------------- serving workload matrix
 
-@needs_numpy
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_serving_matrix_numpy_vs_fallback(fallback_guard, seed, scheduler):
-    backend.set_force_fallback(False)
+def test_serving_matrix_numpy_vs_fallback(executor, seed, scheduler):
+    executor("vector")
     fast = serve_fixed_workload(seed, scheduler, shards=1)
-    backend.set_force_fallback(True)
+    executor("scalar")
     slow = serve_fixed_workload(seed, scheduler, shards=1)
     assert fast == slow
 
 
-@needs_numpy
 @pytest.mark.parametrize("shards", [2, 3])
-def test_serving_sharded_numpy_vs_fallback(fallback_guard, monkeypatch, shards):
-    # worker processes read the flag from the environment at spawn
-    monkeypatch.delenv("REPRO_FORCE_FALLBACK", raising=False)
-    backend.set_force_fallback(False)
+def test_serving_sharded_numpy_vs_fallback(executor, shards):
+    executor("vector")
     fast = serve_fixed_workload(5, "round-robin", shards=shards)
-    monkeypatch.setenv("REPRO_FORCE_FALLBACK", "1")
-    backend.set_force_fallback(True)
+    executor("scalar")
     slow = serve_fixed_workload(5, "round-robin", shards=shards)
     assert fast == slow
 
 
 # ------------------------------------------------- whole-scenario digests
 
-@needs_numpy
 @pytest.mark.parametrize("seed", [0, 2, 5, 11])
-def test_scenario_digests_match_across_backends(fallback_guard, tmp_path, seed):
+def test_scenario_digests_match_across_backends(executor, tmp_path, seed):
     """The strongest in-process form: a full randomized scenario — live
     ingestion, faults, crash-restart, oracle parity on both sides — must
-    log a byte-identical event stream under either backend."""
+    log a byte-identical event stream under either executor."""
     scenario = generate_scenario(seed, "quick")
-    backend.set_force_fallback(False)
+    executor("vector")
     fast = run_scenario(scenario, workdir=tmp_path / "fast")
-    backend.set_force_fallback(True)
+    executor("scalar")
     slow = run_scenario(scenario, workdir=tmp_path / "slow")
     assert fast.log_digest() == slow.log_digest()
     assert fast.event_log == slow.event_log
 
 
-@needs_numpy
 def test_scenario_digest_matches_with_numpy_import_blocked(tmp_path):
-    """Run the same scenario in a child process whose numpy import
-    raises — the no-flag, physically-absent form of the fallback — and
-    compare digests with the in-process numpy run."""
+    """Run the same scenario in a fresh child process that sets the
+    scalar threshold before anything draws — the scalar rounds execute
+    every draw there — and compare digests with the shipped executor's
+    run in this process."""
     seed = 3
     reference = run_scenario(generate_scenario(seed, "quick"), workdir=tmp_path)
 
-    blocker = tmp_path / "blocker"
-    blocker.mkdir()
-    for module in ("numpy", "scipy"):
-        (blocker / f"{module}.py").write_text(
-            f'raise ImportError("{module} is blocked for this parity test")\n',
-            encoding="utf-8",
-        )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
-        "import sys\n"
-        "try:\n"
-        "    import numpy\n"
-        "except ImportError:\n"
-        "    pass\n"
-        "else:\n"
-        "    sys.exit('numpy import was not blocked')\n"
+        "from repro.core import rng\n"
+        "rng._SCALAR_ROUND_MAX = 10**9\n"
         "from repro.simulation import generate_scenario, run_scenario\n"
         f"report = run_scenario(generate_scenario({seed}, 'quick'))\n"
         "print(report.log_digest())\n"
@@ -191,7 +164,7 @@ def test_scenario_digest_matches_with_numpy_import_blocked(tmp_path):
         text=True,
         env={
             "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": f"{blocker}:{src}",
+            "PYTHONPATH": str(src),
             "PYTHONHASHSEED": "0",
         },
         timeout=300,
@@ -217,10 +190,8 @@ def make_engine(horizon=200, chunk_frames=50, seed=0):
 
 
 @pytest.mark.parametrize("forced", [False, True])
-def test_extend_grows_flat_arrays_mid_run(fallback_guard, forced):
-    if forced and not backend.HAVE_NUMPY:
-        pytest.skip("force-fallback run is redundant without numpy")
-    backend.set_force_fallback(forced)
+def test_extend_grows_flat_arrays_mid_run(executor, forced):
+    executor("scalar" if forced else "vector")
     engine, chunker = make_engine(horizon=150)
     before_arms = len(list(engine.stats.n))
     for _ in range(10):
@@ -246,10 +217,9 @@ def test_extend_grows_flat_arrays_mid_run(fallback_guard, forced):
     assert list(engine.history.frame_indices)[: len(sampled_before)] == sampled_before
 
 
-@needs_numpy
-def test_extend_decisions_identical_across_backends(fallback_guard):
+def test_extend_decisions_identical_across_backends(executor):
     def run(forced: bool):
-        backend.set_force_fallback(forced)
+        executor("scalar" if forced else "vector")
         engine, chunker = make_engine(horizon=150)
         for _ in range(8):
             engine.commit(engine.plan())
@@ -262,10 +232,8 @@ def test_extend_decisions_identical_across_backends(fallback_guard):
 
 
 @pytest.mark.parametrize("forced", [False, True])
-def test_snapshot_restore_replays_flat_layout(fallback_guard, forced):
-    if forced and not backend.HAVE_NUMPY:
-        pytest.skip("force-fallback run is redundant without numpy")
-    backend.set_force_fallback(forced)
+def test_snapshot_restore_replays_flat_layout(executor, forced):
+    executor("scalar" if forced else "vector")
     repo = parity_repository(1)
     service = QueryService(
         repo, cache=DetectionCache(), frames_per_tick=12, chunk_frames=50, seed=0

@@ -10,9 +10,6 @@ matrix × execution backends, plus the :class:`TieredBackend` mechanics
 :class:`DetectionCache` passed to several services as ``cache=`` (a
 frame detected under one is a hit for all, again without touching
 answers).
-
-Deliberately numpy-free at the top level so the whole module runs in the
-no-numpy CI leg — eviction parity is a backend-agnostic promise.
 """
 
 import json

@@ -3,8 +3,7 @@ registries under ``shard_id`` labels, label-value escaping and the
 Prometheus round trip, snapshot history delta/rate derivation, the
 server ``watch`` op, ``repro top`` / ``repro trace`` / ``stats
 --watch``, and the atomic-write guarantee every sink shares (including
-the SIGKILL-mid-write regression).  Numpy-free: every surface here must
-work on the no-numpy tier."""
+the SIGKILL-mid-write regression)."""
 
 import json
 import os

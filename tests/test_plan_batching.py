@@ -15,7 +15,6 @@ import dataclasses
 
 import pytest
 
-from repro.core import backend
 from repro.core import rng as rng_module
 from repro.core import sampler as sampler_module
 from repro.core.chunking import fixed_size_chunks
@@ -36,14 +35,12 @@ from repro.video.geometry import Box, Trajectory
 from repro.video.instances import InstanceSet, ObjectInstance
 from repro.video.repository import VideoClip, VideoRepository, single_clip_repository
 
-BACKENDS = [False, True] if backend.HAVE_NUMPY else [True]
-
-
-@pytest.fixture(params=BACKENDS, ids=lambda forced: "fallback" if forced else "numpy")
-def forced(request):
-    old = backend.set_force_fallback(request.param)
-    yield request.param
-    backend.set_force_fallback(old)
+@pytest.fixture(params=[False, True], ids=lambda forced: "fallback" if forced else "numpy")
+def forced(request, executor):
+    """Each test runs on the shipped executor ("numpy") and with the
+    scalar rounds executing every draw whole ("fallback")."""
+    executor("scalar" if request.param else "shipped")
+    return request.param
 
 
 # --------------------------------------------------------------- engines

@@ -1,33 +1,28 @@
-"""The RNG contract: DecisionRng determinism and backend bit-identity.
+"""The RNG contract: DecisionRng determinism and executor bit-identity.
 
 Every sampling decision in the system flows through
 :class:`repro.core.rng.DecisionRng`, whose scalar draws are pure Python
 and whose one bulk operation (``gamma_matrix``, the vectorized Thompson
-draw) has twin numpy / pure-Python implementations that must return
-**bit-identical** matrices and leave the stream in the same position.
-These tests are the contract's enforcement: if either half drifts — a
-different transcendental, a reordered draw schedule, a backend-dependent
-rounding — the suite fails before any decision-stream parity test has to
-localize it.
+draw) has two executors — numpy vector rounds and pure-Python scalar
+rounds — that must return **bit-identical** matrices and leave the
+stream in the same position.  The ``executor`` fixture can make the
+scalar rounds run every draw whole, which is the reference each
+comparison here holds the shipped handover to.  These tests are the
+contract's enforcement: if either half drifts — a different
+transcendental, a reordered draw schedule, an executor-dependent
+rounding — the suite fails before any decision-stream parity test has
+to localize it.
 """
 
 import math
 import signal
 
+import numpy as np
 import pytest
 
-from repro.core import backend
 from repro.core import rng as rng_module
 from repro.core.belief import GammaBelief
 from repro.core.rng import DecisionRng, derive_key
-
-
-@pytest.fixture
-def fallback_guard():
-    """Restore the backend flag no matter how a test exits."""
-    old = backend.set_force_fallback(False)
-    yield
-    backend.set_force_fallback(old)
 
 
 @pytest.fixture
@@ -137,17 +132,17 @@ def _alphas_betas():
     return alphas, betas
 
 
-def test_gamma_matrix_shape_and_positivity(fallback_guard):
+def test_gamma_matrix_shape_and_positivity(executor):
     alphas, betas = _alphas_betas()
     for forced in (False, True):
-        backend.set_force_fallback(forced)
+        executor("scalar" if forced else "shipped")
         got = DecisionRng(5).gamma_matrix(alphas, betas, rows=4)
         rows = [list(r) for r in got]
         assert len(rows) == 4 and all(len(r) == len(alphas) for r in rows)
         assert all(v > 0.0 for r in rows for v in r)
 
 
-def test_gamma_matrix_moments(fallback_guard):
+def test_gamma_matrix_moments():
     # mean of Gamma(a, rate b) is a/b; average many rows per arm
     alphas = [0.5, 1.0, 4.0]
     betas = [1.0, 2.0, 0.5]
@@ -159,46 +154,41 @@ def test_gamma_matrix_moments(fallback_guard):
         assert abs(mean - expected) < 0.12 * max(expected, 1.0)
 
 
-@pytest.mark.skipif(not backend.HAVE_NUMPY, reason="needs numpy to compare twins")
 @pytest.mark.parametrize("rows", [1, 2, 8])
 @pytest.mark.parametrize("seed", [0, 1, 42, (9, 0xBEEF)])
-def test_gamma_matrix_twins_bit_identical(fallback_guard, seed, rows):
-    """The heart of the contract: the numpy fast path and the pure
-    fallback must produce the exact same floats AND leave the stream in
-    the exact same position."""
+def test_gamma_matrix_twins_bit_identical(executor, seed, rows):
+    """The heart of the contract: the shipped executor and the scalar
+    rounds alone must produce the exact same floats AND leave the stream
+    in the exact same position."""
     alphas, betas = _alphas_betas()
 
-    backend.set_force_fallback(False)
     fast_rng = DecisionRng(seed)
     fast = fast_rng.gamma_matrix(alphas, betas, rows=rows)
     fast_next = fast_rng.random()
 
-    backend.set_force_fallback(True)
+    executor("scalar")
     slow_rng = DecisionRng(seed)
     slow = slow_rng.gamma_matrix(alphas, betas, rows=rows)
     slow_next = slow_rng.random()
 
-    fast_rows = [[float(v) for v in r] for r in fast]
-    assert fast_rows == slow  # element-wise exact, not approximate
+    assert fast.tolist() == slow.tolist()  # element-wise exact, not approximate
     assert fast_next == slow_next  # the op consumed one main-stream step
 
 
-@pytest.mark.skipif(not backend.HAVE_NUMPY, reason="needs numpy to compare twins")
-def test_gamma_matrix_twins_across_shape_regimes(fallback_guard):
+def test_gamma_matrix_twins_across_shape_regimes(executor):
     """Shapes below and above 1 exercise both Marsaglia-Tsang branches."""
     alphas = [0.05, 0.3, 0.9, 1.0, 1.1, 7.5, 40.0]
     betas = [1.0] * len(alphas)
-    backend.set_force_fallback(False)
     fast = DecisionRng(3).gamma_matrix(alphas, betas, rows=16)
-    backend.set_force_fallback(True)
+    executor("scalar")
     slow = DecisionRng(3).gamma_matrix(alphas, betas, rows=16)
-    assert [[float(v) for v in r] for r in fast] == slow
+    assert fast.tolist() == slow.tolist()
 
 
-def test_gamma_matrix_validates_inputs(fallback_guard, hard_timeout):
+def test_gamma_matrix_validates_inputs(executor, hard_timeout):
     nan, inf = float("nan"), float("inf")
     for forced in (False, True):
-        backend.set_force_fallback(forced)
+        executor("scalar" if forced else "shipped")
         rng = DecisionRng(0)
         with pytest.raises(ValueError):
             rng.gamma_matrix([1.0], [1.0], rows=0)
@@ -227,9 +217,9 @@ def test_gamma_belief_rejects_non_finite_priors(bad):
         GammaBelief(0.1, bad)
 
 
-def test_gamma_matrix_empty_arms(fallback_guard):
+def test_gamma_matrix_empty_arms(executor):
     for forced in (False, True):
-        backend.set_force_fallback(forced)
+        executor("scalar" if forced else "shipped")
         got = DecisionRng(1).gamma_matrix([], [], rows=3)
         assert [list(r) for r in got] == [[], [], []]
 
@@ -245,9 +235,6 @@ def test_gamma_matrix_advances_stream_once_regardless_of_shape():
 
 # ------------------------------------------------- the per-round handover
 
-needs_numpy = pytest.mark.skipif(
-    not backend.HAVE_NUMPY, reason="needs numpy to compare twins"
-)
 T = rng_module._SCALAR_ROUND_MAX
 
 
@@ -260,47 +247,47 @@ def _shapes(n, regime):
     return alphas, betas
 
 
-def _draw(forced, alphas, betas, rows, seed=5):
-    """(matrix as float rows, next main-stream draw) on one backend."""
-    backend.set_force_fallback(forced)
+def _draw(alphas, betas, rows, seed=5):
+    """(matrix as float rows, next main-stream draw) on the executor the
+    module's threshold currently picks."""
     rng = DecisionRng(seed)
     got = rng.gamma_matrix(alphas, betas, rows)
-    return [[float(v) for v in r] for r in got], rng.random()
+    return got.tolist(), rng.random()
 
 
-@needs_numpy
 @pytest.mark.parametrize("regime", ["small", "large", "mixed"])
 @pytest.mark.parametrize(
     "arms, rows",
     [(1, 1), (T - 1, 1), (T, 1), (T + 1, 1), (2 * T, 1), (1000, 1), (1000, 8)],
 )
-def test_handover_twins_bit_identical(fallback_guard, arms, rows, regime):
+def test_handover_twins_bit_identical(executor, arms, rows, regime):
     """Either side of the round-size threshold, and straddling it mid-draw,
-    the numpy twin returns the fallback's bits and stream position."""
+    the shipped executor returns the scalar rounds' bits and stream
+    position."""
     alphas, betas = _shapes(arms, regime)
-    assert _draw(False, alphas, betas, rows) == _draw(True, alphas, betas, rows)
+    shipped = _draw(alphas, betas, rows)
+    executor("scalar")
+    assert shipped == _draw(alphas, betas, rows)
 
 
-@needs_numpy
 @pytest.mark.parametrize("threshold", [0, 10**9])
 @pytest.mark.parametrize("arms, rows", [(T // 2, 1), (37, 4), (1000, 1)])
 def test_threshold_cannot_reach_a_decision(
-    fallback_guard, monkeypatch, threshold, arms, rows
+    executor, monkeypatch, threshold, arms, rows
 ):
     """All rounds vectorised (0) and all rounds scalar (10**9) are the
     same draw: the threshold picks an executor, never a result."""
     alphas, betas = _shapes(arms, "mixed")
-    reference = _draw(True, alphas, betas, rows)
+    executor("scalar")
+    reference = _draw(alphas, betas, rows)
     monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", threshold)
-    got = _draw(False, alphas, betas, rows)
-    assert got == reference
-    assert backend.use_numpy()  # the draw above really ran the numpy twin
+    assert _draw(alphas, betas, rows) == reference
 
 
-@needs_numpy
-def test_numpy_draw_makes_few_scalar_log_calls(fallback_guard, monkeypatch):
-    """Only tail rounds reach the scalar code: a 1000-arm numpy draw
-    makes O(T) scalar ``_ln`` calls where the fallback makes O(M)."""
+def test_numpy_draw_makes_few_scalar_log_calls(executor, monkeypatch):
+    """Only tail rounds reach the scalar code: a 1000-arm draw makes
+    O(T) scalar ``_ln`` calls where the scalar executor alone makes
+    O(M)."""
     calls = [0]
     scalar_ln = rng_module._ln
 
@@ -311,13 +298,12 @@ def test_numpy_draw_makes_few_scalar_log_calls(fallback_guard, monkeypatch):
     monkeypatch.setattr(rng_module, "_ln", counting_ln)
     alphas, betas = _shapes(1000, "mixed")
     draws = 20
-    backend.set_force_fallback(False)
     rng = DecisionRng(3)
     for _ in range(draws):
         rng.gamma_matrix(alphas, betas, 1)
     fast_calls = calls[0] / draws
     calls[0] = 0
-    backend.set_force_fallback(True)
+    executor("scalar")
     DecisionRng(3).gamma_matrix(alphas, betas, 1)
     # each scalar round of k <= T elements makes at most 2k calls, and
     # round sizes shrink geometrically
@@ -326,19 +312,17 @@ def test_numpy_draw_makes_few_scalar_log_calls(fallback_guard, monkeypatch):
 
 
 @pytest.mark.parametrize("forced", [False, True])
-def test_availability_mask_grows_and_keeps_its_types(fallback_guard, forced):
+def test_availability_mask_grows_and_keeps_its_types(executor, forced):
     """The sampler's flat availability buffer: ``extend()`` mid-run grows
     it (no view may pin it), and ``chunk_availability`` stays a bool
-    ndarray under numpy and a list of bools on the fallback."""
+    ndarray whichever executor draws."""
     from repro.core.chunking import fixed_size_chunks
     from repro.core.sampler import ExSample
     from repro.detection.detector import OracleDetector
     from repro.tracking.discriminator import OracleDiscriminator
     from repro.video.repository import single_clip_repository
 
-    if forced and not backend.HAVE_NUMPY:
-        pytest.skip("force-fallback run is redundant without numpy")
-    backend.set_force_fallback(forced)
+    executor("scalar" if forced else "vector")
     rng = DecisionRng(4)
     chunks = fixed_size_chunks(48, 4, rng)
     repo = single_clip_repository(48, [])
@@ -349,11 +333,7 @@ def test_availability_mask_grows_and_keeps_its_types(fallback_guard, forced):
     def check(expected_len):
         mask = engine.chunk_availability
         assert len(mask) == expected_len
-        if backend.use_numpy():
-            assert isinstance(mask, backend.np.ndarray) and mask.dtype == bool
-        else:
-            assert isinstance(mask, list)
-            assert all(isinstance(b, bool) for b in mask)
+        assert isinstance(mask, np.ndarray) and mask.dtype == bool
         return [bool(b) for b in mask]
 
     held = engine.chunk_availability  # a caller may keep one across extend()
@@ -369,35 +349,14 @@ def test_availability_mask_grows_and_keeps_its_types(fallback_guard, forced):
     assert engine.frames_processed == 48
 
 
-# ---------------------------------------------------------- backend flags
+# -------------------------------------------------- transcendental twins
 
-def test_set_force_fallback_returns_previous_flag():
-    old = backend.set_force_fallback(True)
-    try:
-        assert not backend.use_numpy()
-        assert backend.set_force_fallback(old) is True
-    finally:
-        backend.set_force_fallback(old)
-    if backend.HAVE_NUMPY and not old:
-        assert backend.use_numpy()
-
-
-def test_require_numpy_message_names_the_feature():
-    if backend.HAVE_NUMPY:
-        backend.require_numpy("anything")  # no-op when numpy is present
-    else:
-        with pytest.raises(ModuleNotFoundError, match="anything"):
-            backend.require_numpy("anything")
-
-
-@pytest.mark.skipif(not backend.HAVE_NUMPY, reason="needs numpy to compare twins")
 def test_ln_exp_scalar_and_vector_twins_agree():
     # the transcendental twins are the bit-identity foundation: the
     # scalar (pure) and vectorized (numpy) forms must agree exactly,
     # even where they differ from math.exp in the last ulp
     from repro.core.rng import _exp, _exp_vec, _ln, _ln_vec
 
-    np = backend.np
     ln_pts = [1e-9, 0.1, 0.5, 1.0, 2.0, 10.0, 1e6]
     exp_pts = [-20.0, -1.0, 0.0, 1.0, 2.5, 20.0]
     assert [_ln(x) for x in ln_pts] == list(_ln_vec(np.asarray(ln_pts)))
@@ -456,46 +415,42 @@ def _bits(result):
     """Element bits, then every stream's position and its next draw."""
     matrices, rngs = result
     return (
-        [[[float(v) for v in row] for row in m] for m in matrices],
+        [m.tolist() for m in matrices],
         {seed: (rng.state, rng.random()) for seed, rng in rngs.items()},
     )
 
 
 @pytest.mark.parametrize("forced", [False, True])
-def test_gamma_matrices_equal_one_by_one_calls(fallback_guard, forced):
+def test_gamma_matrices_equal_one_by_one_calls(executor, forced):
     """The multi-stream kernel returns each request exactly the matrix
     its own ``gamma_matrix`` call would, and leaves every stream — an
     rng asked twice included — where the calls one by one leave it."""
-    if forced and not backend.HAVE_NUMPY:
-        pytest.skip("force-fallback run is redundant without numpy")
-    backend.set_force_fallback(forced)
-    # the fallback is a loop of the scalar draw: fewer mixes pin it
+    executor("scalar" if forced else "shipped")
+    # the scalar executor is a loop of one-stream draws: fewer mixes pin it
     mixes = list(_mixes(64 if forced else 200))
     assert any(len({r[0] for r in m}) < len(m) for m in mixes)  # repeats occur
     for requests in mixes:
         assert _bits(_in_one_call(requests)) == _bits(_one_by_one(requests))
 
 
-@needs_numpy
 @pytest.mark.parametrize("threshold", [0, T, 10**9])
 def test_gamma_matrices_threshold_cannot_reach_a_decision(
-    fallback_guard, monkeypatch, threshold
+    executor, monkeypatch, threshold
 ):
     """Rounds handed over by *total* size, stream by stream: every
-    executor choice is the fallback's one-by-one draw."""
+    executor choice is the scalar executor's one-by-one draw."""
     mixes = list(_mixes(40))
-    backend.set_force_fallback(True)
+    executor("scalar")
     reference = [_bits(_one_by_one(requests)) for requests in mixes]
-    backend.set_force_fallback(False)
     monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", threshold)
     assert [_bits(_in_one_call(requests)) for requests in mixes] == reference
 
 
 @pytest.mark.parametrize("forced", [False, True])
-def test_gamma_matrices_validate_every_request_first(fallback_guard, forced):
+def test_gamma_matrices_validate_every_request_first(executor, forced):
     """An invalid request anywhere in the call raises before any stream
     takes its op key — the valid requests before it included."""
-    backend.set_force_fallback(forced)
+    executor("scalar" if forced else "shipped")
     alphas, betas = _shapes(12, "mixed")
     for bad in (
         ([1.0], [1.0], 0),

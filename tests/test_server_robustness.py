@@ -8,8 +8,7 @@ where it does not (garbage framing, vanished peers).  No tracebacks, no
 hung tick loop.
 
 These tests need no datasets — an empty ``QueryService({})`` serves
-``ping``/``stats`` fine, which is all "still serving" needs to prove —
-so the module runs on the no-numpy tier too.
+``ping``/``stats`` fine, which is all "still serving" needs to prove.
 """
 
 import json
