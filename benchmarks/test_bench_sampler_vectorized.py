@@ -5,14 +5,18 @@ dominates serving-tick cost — over a 1000-chunk repository at the
 serving batch size, and checks the throughput claims the draw's
 executors are held to.  The "scalar executor" is the pure-Python round
 code running every draw whole (``rng._SCALAR_ROUND_MAX`` raised past any
-draw, as the contract tests set it); the shipped executor vectorises
-every round over ``_SCALAR_ROUND_MAX`` elements.
+draw, as the contract tests set it); the "vector executor" runs every
+round through numpy (``_SCALAR_ROUND_MAX = 0``); the shipped executor
+vectorises every round over ``_SCALAR_ROUND_MAX`` elements and hands
+smaller rounds to the scalar code.
 
 * the shipped executor plans at least 5x faster than the scalar
   executor on the same flat-array layout;
 * at the served shape (30 chunks, batch 1) the shipped plan is no
-  slower than 1.25x the scalar executor's: the draw hands rounds that
-  small to the scalar code, so vectorising never costs a session;
+  slower than 1.25x the vector executor's: that draw is small enough
+  to run whole through the scalar code, and the handover must never
+  cost a session more than vectorising it would (the crossover the
+  ``_SCALAR_ROUND_MAX`` comment in ``core/rng.py`` measures);
 * a served tick round — 8 such engines — planned through ``plan_many``
   (one multi-stream Thompson draw) is at least 2x faster than the 8
   plans one by one.
@@ -43,12 +47,16 @@ SERVED_CHUNKS = 30
 SERVED_SHAPES = [(SERVED_CHUNKS, 1), (SERVED_CHUNKS, BATCH), (NUM_CHUNKS, BATCH)]
 
 
+# ``rng._SCALAR_ROUND_MAX`` per executor; "shipped" keeps the module's own
+THRESHOLDS = {"scalar": 10**9, "vector": 0, "shipped": None}
+
+
 @contextlib.contextmanager
-def executor(scalar: bool):
-    """Run the block's Thompson draws on the scalar executor (``True``)
-    or the shipped one (``False``)."""
+def executor(kind: str):
+    """Run the block's Thompson draws on one executor of THRESHOLDS."""
     shipped = rng_module._SCALAR_ROUND_MAX
-    rng_module._SCALAR_ROUND_MAX = 10**9 if scalar else shipped
+    threshold = THRESHOLDS[kind]
+    rng_module._SCALAR_ROUND_MAX = shipped if threshold is None else threshold
     try:
         yield
     finally:
@@ -95,7 +103,7 @@ def timed_plans(engine: ExSample, plans: int = PLANS) -> float:
 
 def plan_microseconds(num_chunks: int, batch: int, attempts: int = 5) -> dict:
     """Best-of-``attempts`` mean cost of one ``plan(batch)`` per executor,
-    as ``{scalar: microseconds}``.
+    as ``{kind: microseconds}`` over the kinds of THRESHOLDS.
 
     Fresh engines of 12 plans each, so a 30-chunk repository (1200
     frames) is never drained and every timing plans over the same
@@ -104,17 +112,17 @@ def plan_microseconds(num_chunks: int, batch: int, attempts: int = 5) -> dict:
     process's CPU time: planning is pure computation here, and another
     process taking the CPU mid-timing is not a cost of either executor.
     """
-    best = {True: math.inf, False: math.inf}
+    best = dict.fromkeys(THRESHOLDS, math.inf)
     for _ in range(attempts):
-        for scalar in best:
-            with executor(scalar):
+        for kind in best:
+            with executor(kind):
                 engine = build_engine(seed=4, num_chunks=num_chunks, batch=batch)
                 engine.plan(batch_size=batch)
                 start = time.process_time()
                 for _ in range(12):
                     engine.plan(batch_size=batch)
                 elapsed = (time.process_time() - start) / 12
-            best[scalar] = min(best[scalar], elapsed * 1e6)
+            best[kind] = min(best[kind], elapsed * 1e6)
     return best
 
 
@@ -156,7 +164,7 @@ def test_bench_sampler_vectorized(benchmark, save_report):
         f"{NUM_CHUNKS} chunks, batch={BATCH}, {PLANS} plans per timing",
     ]
     fast_elapsed = timed_plans(build_engine(seed=1))
-    with executor(scalar=True):
+    with executor("scalar"):
         scalar_elapsed = timed_plans(build_engine(seed=1))
     speedup = scalar_elapsed / fast_elapsed
     lines += [
@@ -177,13 +185,15 @@ def test_bench_sampler_vectorized(benchmark, save_report):
         cost = plan_microseconds(num_chunks, batch, attempts=25 if gated else 5)
         shape = f"  M={num_chunks:<4d} batch={batch}"
         lines.append(
-            f"{shape} : shipped {cost[False]:8.0f} us   scalar {cost[True]:8.0f} us   "
-            f"shipped/scalar = {cost[False] / cost[True]:.2f}"
+            f"{shape} : shipped {cost['shipped']:8.0f} us   "
+            f"scalar {cost['scalar']:8.0f} us   vector {cost['vector']:8.0f} us   "
+            f"shipped/scalar = {cost['shipped'] / cost['scalar']:.2f}   "
+            f"shipped/vector = {cost['shipped'] / cost['vector']:.2f}"
         )
         if gated:
-            assert cost[False] <= cost[True] * 1.25, (
+            assert cost["shipped"] <= cost["vector"] * 1.25, (
                 "at the served shape the shipped executor plans slower than "
-                f"the scalar one ({cost[False]:.0f} vs {cost[True]:.0f} us)"
+                f"the vector one ({cost['shipped']:.0f} vs {cost['vector']:.0f} us)"
             )
     cost = tick_round_microseconds()
     speedup = cost["one_by_one"] / cost["plan_many"]

@@ -132,17 +132,6 @@ class ChunkStatistics:
         self._n1.extend([0.0] * num_new)
         self._n.extend([0] * num_new)
 
-    def record_batch(self, chunks, d0s, d1s) -> None:
-        """Commutative batched update (§III-F): order within the batch is
-        irrelevant because all updates are additive."""
-        chunks = list(chunks)
-        d0s = list(d0s)
-        d1s = list(d1s)
-        if not (len(chunks) == len(d0s) == len(d1s)):
-            raise ValueError("batch arrays must align")
-        for chunk, d0, d1 in zip(chunks, d0s, d1s):
-            self.record(int(chunk), int(d0), int(d1))
-
     def point_estimate(self):
         """R̂_j = N1_j / n_j with the 0/0 convention R̂ = 0 (Eq. III.1).
 

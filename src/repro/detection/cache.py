@@ -24,6 +24,12 @@ Three pieces:
   :class:`CategoryFilterDetector`, the per-query view of a shared
   all-category detector.
 
+Storage is batch-only, on the backends and the facade alike:
+``get_many``/``put_many`` are the only reads and writes, one backend
+round-trip per batch, and a single frame is a one-element batch.  A
+warm start or a restore replays all of a session's cached frames in one
+``get_many`` (:func:`~repro.serving.session.replay_cached_frames`).
+
 Detections are cached *unfiltered* (``category=None`` detectors), because
 a frame's boxes for every category cost the same one invocation — caching
 a filtered subset would poison later queries for other categories.
@@ -124,17 +130,10 @@ def _decode(rows: Iterable[dict]) -> tuple[Detection, ...]:
 class CacheBackend(Protocol):
     """Storage for JSON-able detection rows keyed by (dataset, frame).
 
-    ``get_many``/``put_many`` are the batch forms (one storage
-    round-trip per batch) and part of the protocol, not an extra: the
-    :class:`DetectionCache` facade calls them directly, so every backend
-    implements them.
+    Storage is batch-only: ``get_many``/``put_many`` make one storage
+    round-trip per batch, and a single frame is the one-element batch.
+    ``get_many`` returns one entry per input frame (``None`` on a miss).
     """
-
-    def get(self, dataset: str, frame_index: int) -> list[dict] | None:  # pragma: no cover
-        ...
-
-    def put(self, dataset: str, frame_index: int, rows: list[dict]) -> None:  # pragma: no cover
-        ...
 
     def get_many(
         self, dataset: str, frame_indices: Sequence[int]
@@ -173,12 +172,6 @@ class InMemoryBackend:
     def __init__(self) -> None:
         self._rows: dict[tuple[str, int], list[dict]] = {}
 
-    def get(self, dataset: str, frame_index: int) -> list[dict] | None:
-        return self._rows.get((dataset, int(frame_index)))
-
-    def put(self, dataset: str, frame_index: int, rows: list[dict]) -> None:
-        self._rows[(dataset, int(frame_index))] = rows
-
     def get_many(
         self, dataset: str, frame_indices: Sequence[int]
     ) -> list[list[dict] | None]:
@@ -205,11 +198,11 @@ class InMemoryBackend:
 
 
 class SqliteBackend:
-    """One-table sqlite storage; survives restarts, supports point lookups
+    """One-table sqlite storage; survives restarts, supports indexed lookups
     without loading the whole cache (the right backend for long-lived
     state directories).
 
-    Writes are batched: ``put`` does not commit — the transaction lands
+    Writes are batched: ``put_many`` does not commit — the transaction lands
     on ``flush()`` (which the service calls once per tick) or ``close()``.
     One fsync per scheduling quantum instead of one per detector call,
     matching the durability the state layer promises (losing at most the
@@ -246,24 +239,11 @@ class SqliteBackend:
     def path(self) -> pathlib.Path:
         return self._path
 
-    def get(self, dataset: str, frame_index: int) -> list[dict] | None:
-        # int() before binding: sqlite stores what it is handed, so a
-        # numpy int put raw would create a row a plain-int lookup misses
-        row = self._conn.execute(
-            "SELECT payload FROM detections WHERE dataset = ? AND frame = ?",
-            (dataset, int(frame_index)),
-        ).fetchone()
-        return None if row is None else json.loads(row[0])
-
-    def put(self, dataset: str, frame_index: int, rows: list[dict]) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO detections (dataset, frame, payload) VALUES (?, ?, ?)",
-            (dataset, int(frame_index), json.dumps(rows)),
-        )
-
     def get_many(
         self, dataset: str, frame_indices: Sequence[int]
     ) -> list[list[dict] | None]:
+        # int() before binding: sqlite stores what it is handed, so a
+        # numpy int put raw would create a row a plain-int lookup misses
         frames = [int(f) for f in frame_indices]
         if not frames:
             return []
@@ -427,25 +407,6 @@ class TieredBackend:
 
     # -------------------------------------------------------------- protocol
 
-    def get(self, dataset: str, frame_index: int) -> list[dict] | None:
-        key = (dataset, int(frame_index))
-        if key in self._tier:
-            self._note(1, 0)
-            return self._touch(key)
-        self._note(0, 1)
-        if self._backing is None:
-            return None
-        rows = self._backing.get(dataset, key[1])
-        if rows is not None:
-            self._admit(key, rows)
-        return rows
-
-    def put(self, dataset: str, frame_index: int, rows: list[dict]) -> None:
-        frame = int(frame_index)
-        if self._backing is not None:  # write-through: eviction is lossless
-            self._backing.put(dataset, frame, rows)
-        self._admit((dataset, frame), rows)
-
     def get_many(
         self, dataset: str, frame_indices: Sequence[int]
     ) -> list[list[dict] | None]:
@@ -474,7 +435,7 @@ class TieredBackend:
 
     def put_many(self, dataset: str, items: Sequence[tuple[int, list[dict]]]) -> None:
         coerced = [(int(frame), rows) for frame, rows in items]
-        if self._backing is not None:
+        if self._backing is not None:  # write-through: eviction is lossless
             self._backing.put_many(dataset, coerced)
         for frame, rows in coerced:
             self._admit((dataset, frame), rows)
@@ -529,10 +490,8 @@ class DetectionCache:
     def backend(self) -> CacheBackend:
         return self._backend
 
-    def _record(
-        self, hits: int, misses: int, roundtrips: int, op: str, inserts: int = 0
-    ) -> None:
-        """Accumulate one lookup/write batch's telemetry deltas.
+    def _record(self, op: str, hits: int = 0, misses: int = 0, inserts: int = 0) -> None:
+        """Accumulate one backend round-trip's telemetry deltas.
 
         The cache sits on the per-frame serving path, so events are not
         mirrored into the registry one by one: while telemetry is
@@ -546,10 +505,7 @@ class DetectionCache:
         pending[0] += hits
         pending[1] += misses
         pending[2] += inserts
-        if op == "get":
-            pending[3] += roundtrips
-        else:
-            pending[4] += roundtrips
+        pending[3 if op == "get" else 4] += 1
 
     def _drain_telemetry(self) -> None:
         """Push accumulated deltas into the active registry.
@@ -586,35 +542,14 @@ class DetectionCache:
                     counter.inc(amount)
         self._tel_pending = [0, 0, 0, 0, 0]
 
-    def get(self, dataset: str, frame_index: int) -> tuple[Detection, ...] | None:
-        """Cached detections for a frame, or ``None`` on a miss.
-
-        Frame keys are coerced to plain ``int`` here, once, for every
-        facade path (and defensively again in the backends): a numpy
-        integer or bool must address the same entry as its ``int``
-        value on every backend.
-        """
-        rows = self._backend.get(dataset, int(frame_index))
-        if rows is None:
-            self.stats.misses += 1
-            self._record(0, 1, 1, "get")
-            return None
-        self.stats.hits += 1
-        self._record(1, 0, 1, "get")
-        return _decode(rows)
-
-    def put(
-        self, dataset: str, frame_index: int, detections: Sequence[Detection]
-    ) -> None:
-        self._backend.put(dataset, int(frame_index), _encode(detections))
-        self.stats.inserts += 1
-        self._record(0, 0, 1, "put", inserts=1)
-
     def get_many(
         self, dataset: str, frame_indices: Sequence[int]
     ) -> list[tuple[Detection, ...] | None]:
-        """Batch :meth:`get`: one backend round-trip, one entry per input
-        frame (``None`` on a miss).
+        """Cached detections per input frame (``None`` on a miss), in one
+        backend round-trip.
+
+        Frame keys are coerced to plain ``int`` by every backend: a numpy
+        integer or bool addresses the same entry as its ``int`` value.
 
         The partial-hit split is accounted *exactly, per batch*: the
         batch's hit/miss counts are computed in one pass and recorded
@@ -634,7 +569,7 @@ class DetectionCache:
         self.stats.batches += 1
         self.stats.last_batch_hits = batch_hits
         self.stats.last_batch_misses = batch_misses
-        self._record(batch_hits, batch_misses, 1, "get")
+        self._record("get", hits=batch_hits, misses=batch_misses)
         return out
 
     def put_many(
@@ -642,15 +577,11 @@ class DetectionCache:
         dataset: str,
         items: Sequence[tuple[int, Sequence[Detection]]],
     ) -> None:
-        """Batch :meth:`put`: one backend round-trip for the whole batch."""
+        """Store each ``(frame, detections)`` pair in one backend round-trip."""
         encoded = [(int(frame), _encode(dets)) for frame, dets in items]
         self._backend.put_many(dataset, encoded)
         self.stats.inserts += len(encoded)
-        self._record(0, 0, 1, "put", inserts=len(encoded))
-
-    def contains(self, dataset: str, frame_index: int) -> bool:
-        """Membership test without touching the hit/miss accounting."""
-        return self._backend.get(dataset, int(frame_index)) is not None
+        self._record("put", inserts=len(encoded))
 
     def frames(self, dataset: str) -> list[int]:
         """Sorted frame indices cached for ``dataset`` — the replay order
@@ -724,25 +655,17 @@ class CachingDetector:
         return self._detector.stats.frames_processed
 
     def detect(self, frame_index: int) -> list[Detection]:
-        self.stats.frames_processed += 1
-        cached = self._cache.get(self._dataset, frame_index)
-        if cached is None:
-            detections = self._detector.detect(frame_index)
-            self._cache.put(self._dataset, frame_index, detections)
-        else:
-            detections = list(cached)
-        self.stats.detections_emitted += len(detections)
-        return list(detections)
+        return self.detect_many([frame_index])[0]
 
     def detect_many(
         self, frame_indices: Sequence[int], while_waiting=None
     ) -> list[list[Detection]]:
-        """Batch :meth:`detect` with partial-hit splitting.
+        """Detections per input frame, with partial-hit splitting.
 
         One cache round-trip answers the hits; the misses (deduplicated,
         in first-seen order) go to the wrapped detector as **one** batch
         call and land in the cache as one batch write.  Results align
-        with the input frames, identical to per-frame :meth:`detect`.
+        with the input frames; :meth:`detect` is the one-frame case.
         ``while_waiting`` rides the miss call through
         :func:`~repro.detection.execution.batch_detect`.
         """
@@ -792,12 +715,7 @@ class CategoryFilterDetector:
         return self._category
 
     def detect(self, frame_index: int) -> list[Detection]:
-        self.stats.frames_processed += 1
-        detections = [
-            d for d in self._detector.detect(frame_index) if d.category == self._category
-        ]
-        self.stats.detections_emitted += len(detections)
-        return detections
+        return self.detect_many([frame_index])[0]
 
     def detect_many(self, frame_indices: Sequence[int]) -> list[list[Detection]]:
         frames = [int(f) for f in frame_indices]

@@ -51,6 +51,7 @@ from ..core.rng import DecisionRng, gamma_matrices
 from ..core.sampler import ExSample, plan_many
 from ..detection.cache import DetectionCache
 from ..detection.detector import Detector
+from ..detection.execution import batch_detect
 
 __all__ = [
     "SessionState",
@@ -289,12 +290,16 @@ def replay_cached_frames(
     re-draw of a replayed frame is a cache hit and the discriminator
     treats it consistently as a re-visit.
 
-    ``detector``, when given, is the fallback for a frame in ``frames``
-    that is *no longer cached*: the frame is re-detected (and, through a
-    caching detector, re-cached) instead of silently skipped.  This is
-    what keeps snapshot restores bit-exact across cache loss — a
-    restored session must absorb exactly the warm-start frames its live
-    run absorbed, or every decision after the divergence point changes.
+    The in-span frames are read in one ``cache.get_many`` round-trip (none
+    at all when no frame is in span) and observed in input order.
+
+    ``detector``, when given, is the fallback for the frames in ``frames``
+    that are *no longer cached*: they are re-detected in one batched call
+    (and, through a caching detector, re-cached) instead of silently
+    skipped.  This is what keeps snapshot restores bit-exact across cache
+    loss — a restored session must absorb exactly the warm-start frames
+    its live run absorbed, or every decision after the divergence point
+    changes.
     Without a detector, uncached frames are skipped (the pre-snapshot
     admission path, where ``frames`` *is* the cache listing).
 
@@ -309,24 +314,32 @@ def replay_cached_frames(
     starts = [raw_starts[i] for i in order]
     ends = [int(chunks[i].end_frame) for i in order]
 
-    replayed: list[int] = []
-    result_frames: list[int] = []
+    in_span: list[tuple[int, int]] = []  # (frame, chunk), in input order
     for frame in frames:
         pos = bisect.bisect_right(starts, frame) - 1
-        if pos < 0 or frame >= ends[pos]:
-            continue  # outside every chunk span
-        detections = cache.get(dataset, frame)
+        if pos >= 0 and frame < ends[pos]:  # else outside every chunk span
+            in_span.append((int(frame), int(order[pos])))
+    if not in_span:
+        return [], []
+    cached = cache.get_many(dataset, [frame for frame, _ in in_span])
+    if detector is not None:
+        missing = [frame for (frame, _), hit in zip(in_span, cached) if hit is None]
+        if missing:
+            fresh = iter(batch_detect(detector, missing))
+            cached = [tuple(next(fresh)) if hit is None else hit for hit in cached]
+
+    replayed: list[int] = []
+    result_frames: list[int] = []
+    for (frame, chunk), detections in zip(in_span, cached):
         if detections is None:
-            if detector is None:
-                continue
-            detections = tuple(detector.detect(int(frame)))
+            continue  # not cached, and no detector to fall back on
         if category is not None:
             detections = tuple(d for d in detections if d.category == category)
         outcome = sampler.discriminator.observe(frame, detections)
-        sampler.stats.record(int(order[pos]), outcome.d0, outcome.d1)
-        replayed.append(int(frame))
+        sampler.stats.record(chunk, outcome.d0, outcome.d1)
+        replayed.append(frame)
         if outcome.d0 > 0:
-            result_frames.append(int(frame))
+            result_frames.append(frame)
     return replayed, result_frames
 
 

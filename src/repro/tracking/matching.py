@@ -11,6 +11,8 @@ assignment.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["greedy_match", "MatchResult"]
 
 
@@ -39,45 +41,32 @@ class MatchResult:
         )
 
 
-def greedy_match(iou, threshold: float = 0.5) -> MatchResult:
+def greedy_match(iou: np.ndarray, threshold: float = 0.5) -> MatchResult:
     """Greedily match rows (detections) to columns (tracks).
 
-    ``iou`` may be an ndarray (what :func:`repro.video.geometry.iou_matrix`
-    produces) or a list of row lists; matching scans row-major and takes
-    the *first* maximum, exactly like ``np.argmax`` on the flattened
-    matrix.
-    Ties below ``threshold`` are never matched.  Complexity is
-    O(K · N·M) for K matches, which is trivial at per-frame scales.
+    ``iou`` is the 2-D ndarray :func:`repro.video.geometry.iou_matrix`
+    produces.  Each round takes the *first* maximum in row-major order
+    (``np.argmax`` on the flattened matrix), then masks its row and
+    column.  Ties below ``threshold`` are never matched.  Complexity is
+    O(K · N·M) for K matches, in numpy, which is trivial at per-frame
+    scales.
     """
-    if hasattr(iou, "ndim"):
-        if iou.ndim != 2:
-            raise ValueError("iou must be a 2-D matrix")
-        num_dets, num_tracks = (int(n) for n in iou.shape)
-        rows = [[float(v) for v in row] for row in iou]
-    else:
-        rows = [list(row) for row in iou]
-        if rows and any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("iou must be a 2-D matrix")
-        num_dets = len(rows)
-        num_tracks = len(rows[0]) if rows else 0
+    if iou.ndim != 2:
+        raise ValueError("iou must be a 2-D matrix")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
+    num_dets, num_tracks = (int(n) for n in iou.shape)
     pairs: dict[int, int] = {}
     if num_dets and num_tracks:
+        scores = np.array(iou, dtype=np.float64)  # masked as rows/columns match
         while True:
-            best = -1.0
-            det = track = -1
-            for d, row in enumerate(rows):
-                for t, v in enumerate(row):
-                    if v > best:
-                        best = v
-                        det, track = d, t
+            det, track = divmod(int(np.argmax(scores)), num_tracks)
+            best = float(scores[det, track])
             if best < threshold or best <= 0.0:
                 break
             pairs[det] = track
-            rows[det] = [-1.0] * num_tracks
-            for row in rows:
-                row[track] = -1.0
+            scores[det, :] = -1.0
+            scores[:, track] = -1.0
 
     unmatched_dets = [d for d in range(num_dets) if d not in pairs]
     matched_tracks = set(pairs.values())

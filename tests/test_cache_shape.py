@@ -7,7 +7,9 @@ does it.  A second level grows back one constructor parameter at a time
 (a worker that "may as well" remember its frames, a store "between"
 services), so this test reads the shapes: what the packages export, what
 the constructors accept, which series a sharded run emits, and that the
-paper's metric equals the work the workers really did.
+paper's metric equals the work the workers really did.  Storage is
+batch-only: a per-key ``get``/``put`` twin beside ``get_many``/``put_many``
+is a second read path, so the protocol's shape is pinned too.
 """
 
 import dataclasses
@@ -21,7 +23,13 @@ import repro
 import repro.detection.cache as cache_module
 import repro.distributed
 from repro import telemetry
-from repro.detection.cache import TieredBackend
+from repro.detection.cache import (
+    CacheBackend,
+    DetectionCache,
+    InMemoryBackend,
+    SqliteBackend,
+    TieredBackend,
+)
 from repro.distributed.coordinator import ShardCoordinator
 from repro.distributed.worker import WorkerSpec
 from repro.serving.service import QueryService
@@ -72,9 +80,36 @@ def test_constructors_carry_no_second_cache_knob(parameters, forbidden):
     assert not set(parameters) & set(forbidden), parameters
 
 
+@pytest.mark.parametrize(
+    "storage",
+    [CacheBackend, InMemoryBackend, SqliteBackend, TieredBackend, DetectionCache],
+    ids=lambda cls: cls.__name__,
+)
+def test_storage_protocol_is_batch_only(storage):
+    defined = set(vars(storage))
+    assert {"get_many", "put_many", "frames", "clear", "flush", "close"} <= defined
+    assert not defined & {"get", "put", "contains"}, sorted(defined)
+
+
+def test_no_source_line_makes_a_per_key_cache_call():
+    per_key = re.compile(
+        r"\b(cache|_cache|backend|_backend|backing|_backing|tier)\.(get|put|contains)\("
+    )
+    hits = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if per_key.search(line)
+    ]
+    assert not hits, hits
+
+
 def test_removed_names_stay_out_of_the_source_tree():
     gone = re.compile(
         r"CachePlane|cache_plane|JsonlBackend|CacheError|max_bytes|step_frames"
+        r"|record_batch"
     )
     hits = [
         f"{path.relative_to(SRC)}:{number}"

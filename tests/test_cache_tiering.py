@@ -180,13 +180,13 @@ def _rows(frame, n=1):
 
 def test_lru_evicts_oldest_and_touch_refreshes():
     tier = TieredBackend(max_entries=2)
-    tier.put("d", 1, _rows(1))
-    tier.put("d", 2, _rows(2))
-    assert tier.get("d", 1) is not None  # touch 1: now 2 is the LRU head
-    tier.put("d", 3, _rows(3))  # evicts 2
-    assert tier.get("d", 2) is None
-    assert tier.get("d", 1) is not None
-    assert tier.get("d", 3) is not None
+    tier.put_many("d", [(1, _rows(1))])
+    tier.put_many("d", [(2, _rows(2))])
+    assert tier.get_many("d", [1])[0] is not None  # touch 1: now 2 is the LRU head
+    tier.put_many("d", [(3, _rows(3))])  # evicts 2
+    assert tier.get_many("d", [2])[0] is None
+    assert tier.get_many("d", [1])[0] is not None
+    assert tier.get_many("d", [3])[0] is not None
     assert tier.tier_stats.evictions == 1
     assert tier.tier_entries == 2
 
@@ -194,21 +194,21 @@ def test_lru_evicts_oldest_and_touch_refreshes():
 def test_zero_budget_stores_nothing_but_backing_keeps_all():
     backing = InMemoryBackend()
     tier = TieredBackend(backing, max_entries=0)
-    tier.put("d", 1, _rows(1))
+    tier.put_many("d", [(1, _rows(1))])
     assert tier.tier_entries == 0
-    assert tier.get("d", 1) == _rows(1)  # served by the backing store
+    assert tier.get_many("d", [1])[0] == _rows(1)  # served by the backing store
     assert len(tier) == 1
 
 
 def test_write_through_makes_eviction_lossless():
     backing = InMemoryBackend()
     tier = TieredBackend(backing, max_entries=1)
-    tier.put("d", 1, _rows(1))
-    tier.put("d", 2, _rows(2))  # evicts 1 from the tier only
+    tier.put_many("d", [(1, _rows(1))])
+    tier.put_many("d", [(2, _rows(2))])  # evicts 1 from the tier only
     assert tier.tier_stats.evictions == 1
-    assert tier.get("d", 1) == _rows(1)  # falls through, re-admitted
+    assert tier.get_many("d", [1])[0] == _rows(1)  # falls through, re-admitted
     assert tier.tier_stats.hits == 0 and tier.tier_stats.misses == 1
-    assert tier.get("d", 1) == _rows(1)  # now a tier hit
+    assert tier.get_many("d", [1])[0] == _rows(1)  # now a tier hit
     assert tier.tier_stats.hits == 1
 
 
@@ -223,9 +223,9 @@ def test_frames_and_len_delegate_to_backing():
 
 def test_memory_only_tier_eviction_is_data_loss():
     tier = TieredBackend(max_entries=1)
-    tier.put("d", 1, _rows(1))
-    tier.put("d", 2, _rows(2))
-    assert tier.get("d", 1) is None  # gone for good: caller re-detects
+    tier.put_many("d", [(1, _rows(1))])
+    tier.put_many("d", [(2, _rows(2))])
+    assert tier.get_many("d", [1])[0] is None  # gone for good: caller re-detects
     assert tier.frames("d") == [2]
     assert len(tier) == 1
 
@@ -248,15 +248,15 @@ def test_facade_over_tiered_backend_round_trips(tmp_path):
     )
     cache = DetectionCache(backend)
     det = Detection(7, Box(1.0, 2.0, 3.0, 4.0), "bus", 0.5, true_instance_id=1)
-    cache.put("d", 7, [det])
-    cache.put("d", 8, [])  # evicts 7 from the tier
-    assert cache.get("d", 7) == (det,)  # sqlite still has it
+    cache.put_many("d", [(7, [det])])
+    cache.put_many("d", [(8, [])])  # evicts 7 from the tier
+    assert cache.get_many("d", [7])[0] == (det,)  # sqlite still has it
     assert cache.frames("d") == [7, 8]
     cache.close()
     reopened = DetectionCache(
         TieredBackend(SqliteBackend(tmp_path / "cache.sqlite"), max_entries=1)
     )
-    assert reopened.get("d", 7) == (det,)
+    assert reopened.get_many("d", [7])[0] == (det,)
     reopened.close()
 
 
@@ -276,10 +276,10 @@ def test_tiered_backing_always_agrees_with_bare_backend(ops, max_entries):
     tiered = TieredBackend(InMemoryBackend(), max_entries=max_entries)
     for is_put, frame in ops:
         if is_put:
-            bare.put("d", frame, _rows(frame))
-            tiered.put("d", frame, _rows(frame))
+            bare.put_many("d", [(frame, _rows(frame))])
+            tiered.put_many("d", [(frame, _rows(frame))])
         else:
-            assert tiered.get("d", frame) == bare.get("d", frame)
+            assert tiered.get_many("d", [frame])[0] == bare.get_many("d", [frame])[0]
     frames = list(range(10))
     assert tiered.get_many("d", frames) == bare.get_many("d", frames)
     assert tiered.frames("d") == bare.frames("d")

@@ -26,7 +26,9 @@ from repro.detection.cache import (
     TieredBackend,
 )
 from repro.detection.detector import Detection, OracleDetector, SimulatedDetector
+from repro.serving.service import QueryService
 from repro.serving.session import replay_cached_frames
+from repro.telemetry import parse_series_key
 from repro.tracking.discriminator import OracleDiscriminator
 from repro.video.geometry import Box
 from repro.video.repository import single_clip_repository
@@ -60,35 +62,35 @@ def all_backends(tmp_path):
 
 def test_miss_then_hit_accounting():
     cache = DetectionCache()
-    assert cache.get("d", 7) is None
+    assert cache.get_many("d", [7])[0] is None
     assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-    cache.put("d", 7, sample_detections())
+    cache.put_many("d", [(7, sample_detections())])
     assert cache.stats.inserts == 1
-    assert cache.get("d", 7) is not None
+    assert cache.get_many("d", [7])[0] is not None
     assert (cache.stats.hits, cache.stats.misses) == (1, 1)
     assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
 def test_contains_does_not_touch_stats():
     cache = DetectionCache()
-    cache.put("d", 7, sample_detections())
-    assert cache.contains("d", 7)
-    assert not cache.contains("d", 8)
+    cache.put_many("d", [(7, sample_detections())])
+    assert 7 in cache.frames("d")
+    assert 8 not in cache.frames("d")
     assert cache.stats.lookups == 0
 
 
 def test_empty_detection_list_is_cacheable():
     # "the detector saw nothing" must be a hit, not a recompute
     cache = DetectionCache()
-    cache.put("d", 3, [])
-    assert cache.get("d", 3) == ()
+    cache.put_many("d", [(3, [])])
+    assert cache.get_many("d", [3])[0] == ()
     assert cache.stats.hits == 1
 
 
 def test_datasets_are_namespaced():
     cache = DetectionCache()
-    cache.put("a", 5, sample_detections())
-    assert cache.get("b", 5) is None
+    cache.put_many("a", [(5, sample_detections())])
+    assert cache.get_many("b", [5])[0] is None
     assert cache.frames("a") == [5]
     assert cache.frames("b") == []
 
@@ -99,8 +101,8 @@ def test_round_trip_identity_all_backends(tmp_path):
     original = sample_detections()
     for backend in all_backends(tmp_path):
         cache = DetectionCache(backend)
-        cache.put("d", 7, original)
-        restored = cache.get("d", 7)
+        cache.put_many("d", [(7, original)])
+        restored = cache.get_many("d", [7])[0]
         assert restored == tuple(original)  # frozen dataclasses: deep equality
         cache.close()
 
@@ -108,36 +110,36 @@ def test_round_trip_identity_all_backends(tmp_path):
 def test_on_disk_backends_survive_reopen(tmp_path):
     path = tmp_path / "cache.sqlite"
     cache = DetectionCache(SqliteBackend(path))
-    cache.put("d", 3, sample_detections(3))
-    cache.put("d", 11, [])
-    cache.put("other", 3, sample_detections(3))
+    cache.put_many("d", [(3, sample_detections(3))])
+    cache.put_many("d", [(11, [])])
+    cache.put_many("other", [(3, sample_detections(3))])
     cache.close()
 
     reopened = DetectionCache(SqliteBackend(path))
     assert len(reopened) == 3
     assert reopened.frames("d") == [3, 11]
-    assert reopened.get("d", 3) == tuple(sample_detections(3))
-    assert reopened.get("d", 11) == ()
+    assert reopened.get_many("d", [3])[0] == tuple(sample_detections(3))
+    assert reopened.get_many("d", [11])[0] == ()
     reopened.close()
 
 
 def test_reput_supersedes(tmp_path):
     for backend in all_backends(tmp_path):
         cache = DetectionCache(backend)
-        cache.put("d", 7, sample_detections())
-        cache.put("d", 7, [])
-        assert cache.get("d", 7) == ()
+        cache.put_many("d", [(7, sample_detections())])
+        cache.put_many("d", [(7, [])])
+        assert cache.get_many("d", [7])[0] == ()
         cache.close()
 
 
 def test_sqlite_reput_latest_wins_across_reopen(tmp_path):
     path = tmp_path / "cache.sqlite"
     cache = DetectionCache(SqliteBackend(path))
-    cache.put("d", 7, sample_detections())
-    cache.put("d", 7, [])
+    cache.put_many("d", [(7, sample_detections())])
+    cache.put_many("d", [(7, [])])
     cache.close()
     reopened = DetectionCache(SqliteBackend(path))
-    assert reopened.get("d", 7) == ()
+    assert reopened.get_many("d", [7])[0] == ()
     assert len(reopened) == 1
     reopened.close()
 
@@ -146,7 +148,7 @@ def test_frames_sorted_regardless_of_insertion_order(tmp_path):
     for backend in all_backends(tmp_path):
         cache = DetectionCache(backend)
         for frame in (42, 7, 99, 13):
-            cache.put("d", frame, [])
+            cache.put_many("d", [(frame, [])])
         assert cache.frames("d") == [7, 13, 42, 99]
         cache.close()
 
@@ -247,13 +249,129 @@ def test_warm_start_matches_redetecting_same_frames(tmp_path, backend_name):
 def test_warm_start_skips_unknown_and_out_of_range_frames():
     repo = make_repo(total_frames=1000)
     cache = DetectionCache()
-    cache.put(repo.name, 100, [])
+    cache.put_many(repo.name, [(100, [])])
     sampler = _fresh_sampler(repo, num_chunks=4)
     replayed, result_frames = replay_cached_frames(
         sampler, cache, repo.name, category="bus", frames=[100, 500, 5000]
     )
     assert replayed == [100]  # 500 not cached, 5000 outside every chunk
     assert result_frames == []
+
+
+# ------------------------------------------- warm start in one round trip
+
+def _get_roundtrips():
+    """Backend ``get`` round-trips drained into the live registry."""
+    return sum(
+        value
+        for key, value in telemetry.get().snapshot()["counters"].items()
+        if parse_series_key(key)
+        == ("repro_cache_backend_roundtrips_total",
+            {"backend": "InMemoryBackend", "op": "get"})
+    )
+
+
+WARM_FRAMES = [3, 120, 250, 777, 1500, 2400, 3100, 3999]
+
+
+def test_warm_start_reads_every_cached_frame_in_one_round_trip():
+    repo = make_repo()
+    cache = DetectionCache()
+    cache.put_many(repo.name, [(f, OracleDetector(repo).detect(f)) for f in WARM_FRAMES])
+    service = QueryService(repo, cache=cache, chunk_frames=500, seed=5)
+    telemetry.enable()
+    try:
+        cache.flush()
+        before = _get_roundtrips()
+        warm = service.submit(repo.name, "bus", max_samples=10)
+        cache.flush()
+        assert service.status(warm).warm_frames_replayed == len(WARM_FRAMES)
+        assert _get_roundtrips() - before == 1  # one per frame before
+        cold = service.submit(repo.name, "bus", max_samples=10, warm_start=False)
+        cache.flush()
+        assert service.status(cold).warm_frames_replayed == 0
+        assert _get_roundtrips() - before == 1  # no lookup at all
+    finally:
+        telemetry.disable()
+        service.close()
+
+
+class _BatchRecorder:
+    """An oracle detector that records the size of every batch call."""
+
+    def __init__(self, repo):
+        self._inner = OracleDetector(repo)
+        self.stats = self._inner.stats
+        self.batches = []
+
+    def detect(self, frame_index):
+        self.batches.append(1)
+        return self._inner.detect(frame_index)
+
+    def detect_many(self, frame_indices):
+        self.batches.append(len(frame_indices))
+        return self._inner.detect_many(frame_indices)
+
+
+def _replay_per_frame(sampler, cache, dataset, category, frames, detector):
+    """The per-frame replay: one lookup per in-span frame, one detector
+    call per frame no longer cached."""
+    for frame in frames:
+        chunk = next(
+            (c.chunk_id for c in sampler.chunks if c.start_frame <= frame < c.end_frame),
+            None,
+        )
+        if chunk is None:
+            continue
+        (detections,) = cache.get_many(dataset, [frame])
+        if detections is None:
+            detections = tuple(detector.detect(frame))
+        detections = tuple(d for d in detections if d.category == category)
+        outcome = sampler.discriminator.observe(frame, detections)
+        sampler.stats.record(chunk, outcome.d0, outcome.d1)
+
+
+def test_restore_redetects_lost_frames_in_one_batch():
+    """A restore whose recorded warm frames were partly lost re-detects
+    them in one batched call, with the per-frame replay's hit, miss,
+    insert and detector-call totals and the same beliefs."""
+    repo = make_repo()
+    recorded = WARM_FRAMES + [9000]  # the last is outside every chunk span
+    kept = WARM_FRAMES[::2]  # the others were lost with the cache
+
+    def survivors():
+        cache = DetectionCache()
+        cache.put_many(repo.name, [(f, OracleDetector(repo).detect(f)) for f in kept])
+        cache.stats.reset()
+        return cache
+
+    cache, recorder = survivors(), _BatchRecorder(repo)
+    caching = CachingDetector(recorder, cache, repo.name)
+    batched = _fresh_sampler(repo)
+    replayed, _ = replay_cached_frames(
+        batched, cache, repo.name, category="bus", frames=recorded, detector=caching
+    )
+    assert replayed == WARM_FRAMES
+    lost = len(WARM_FRAMES) - len(kept)
+    assert recorder.batches == [lost]  # one batched detector call
+    assert cache.stats.batches == 2  # the replay's lookup and the detector's
+
+    reference_cache = survivors()
+    reference_caching = CachingDetector(OracleDetector(repo), reference_cache, repo.name)
+    reference = _fresh_sampler(repo)
+    _replay_per_frame(
+        reference, reference_cache, repo.name, "bus", recorded, reference_caching
+    )
+    assert reference_cache.stats.batches == len(WARM_FRAMES) + lost  # one per lookup
+
+    for attr in ("hits", "misses", "inserts"):
+        assert getattr(cache.stats, attr) == getattr(reference_cache.stats, attr), attr
+    assert (cache.stats.hits, cache.stats.misses) == (len(kept), 2 * lost)
+    assert caching.detector_calls == reference_caching.detector_calls == lost
+    assert cache.frames(repo.name) == sorted(WARM_FRAMES)
+    np.testing.assert_array_equal(batched.stats.n1, reference.stats.n1)
+    np.testing.assert_array_equal(batched.stats.n, reference.stats.n)
+    assert batched.results_found == reference.results_found
 
 
 # --------------------------------------------------------- sqlite WAL mode
@@ -330,10 +448,10 @@ def test_sqlite_reopen_after_kill9_mid_put_many(tmp_path):
     assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
     reopened = SqliteBackend(path)
     assert reopened.frames("d") == [1, 2]
-    assert reopened.get("d", 1) == [{"v": 1}]
-    assert reopened.get("d", 2) == []
-    assert reopened.get("d", 3) is None
-    reopened.put("d", 4, [])  # and the store still takes writes
+    assert reopened.get_many("d", [1])[0] == [{"v": 1}]
+    assert reopened.get_many("d", [2])[0] == []
+    assert reopened.get_many("d", [3])[0] is None
+    reopened.put_many("d", [(4, [])])  # and the store still takes writes
     reopened.close()
     assert SqliteBackend(path).frames("d") == [1, 2, 4]
 
@@ -358,9 +476,9 @@ def test_sqlite_torn_wal_tail_loses_only_the_last_commit(tmp_path):
     backend.close()
     reopened = SqliteBackend(torn / "cache.sqlite")
     assert reopened.frames("d") == [3, 9]
-    assert reopened.get("d", 3) == [{"v": 3}]
-    assert reopened.get("d", 11) is None  # never durable, never served
-    reopened.put("d", 11, [])
+    assert reopened.get_many("d", [3])[0] == [{"v": 3}]
+    assert reopened.get_many("d", [11])[0] is None  # never durable, never served
+    reopened.put_many("d", [(11, [])])
     reopened.close()
     assert SqliteBackend(torn / "cache.sqlite").frames("d") == [3, 9, 11]
 
@@ -370,7 +488,7 @@ def test_sqlite_corrupt_file_fails_loudly_on_open(tmp_path):
     fail on open, never guess and never serve from it."""
     path = tmp_path / "cache.sqlite"
     backend = SqliteBackend(path)
-    backend.put("d", 3, [{"v": 3}])
+    backend.put_many("d", [(3, [{"v": 3}])])
     backend.close()
     path.write_bytes(b"not a database " * 64)
     with pytest.raises(sqlite3.DatabaseError, match="not a database"):
@@ -412,7 +530,7 @@ def test_flush_and_close_are_idempotent_everywhere(tmp_path):
     must not race each other into exceptions."""
     for backend in _lifecycle_backends(tmp_path):
         cache = DetectionCache(backend)
-        cache.put("d", 7, sample_detections())
+        cache.put_many("d", [(7, sample_detections())])
         cache.flush()
         cache.flush()
         cache.close()
@@ -425,13 +543,13 @@ def test_flush_and_close_are_idempotent_everywhere(tmp_path):
 def test_sqlite_clear_resets_disk_and_stays_usable(tmp_path):
     path = tmp_path / "cache.sqlite"
     backend = SqliteBackend(path)
-    backend.put("d", 1, [{"v": 1}])
-    backend.put("d", 1, [{"v": 2}])
+    backend.put_many("d", [(1, [{"v": 1}])])
+    backend.put_many("d", [(1, [{"v": 2}])])
     backend.flush()
     backend.clear()
     assert len(backend) == 0
     assert backend.frames("d") == []
-    backend.put("d", 5, [])  # the cleared store accepts writes
+    backend.put_many("d", [(5, [])])  # the cleared store accepts writes
     backend.close()
     reopened = SqliteBackend(path)
     assert reopened.frames("d") == [5]  # nothing from before resurfaces
@@ -447,12 +565,12 @@ def test_numpy_frame_keys_address_plain_int_entries(tmp_path):
     identically for numpy integer and bool keys."""
     for backend in _lifecycle_backends(tmp_path):
         cache = DetectionCache(backend)
-        cache.put("d", np.int64(7), sample_detections())
-        assert cache.get("d", 7) == tuple(sample_detections())
-        assert cache.get("d", np.int32(7)) is not None
-        assert cache.contains("d", np.uint8(7))
-        cache.put("d", np.bool_(True), [])  # bool is an int: frame 1
-        assert cache.get("d", 1) == ()
+        cache.put_many("d", [(np.int64(7), sample_detections())])
+        assert cache.get_many("d", [7])[0] == tuple(sample_detections())
+        assert cache.get_many("d", [np.int32(7)])[0] is not None
+        assert cache.get_many("d", [np.uint8(7)])[0] is not None
+        cache.put_many("d", [(np.bool_(True), [])])  # bool is an int: frame 1
+        assert cache.get_many("d", [1])[0] == ()
         assert cache.frames("d") == [1, 7]
         assert all(type(f) is int for f in cache.frames("d"))
         cache.close()
@@ -483,9 +601,9 @@ def test_key_coercion_property_across_backends(ops):
         for backend in backends:
             for frame, as_numpy in ops:
                 key = np.int64(frame) if as_numpy else frame
-                backend.put("d", key, [{"f": frame}])
+                backend.put_many("d", [(key, [{"f": frame}])])
             for frame in range(31):
-                got = backend.get("d", np.int64(frame))
+                got = backend.get_many("d", [np.int64(frame)])[0]
                 if backend.frames("d") == sorted(reference):  # full view
                     assert got == reference.get(frame)
                 elif got is not None:  # bounded tier: subset, never wrong
@@ -499,10 +617,10 @@ def test_tier_counters_drain_at_durability_points():
     telemetry.enable()
     try:
         tier = TieredBackend(max_entries=1)
-        tier.put("d", 1, [{"v": 1}])
-        tier.put("d", 2, [{"v": 2}])  # evicts frame 1
-        assert tier.get("d", 2) is not None  # tier hit
-        assert tier.get("d", 1) is None  # tier miss (and gone: no backing)
+        tier.put_many("d", [(1, [{"v": 1}])])
+        tier.put_many("d", [(2, [{"v": 2}])])  # evicts frame 1
+        assert tier.get_many("d", [2])[0] is not None  # tier hit
+        assert tier.get_many("d", [1])[0] is None  # tier miss (and gone: no backing)
         snap = telemetry.get().snapshot()
         assert "repro_cache_tier_hits_total" not in snap["counters"]  # pending
         tier.flush()

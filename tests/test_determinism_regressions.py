@@ -139,7 +139,7 @@ def test_replay_cached_frames_detector_fallback():
         detector=shared,
     )
     assert replayed == [25, 160]
-    assert cache.contains("cam0", 160)  # re-cached on the way through
+    assert 160 in cache.frames("cam0")  # re-cached on the way through
 
 
 # ------------------------------------------------------------- cache drops
@@ -173,14 +173,14 @@ def test_backend_clear_empties_storage(tmp_path, backend):
     if backend == "tiered":  # clear must reach through the memory tier
         store = TieredBackend(store, max_entries=1)
     cache = DetectionCache(store)
-    cache.put("cam0", 1, [])
-    cache.put("cam0", 2, [])
+    cache.put_many("cam0", [(1, [])])
+    cache.put_many("cam0", [(2, [])])
     cache.flush()
     assert len(cache) == 2
     cache.clear()
     assert len(cache) == 0
     assert cache.frames("cam0") == []
-    cache.put("cam0", 3, [])
+    cache.put_many("cam0", [(3, [])])
     cache.flush()
     assert cache.frames("cam0") == [3]
     cache.close()

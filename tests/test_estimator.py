@@ -73,30 +73,6 @@ def test_views_are_read_only():
         stats.n[0] = 5
 
 
-def test_record_batch_is_commutative():
-    """§III-F: batched updates are additive, so order must not matter.
-
-    (Valid discriminator sequences only — d1 can never retire more results
-    than a chunk ever received; the defensive N1 floor is exercised in
-    ``test_n1_floor_at_zero``.)
-    """
-    chunks = np.array([0, 1, 0, 2])
-    d0s = np.array([2, 1, 3, 3])
-    d1s = np.array([0, 0, 1, 1])
-    forward = ChunkStatistics(3)
-    forward.record_batch(chunks, d0s, d1s)
-    backward = ChunkStatistics(3)
-    backward.record_batch(chunks[::-1], d0s[::-1], d1s[::-1])
-    np.testing.assert_array_equal(forward.n1, backward.n1)
-    np.testing.assert_array_equal(forward.n, backward.n)
-
-
-def test_record_batch_length_mismatch():
-    stats = ChunkStatistics(2)
-    with pytest.raises(ValueError):
-        stats.record_batch(np.array([0]), np.array([1, 2]), np.array([0]))
-
-
 @given(
     updates=st.lists(
         st.tuples(

@@ -168,8 +168,8 @@ def test_cache_get_many_accounts_hits_and_misses_per_frame():
     repo = make_repo()
     cache = DetectionCache()
     detector = OracleDetector(repo)
-    cache.put("d", 10, detector.detect(10))
-    cache.put("d", 30, detector.detect(30))
+    cache.put_many("d", [(10, detector.detect(10))])
+    cache.put_many("d", [(30, detector.detect(30))])
     results = cache.get_many("d", [10, 20, 30, 40])
     assert results[0] is not None and results[2] is not None
     assert results[1] is None and results[3] is None
@@ -184,7 +184,7 @@ def test_cache_put_many_single_round_trip(tmp_path):
     cache.put_many("d", items)
     assert cache.stats.inserts == 3
     for frame, dets in items:
-        assert cache.get("d", frame) == tuple(dets)
+        assert cache.get_many("d", [frame])[0] == tuple(dets)
     cache.close()
 
 
@@ -212,7 +212,7 @@ def test_caching_detector_batch_partial_hit_splitting():
     # the wrapped detector is only charged for unique misses
     assert caching.detector_calls - calls_before == 2
     # and the misses are now cached
-    assert cache.contains("d", 200) and cache.contains("d", 400)
+    assert 200 in cache.frames("d") and 400 in cache.frames("d")
 
 
 def test_caching_detector_batch_empty_input():

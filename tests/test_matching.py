@@ -84,3 +84,41 @@ def test_matching_invariants(n, m, seed, threshold):
     for det in result.unmatched_detections:
         for track in result.unmatched_tracks:
             assert iou[det, track] < threshold or iou[det, track] <= 0.0
+
+
+def _reference_match(iou, threshold):
+    """The per-element scan: first maximum in row-major order, per round."""
+    rows = [[float(v) for v in row] for row in iou]
+    pairs = {}
+    while rows and rows[0]:
+        best, det, track = -1.0, -1, -1
+        for d, row in enumerate(rows):
+            for t, v in enumerate(row):
+                if v > best:
+                    best, det, track = v, d, t
+        if best < threshold or best <= 0.0:
+            break
+        pairs[det] = track
+        rows[det] = [-1.0] * len(rows[det])
+        for row in rows:
+            row[track] = -1.0
+    return pairs
+
+
+def test_ties_break_row_major():
+    result = greedy_match(np.full((2, 3), 0.7), threshold=0.5)
+    assert result.pairs == {0: 0, 1: 1}
+    assert result.unmatched_tracks == [2]
+
+
+@given(
+    n=st.integers(min_value=0, max_value=6),
+    m=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=1000),
+    threshold=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_the_per_element_scan(n, m, seed, threshold):
+    # quarter steps make ties common, so the tie-break is exercised
+    iou = np.random.default_rng(seed).integers(0, 5, size=(n, m)) / 4.0
+    assert greedy_match(iou, threshold=threshold).pairs == _reference_match(iou, threshold)

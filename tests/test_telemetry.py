@@ -338,8 +338,8 @@ def _oracle_world():
 
 def test_get_many_reports_exact_per_batch_split():
     cache = DetectionCache()
-    cache.put("cam0", 1, [])
-    cache.put("cam0", 3, [])
+    cache.put_many("cam0", [(1, [])])
+    cache.put_many("cam0", [(3, [])])
     out = cache.get_many("cam0", [1, 2, 3, 4, 1])
     assert [o is not None for o in out] == [True, False, True, False, True]
     assert cache.stats.batches == 1
@@ -354,15 +354,15 @@ def test_get_many_reports_exact_per_batch_split():
 
 def test_clear_resets_accounting():
     cache = DetectionCache()
-    cache.put("cam0", 1, [])
-    cache.get("cam0", 1)
-    cache.get("cam0", 2)
+    cache.put_many("cam0", [(1, [])])
+    cache.get_many("cam0", [1])
+    cache.get_many("cam0", [2])
     assert cache.stats.lookups == 2
     cache.clear()
     assert cache.stats.lookups == 0 and cache.stats.inserts == 0
     assert cache.stats.hit_rate == 0.0
     # post-clear rates describe only the post-clear population
-    cache.get("cam0", 1)
+    cache.get_many("cam0", [1])
     assert (cache.stats.hits, cache.stats.misses) == (0, 1)
 
 
