@@ -195,13 +195,7 @@ class ThompsonSumScheduler:
     best chunk's expected new-results-per-frame, and the budget splits in
     proportion — frames flow to the sessions most likely to convert them
     into results, re-balancing every tick as posteriors sharpen.
-
-    ``priority_weighted=True`` multiplies each bid by the session's
-    priority, composing both policies.
     """
-
-    def __init__(self, priority_weighted: bool = False):
-        self._priority_weighted = priority_weighted
 
     def allocate(
         self,
@@ -214,8 +208,6 @@ class ThompsonSumScheduler:
             return {}
         # one kernel call for every session's bid (QuerySession.thompson_draws)
         bids = QuerySession.thompson_draws(sessions, rng)
-        if self._priority_weighted:
-            bids = [bid * session.priority for bid, session in zip(bids, sessions)]
         return proportional_allocation(
             [s.session_id for s in sessions], bids, budget
         )

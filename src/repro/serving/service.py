@@ -790,18 +790,21 @@ class QueryService:
             batch_size=spec.batch_size,
             repository=repo,
         )
-        # the shared detector backs the replay so a warm-start frame that
-        # fell out of the cache (process crash with an in-memory backend,
-        # an operator wiping cache.sqlite) is re-detected instead of
-        # silently skipped — skipping would silently change every sampling
-        # decision a restored session makes after the divergence point
+        # the detector behind the shared cache backs the replay so a
+        # warm-start frame that fell out of the cache (process crash with
+        # an in-memory backend, an operator wiping cache.sqlite) is
+        # re-detected instead of silently skipped — skipping would silently
+        # change every sampling decision a restored session makes after
+        # the divergence point.  The replay's own lookup already missed,
+        # so the re-detection bypasses the cache and the replay writes it
+        # back.
         replayed, result_frames = replay_cached_frames(
             engine,
             self._cache,
             spec.dataset,
             category=spec.category,
             frames=warm_frames,
-            detector=self._shared_detector(spec.dataset),
+            detector=self._shared_detector(spec.dataset).wrapped,
         )
 
         # replay by frame count, not step count, planning each batch with

@@ -295,8 +295,9 @@ def replay_cached_frames(
 
     ``detector``, when given, is the fallback for the frames in ``frames``
     that are *no longer cached*: they are re-detected in one batched call
-    (and, through a caching detector, re-cached) instead of silently
-    skipped.  This is what keeps snapshot restores bit-exact across cache
+    and written back with one ``cache.put_many`` instead of silently
+    skipped.  Pass the raw detector behind the cache: the replay's own
+    ``get_many`` is the only lookup.  This is what keeps snapshot restores bit-exact across cache
     loss — a restored session must absorb exactly the warm-start frames
     its live run absorbed, or every decision after the divergence point
     changes.
@@ -325,7 +326,9 @@ def replay_cached_frames(
     if detector is not None:
         missing = [frame for (frame, _), hit in zip(in_span, cached) if hit is None]
         if missing:
-            fresh = iter(batch_detect(detector, missing))
+            detected = batch_detect(detector, missing)
+            cache.put_many(dataset, list(zip(missing, detected)))
+            fresh = iter(detected)
             cached = [tuple(next(fresh)) if hit is None else hit for hit in cached]
 
     replayed: list[int] = []

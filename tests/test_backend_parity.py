@@ -30,6 +30,7 @@ import subprocess
 import sys
 
 import pytest
+from contracts import assert_same_decisions, fingerprint, parity_service, small_world
 
 from repro.core.chunking import IncrementalChunker
 from repro.core.rng import DecisionRng
@@ -45,9 +46,6 @@ from repro.serving import (
 from repro.serving.session import SessionSnapshot
 from repro.simulation import generate_scenario, run_scenario
 from repro.tracking.discriminator import OracleDiscriminator
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository
 
 SCHEDULERS = {
     "round-robin": RoundRobinScheduler,
@@ -55,54 +53,29 @@ SCHEDULERS = {
     "thompson": ThompsonSumScheduler,
 }
 
-def parity_repository(seed: int) -> VideoRepository:
-    clips, start = [], 0
-    for clip_id, frames in enumerate((80, 70, 90, 60)):
-        clips.append(VideoClip(clip_id, f"c{clip_id}", start, frames))
-        start += frames
-    instances = [
-        ObjectInstance(
-            instance_id=i,
-            category="bus" if i < 3 else "car",
-            trajectory=Trajectory.stationary(
-                (20 + 37 * seed + 61 * i) % 270, 25, Box(0.0, 0.0, 1.0, 1.0)
-            ),
-        )
-        for i in range(5)
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
 
-
-def serve_fixed_workload(seed: int, scheduler: str, shards: int) -> bytes:
-    """Run the canonical two-session workload; return the decision bytes."""
-    service = QueryService(
-        parity_repository(seed),
+def _serve(seed, scheduler, shards):
+    """Run the canonical two-session workload; return its fingerprint."""
+    service = parity_service(
+        small_world(seed), seed, "sharded" if shards > 1 else "local", shards,
         scheduler=SCHEDULERS[scheduler](),
-        frames_per_tick=16,
-        chunk_frames=50,
-        execution="sharded" if shards > 1 else "local",
-        shards=shards,
-        seed=seed,
     )
     try:
         a = service.submit("cam0", "bus", limit=3, max_samples=40, priority=2.0)
         b = service.submit("cam0", "car", max_samples=30)
         service.run_until_idle(max_ticks=50)
-        payload = {}
-        for sid in (a, b):
-            session = service.sessions[sid]
-            payload[sid] = {
-                "state": session.state.value,
-                "results_found": session.results_found,
-                "result_frames": session.result_frames(),
-                "per_chunk_samples": [int(n) for n in session.engine.stats.n],
-                "sampled_frames": [
-                    int(f) for f in session.engine.history.frame_indices
-                ],
-            }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+        return fingerprint(service, (a, b))
     finally:
         service.close()
+
+
+def _across_executors(executor, workload):
+    """The vector executor's decisions equal the scalar reference's."""
+    def run(kind):
+        executor(kind)
+        return workload()
+
+    assert_same_decisions(run, "vector", "scalar")
 
 
 # ----------------------------------------------- serving workload matrix
@@ -110,20 +83,12 @@ def serve_fixed_workload(seed: int, scheduler: str, shards: int) -> bytes:
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_serving_matrix_numpy_vs_fallback(executor, seed, scheduler):
-    executor("vector")
-    fast = serve_fixed_workload(seed, scheduler, shards=1)
-    executor("scalar")
-    slow = serve_fixed_workload(seed, scheduler, shards=1)
-    assert fast == slow
+    _across_executors(executor, lambda: _serve(seed, scheduler, shards=1))
 
 
 @pytest.mark.parametrize("shards", [2, 3])
 def test_serving_sharded_numpy_vs_fallback(executor, shards):
-    executor("vector")
-    fast = serve_fixed_workload(5, "round-robin", shards=shards)
-    executor("scalar")
-    slow = serve_fixed_workload(5, "round-robin", shards=shards)
-    assert fast == slow
+    _across_executors(executor, lambda: _serve(5, "round-robin", shards=shards))
 
 
 # ------------------------------------------------- whole-scenario digests
@@ -178,7 +143,7 @@ def test_scenario_digest_matches_with_numpy_import_blocked(tmp_path):
 def make_engine(horizon=200, chunk_frames=50, seed=0):
     """An engine over the first ``horizon`` frames plus the chunker that
     can grow it — the same incremental shape the serving layer uses."""
-    repo = parity_repository(seed)
+    repo = small_world(seed)
     rng = DecisionRng(seed)
     chunker = IncrementalChunker(repo, rng, chunk_frames=chunk_frames)
     chunks = chunker.take(up_to_horizon=horizon)
@@ -234,7 +199,7 @@ def test_extend_decisions_identical_across_backends(executor):
 @pytest.mark.parametrize("forced", [False, True])
 def test_snapshot_restore_replays_flat_layout(executor, forced):
     executor("scalar" if forced else "vector")
-    repo = parity_repository(1)
+    repo = small_world(1)
     service = QueryService(
         repo, cache=DetectionCache(), frames_per_tick=12, chunk_frames=50, seed=0
     )
@@ -292,7 +257,7 @@ def test_pre_vectorization_snapshot_restores_and_replays():
     snapshot = SessionSnapshot.from_dict(json.loads(json.dumps(old_format)))
     assert snapshot.batch_size == 1 and snapshot.horizons == ()
 
-    repo = parity_repository(4)
+    repo = small_world(4)
     restored_host = QueryService(repo, frames_per_tick=12, chunk_frames=50, seed=0)
     restored_sid = restored_host.restore(snapshot)
     restored_host.run_until_idle(max_ticks=40)

@@ -18,6 +18,7 @@ import pathlib
 import re
 
 import pytest
+from contracts import clip_repository, stationary_instance
 
 import repro
 import repro.detection.cache as cache_module
@@ -34,9 +35,6 @@ from repro.distributed.coordinator import ShardCoordinator
 from repro.distributed.worker import WorkerSpec
 from repro.serving.service import QueryService
 from repro.telemetry import parse_series_key
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -109,7 +107,7 @@ def test_no_source_line_makes_a_per_key_cache_call():
 def test_removed_names_stay_out_of_the_source_tree():
     gone = re.compile(
         r"CachePlane|cache_plane|JsonlBackend|CacheError|max_bytes|step_frames"
-        r"|record_batch"
+        r"|record_batch|priority_weighted"
     )
     hits = [
         f"{path.relative_to(SRC)}:{number}"
@@ -126,18 +124,12 @@ def test_removed_names_stay_out_of_the_source_tree():
 # ------------------------------------------------------- a 2-shard run
 
 def _repository():
-    clips = [VideoClip(0, "c0", 0, 200), VideoClip(1, "c1", 200, 200)]
-    instances = [
-        ObjectInstance(
-            instance_id=i,
-            category=category,
-            trajectory=Trajectory.stationary(begin, 25, Box(0.0, 0.0, 1.0, 1.0)),
-        )
+    return clip_repository("cam0", (200, 200), [
+        stationary_instance(i, begin, 25, category)
         for i, (begin, category) in enumerate(
             [(10, "bus"), (230, "bus"), (90, "car"), (310, "car")]
         )
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
+    ])
 
 
 def _sharded_service(cache_budget):

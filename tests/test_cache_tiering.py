@@ -12,8 +12,7 @@ frame detected under one is a hit for all, again without touching
 answers).
 """
 
-import json
-
+from contracts import assert_same_decisions, fingerprint, matrix_world, parity_service
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,65 +23,7 @@ from repro.detection.cache import (
     TieredBackend,
 )
 from repro.distributed.coordinator import ShardCoordinator
-from repro.serving.service import QueryService
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository
-
-
-def _instance(instance_id, start, duration, category):
-    return ObjectInstance(
-        instance_id=instance_id,
-        category=category,
-        trajectory=Trajectory.stationary(start, duration, Box(0.0, 0.0, 1.0, 1.0)),
-    )
-
-
-def _repository(seed):
-    """Same deterministic multi-clip world the distributed parity matrix
-    uses; seed shifts the ground truth so every row searches different
-    footage."""
-    clips, start = [], 0
-    for clip_id, frames in enumerate((80, 70, 90, 60, 100)):
-        clips.append(VideoClip(clip_id, f"c{clip_id}", start, frames))
-        start += frames
-    instances = [
-        _instance(0, (10 + 31 * seed) % 60, 25, "bus"),
-        _instance(1, 90 + (17 * seed) % 50, 30, "bus"),
-        _instance(2, 230 + (7 * seed) % 40, 20, "bus"),
-        _instance(3, 310 + (11 * seed) % 60, 30, "bus"),
-        _instance(4, 40 + (13 * seed) % 100, 22, "car"),
-        _instance(5, 250 + (19 * seed) % 80, 28, "car"),
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
-
-
-def _fingerprint(service, session_ids):
-    payload = {}
-    for sid in session_ids:
-        session = service.sessions[sid]
-        payload[sid] = {
-            "state": session.state.value,
-            "results_found": session.results_found,
-            "result_frames": session.result_frames(),
-            "frames_processed": session.frames_processed,
-            "per_chunk_samples": [int(n) for n in session.engine.stats.n],
-            "sampled_frames": [int(f) for f in session.engine.history.frame_indices],
-        }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
-def _service(seed, execution, shards, cache_budget=None, cache=None):
-    return QueryService(
-        _repository(seed),
-        frames_per_tick=16,
-        chunk_frames=50,
-        execution=execution,
-        shards=shards,
-        seed=seed,
-        cache_budget=cache_budget,
-        cache=cache,
-    )
+from repro.video.geometry import Box
 
 
 def _submit(service, **options):
@@ -102,11 +43,13 @@ def _run(seed, execution, shards, cache_budget):
     so submitting mid-run would legitimately couple warm-start contents
     (and therefore decisions) to the budget — see CONTRIBUTING.md.
     """
-    service = _service(seed, execution, shards, cache_budget)
+    service = parity_service(
+        matrix_world(seed), seed, execution, shards, cache_budget=cache_budget
+    )
     try:
         sids = _submit(service)
         service.run_until_idle(max_ticks=200)
-        return _fingerprint(service, sids), service.detector_calls
+        return fingerprint(service, sids), service.detector_calls
     finally:
         service.close()
 
@@ -122,10 +65,14 @@ def test_eviction_parity_matrix_local():
     shrinks)."""
     total = [0, 0, 0]
     for seed in (0, 1, 2, 3, 4):
-        runs = [_run(seed, "local", 1, budget) for budget in BUDGETS]
-        fingerprints = {fp for fp, _ in runs}
-        assert len(fingerprints) == 1, f"seed {seed}: budgets changed answers"
-        calls = [c for _, c in runs]
+        calls = []
+
+        def run(leg):
+            fp, detector_calls = _run(*leg)
+            calls.append(detector_calls)
+            return fp
+
+        assert_same_decisions(run, *[(seed, "local", 1, budget) for budget in BUDGETS])
         assert calls[0] <= calls[1] <= calls[2], (
             f"seed {seed}: shrinking the budget must not *save* detector "
             f"calls: {calls}"
@@ -140,13 +87,10 @@ def test_eviction_parity_matrix_sharded():
     """The same contract under sharded execution: the one cache in front
     of the coordinator is bounded, the workers hold nothing."""
     for seed in (0, 1, 2):
-        local_fp, _ = _run(seed, "local", 1, None)
-        for budget in BUDGETS:
-            fp, _ = _run(seed, "sharded", 2, budget)
-            assert fp == local_fp, (
-                f"seed {seed}, budget {budget}: sharded+tiered diverged "
-                "from the unbounded local run"
-            )
+        assert_same_decisions(
+            lambda leg: _run(*leg)[0],
+            (seed, "local", 1, None), *[(seed, "sharded", 2, budget) for budget in BUDGETS],
+        )
 
 
 def test_eviction_parity_with_shared_cache():
@@ -154,14 +98,16 @@ def test_eviction_parity_with_shared_cache():
     each other's entries all the way through; neither's answers move."""
     local_fp, _ = _run(0, "local", 1, None)
     shared = DetectionCache(TieredBackend(max_entries=3))
-    tenants = [_service(0, "sharded", 2, cache=shared) for _ in range(2)]
+    tenants = [
+        parity_service(matrix_world(0), 0, "sharded", 2, cache=shared) for _ in range(2)
+    ]
     try:
         sids = [_submit(service) for service in tenants]  # cache still empty
         for _ in range(200):
             if not any(service.tick() for service in tenants):
                 break
         for service, session_ids in zip(tenants, sids):
-            assert _fingerprint(service, session_ids) == local_fp
+            assert fingerprint(service, session_ids) == local_fp
         assert shared.backend.tier_stats.evictions > 0
     finally:
         for service in tenants:
@@ -301,12 +247,12 @@ def test_shared_cache_spares_second_coordinator_every_worker():
     workers are never even spawned."""
     shared = DetectionCache()
     frames = [5, 85, 160, 240, 330]
-    first = ShardCoordinator(_repository(0), 2)
+    first = ShardCoordinator(matrix_world(0), 2)
     a = CachingDetector(first, shared, "cam0").detect_many(frames)
     assert _worker_calls(first) == len(frames)
     first.close()
 
-    second = ShardCoordinator(_repository(0), 2)
+    second = ShardCoordinator(matrix_world(0), 2)
     b = CachingDetector(second, shared, "cam0").detect_many(frames)
     assert second.stats.frames_processed == 0
     assert second.worker_stats() == {}  # all hits: no worker ever spawned
@@ -316,10 +262,10 @@ def test_shared_cache_spares_second_coordinator_every_worker():
 
 def test_shared_cache_partial_overlap_dispatches_only_misses():
     shared = DetectionCache()
-    first = ShardCoordinator(_repository(0), 2)
+    first = ShardCoordinator(matrix_world(0), 2)
     CachingDetector(first, shared, "cam0").detect_many([5, 85])
     first.close()
-    second = ShardCoordinator(_repository(0), 2)
+    second = ShardCoordinator(matrix_world(0), 2)
     CachingDetector(second, shared, "cam0").detect_many([5, 85, 160])
     assert second.stats.frames_processed == 1
     assert _worker_calls(second) == 1  # only the miss reached a worker
@@ -333,7 +279,7 @@ def test_shared_cache_saves_second_tenant_detector_calls():
     way."""
 
     def tenant_worker_calls(cache):
-        service = _service(1, "sharded", 2, cache=cache)
+        service = parity_service(matrix_world(1), 1, "sharded", 2, cache=cache)
         try:
             # no warm start: replaying the first tenant's frames into
             # the second's beliefs is the one way cache contents reach
@@ -342,7 +288,7 @@ def test_shared_cache_saves_second_tenant_detector_calls():
             service.run_until_idle(max_ticks=200)
             calls = _worker_calls(service.shard_backend("cam0"))
             assert calls == service.detector_calls
-            return _fingerprint(service, sids), calls
+            return fingerprint(service, sids), calls
         finally:
             service.close()
 

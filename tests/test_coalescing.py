@@ -8,6 +8,7 @@ accounting may change.
 
 import numpy as np
 import pytest
+from contracts import CountingDetector
 
 from repro.core.chunking import even_count_chunks
 from repro.core.multiquery import MultiQueryExSample
@@ -162,29 +163,12 @@ def test_multiquery_step_batch_returns_all_frames():
 
 # ---------------------------------------------------- service coalescing
 
-class RecordingDetector:
-    """Wraps a detector, recording every batch size it services."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.stats = inner.stats
-        self.batches: list[int] = []
-
-    def detect(self, frame_index):
-        self.batches.append(1)
-        return self._inner.detect(frame_index)
-
-    def detect_many(self, frame_indices):
-        self.batches.append(len(frame_indices))
-        return self._inner.detect_many(frame_indices)
-
-
 def test_tick_coalesces_sessions_into_one_batched_call():
     repo = make_repo()
     recorder = {}
 
     def factory(r):
-        recorder["detector"] = RecordingDetector(OracleDetector(r))
+        recorder["detector"] = CountingDetector(OracleDetector(r))
         return recorder["detector"]
 
     service = QueryService(
@@ -293,24 +277,6 @@ def test_paused_session_keeps_its_budget_deficit():
     assert service.status(sid).frames_processed == 16
 
 
-class FlakyDetector:
-    """Raises on the first detect_many call, then recovers."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.stats = inner.stats
-        self.failures_left = 1
-
-    def detect(self, frame_index):
-        return self._inner.detect(frame_index)
-
-    def detect_many(self, frame_indices):
-        if self.failures_left > 0:
-            self.failures_left -= 1
-            raise RuntimeError("transient detector outage")
-        return self._inner.detect_many(frame_indices)
-
-
 def test_detector_failure_mid_tick_loses_only_the_tick_in_flight():
     repo = make_repo()
     plain = QueryService(
@@ -318,7 +284,7 @@ def test_detector_failure_mid_tick_loses_only_the_tick_in_flight():
     )
     flaky = QueryService(
         repo, chunk_frames=repo.total_frames // 8, frames_per_tick=8, batch_size=4,
-        detector_factory=lambda r: FlakyDetector(OracleDetector(r)),
+        detector_factory=lambda r: CountingDetector(OracleDetector(r), fail_on={1}),
     )
     ref = plain.submit("synthetic", "bus", limit=10, seed=5, warm_start=False)
     sid = flaky.submit("synthetic", "bus", limit=10, seed=5, warm_start=False)
@@ -339,14 +305,13 @@ def test_detector_failure_does_not_erase_carried_deficit():
     repo = make_repo()
     service = QueryService(
         repo, chunk_frames=repo.total_frames // 8, frames_per_tick=6, batch_size=8,
-        detector_factory=lambda r: FlakyDetector(OracleDetector(r)),
+        detector_factory=lambda r: CountingDetector(OracleDetector(r)),
     )
     sid = service.submit("synthetic", "bus", limit=10_000, seed=3, warm_start=False)
-    detector = service._shared_detector("synthetic")._detector
-    detector.failures_left = 0
+    detector = service._shared_detector("synthetic").wrapped
     service.tick()  # full 8-frame batch against a 6-frame share -> debt 2
     assert service._deficits[sid] == 2
-    detector.failures_left = 1
+    detector.fail_on = {len(detector.batches) + 1}
     with pytest.raises(RuntimeError):
         service.tick()  # remaining 6-2=4 > 0, so the detector is hit
     assert service._deficits[sid] == 2  # debt intact, nothing forgiven
@@ -370,10 +335,9 @@ def test_failed_final_batch_is_not_dropped_on_exhaustion():
     def run(failures):
         service = QueryService(
             tiny, chunk_frames=4, frames_per_tick=8, batch_size=8,
-            detector_factory=lambda r: FlakyDetector(OracleDetector(r)),
+            detector_factory=lambda r: CountingDetector(OracleDetector(r), fail_on=failures),
         )
         sid = service.submit(tiny.name, "bus", limit=10_000, seed=2, warm_start=False)
-        service._shared_detector(tiny.name)._detector.failures_left = failures
         if failures:
             with pytest.raises(RuntimeError):
                 service.tick()
@@ -384,7 +348,7 @@ def test_failed_final_batch_is_not_dropped_on_exhaustion():
         assert status.frames_processed == 8  # every frame committed
         return service.results(sid)
 
-    assert run(failures=1) == run(failures=0)
+    assert run(failures={1}) == run(failures=())
 
 
 def test_detector_latency_does_not_change_any_session_answer():

@@ -11,6 +11,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from contracts import CountingDetector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,23 +297,6 @@ def test_warm_start_reads_every_cached_frame_in_one_round_trip():
         service.close()
 
 
-class _BatchRecorder:
-    """An oracle detector that records the size of every batch call."""
-
-    def __init__(self, repo):
-        self._inner = OracleDetector(repo)
-        self.stats = self._inner.stats
-        self.batches = []
-
-    def detect(self, frame_index):
-        self.batches.append(1)
-        return self._inner.detect(frame_index)
-
-    def detect_many(self, frame_indices):
-        self.batches.append(len(frame_indices))
-        return self._inner.detect_many(frame_indices)
-
-
 def _replay_per_frame(sampler, cache, dataset, category, frames, detector):
     """The per-frame replay: one lookup per in-span frame, one detector
     call per frame no longer cached."""
@@ -332,9 +316,10 @@ def _replay_per_frame(sampler, cache, dataset, category, frames, detector):
 
 
 def test_restore_redetects_lost_frames_in_one_batch():
-    """A restore whose recorded warm frames were partly lost re-detects
-    them in one batched call, with the per-frame replay's hit, miss,
-    insert and detector-call totals and the same beliefs."""
+    """A restore whose recorded warm frames were partly lost looks each
+    frame up once and re-detects the lost ones in one batched call, with
+    the per-frame replay's hit, insert and detector-call totals and the
+    same beliefs."""
     repo = make_repo()
     recorded = WARM_FRAMES + [9000]  # the last is outside every chunk span
     kept = WARM_FRAMES[::2]  # the others were lost with the cache
@@ -345,16 +330,15 @@ def test_restore_redetects_lost_frames_in_one_batch():
         cache.stats.reset()
         return cache
 
-    cache, recorder = survivors(), _BatchRecorder(repo)
-    caching = CachingDetector(recorder, cache, repo.name)
+    cache, recorder = survivors(), CountingDetector(OracleDetector(repo))
     batched = _fresh_sampler(repo)
     replayed, _ = replay_cached_frames(
-        batched, cache, repo.name, category="bus", frames=recorded, detector=caching
+        batched, cache, repo.name, category="bus", frames=recorded, detector=recorder
     )
     assert replayed == WARM_FRAMES
     lost = len(WARM_FRAMES) - len(kept)
     assert recorder.batches == [lost]  # one batched detector call
-    assert cache.stats.batches == 2  # the replay's lookup and the detector's
+    assert cache.stats.batches == 1  # the replay's lookup is the only one
 
     reference_cache = survivors()
     reference_caching = CachingDetector(OracleDetector(repo), reference_cache, repo.name)
@@ -364,14 +348,28 @@ def test_restore_redetects_lost_frames_in_one_batch():
     )
     assert reference_cache.stats.batches == len(WARM_FRAMES) + lost  # one per lookup
 
-    for attr in ("hits", "misses", "inserts"):
+    for attr in ("hits", "inserts"):
         assert getattr(cache.stats, attr) == getattr(reference_cache.stats, attr), attr
-    assert (cache.stats.hits, cache.stats.misses) == (len(kept), 2 * lost)
-    assert caching.detector_calls == reference_caching.detector_calls == lost
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.inserts) == (
+        len(kept), lost, lost,
+    )
+    assert recorder.stats.frames_processed == reference_caching.detector_calls == lost
     assert cache.frames(repo.name) == sorted(WARM_FRAMES)
     np.testing.assert_array_equal(batched.stats.n1, reference.stats.n1)
     np.testing.assert_array_equal(batched.stats.n, reference.stats.n)
     assert batched.results_found == reference.results_found
+
+    # a service restore replays through the detector behind its cache
+    donor_cache = DetectionCache()
+    donor_cache.put_many(repo.name, [(f, OracleDetector(repo).detect(f)) for f in WARM_FRAMES])
+    donor = QueryService(repo, cache=donor_cache, chunk_frames=500, seed=5)
+    snapshot = donor.snapshot(donor.submit(repo.name, "bus", max_samples=10))
+    host_cache = survivors()
+    host = QueryService(repo, cache=host_cache, chunk_frames=500, seed=5)
+    host.restore(snapshot)
+    stats = host_cache.stats
+    assert (stats.batches, stats.hits, stats.misses, stats.inserts) == (1, len(kept), lost, lost)
+    assert host.detector_calls == lost
 
 
 # --------------------------------------------------------- sqlite WAL mode

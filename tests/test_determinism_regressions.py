@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from contracts import assert_same_decisions, clip_repository, fingerprint, stationary_instance
 
 from repro.core.chunking import IncrementalChunker
 from repro.core.sampler import ExSample
@@ -27,33 +28,16 @@ from repro.serving.ingest import IngestEntry, JournalError
 from repro.serving.service import QueryService
 from repro.serving.session import replay_cached_frames
 from repro.tracking.discriminator import OracleDiscriminator
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.geometry import Box, Trajectory
-from repro.video.repository import VideoClip, VideoRepository
-
-
-def _instance(instance_id, start, duration, category="bus"):
-    unit = Box(0.0, 0.0, 1.0, 1.0)
-    return ObjectInstance(
-        instance_id=instance_id,
-        category=category,
-        trajectory=Trajectory.stationary(start, duration, unit),
-    )
 
 
 def _repository():
-    clips = [
-        VideoClip(0, "clip-0", 0, 300),
-        VideoClip(1, "clip-1", 300, 300),
-    ]
-    instances = [
-        _instance(0, 20, 60),
-        _instance(1, 150, 80),
-        _instance(2, 340, 90),
-        _instance(3, 480, 50),
-        _instance(4, 90, 40, category="car"),
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
+    return clip_repository("cam0", (300, 300), [
+        stationary_instance(0, 20, 60),
+        stationary_instance(1, 150, 80),
+        stationary_instance(2, 340, 90),
+        stationary_instance(3, 480, 50),
+        stationary_instance(4, 90, 40, category="car"),
+    ])
 
 
 # --------------------------------------------------------------- warm start
@@ -83,7 +67,6 @@ def test_restore_is_bit_exact_after_total_cache_loss():
     assert not warm_session.state.terminal  # still mid-flight at the crash
     assert warm_session.warm_frames_replayed > 0
     snapshots = live.snapshot_all()
-    live_history = warm_session.engine.history
 
     # the crash: every snapshot survives, the in-memory cache does not
     restored = build(DetectionCache())
@@ -92,18 +75,12 @@ def test_restore_is_bit_exact_after_total_cache_loss():
     twin = restored.sessions[second]
     assert twin.warm_frames_replayed == warm_session.warm_frames_replayed
     assert twin.status().to_dict() == warm_session.status().to_dict()
-    np.testing.assert_array_equal(
-        twin.engine.history.frame_indices, live_history.frame_indices
-    )
+    assert fingerprint(restored, [second]) == fingerprint(live, [second])
 
     # and the two processes keep agreeing after the restore
     live.run_until_idle()
     restored.run_until_idle()
-    np.testing.assert_array_equal(
-        twin.engine.history.frame_indices,
-        warm_session.engine.history.frame_indices,
-    )
-    assert twin.results_found == warm_session.results_found
+    assert fingerprint(restored, [second]) == fingerprint(live, [second])
     assert first in restored.sessions
 
 
@@ -136,19 +113,21 @@ def test_replay_cached_frames_detector_fallback():
     sampler = engine()
     replayed, _ = replay_cached_frames(
         sampler, cache, "cam0", category="bus", frames=recorded,
-        detector=shared,
+        detector=shared.wrapped,
     )
     assert replayed == [25, 160]
-    assert 160 in cache.frames("cam0")  # re-cached on the way through
+    assert 160 in cache.frames("cam0")  # the replay wrote it back
 
 
 # ------------------------------------------------------------- cache drops
 
 def test_cache_drop_changes_cost_but_never_decisions():
-    def run(drop_mid_run, backend_factory):
+    calls = {}
+
+    def run(drop_mid_run):
         service = QueryService(
             _repository(),
-            cache=DetectionCache(backend_factory()),
+            cache=DetectionCache(),
             frames_per_tick=10,
             chunk_frames=100,
             seed=9,
@@ -158,13 +137,11 @@ def test_cache_drop_changes_cost_but_never_decisions():
             if drop_mid_run and tick == 3:
                 service.cache.clear()
             service.tick()
-        history = service.sessions[sid].engine.history
-        return history.frame_indices.copy(), service.detector_calls
+        calls[drop_mid_run] = service.detector_calls
+        return fingerprint(service, [sid])
 
-    frames_clean, calls_clean = run(False, lambda: None)
-    frames_drop, calls_drop = run(True, lambda: None)
-    np.testing.assert_array_equal(frames_clean, frames_drop)
-    assert calls_drop >= calls_clean
+    assert_same_decisions(run, False, True)
+    assert calls[True] >= calls[False]
 
 
 @pytest.mark.parametrize("backend", ["sqlite", "tiered"])

@@ -19,6 +19,14 @@ import pathlib
 import time
 
 import pytest
+from contracts import (
+    MATRIX_CLIPS,
+    assert_same_decisions,
+    fingerprint,
+    matrix_world,
+    parity_service,
+    stationary_instance,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,12 +43,9 @@ from repro.serving.scheduler import (
 from repro.serving.service import QueryService
 from repro.simulation.oracle import reference_check, reference_run
 from repro.telemetry.registry import parse_series_key
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository, empty_repository
+from repro.video.repository import empty_repository
 
-CLIP_FRAMES = (80, 70, 90, 60, 100)
-HORIZON = sum(CLIP_FRAMES)
+HORIZON = sum(MATRIX_CLIPS)
 SCHEDULERS = {
     "round-robin": RoundRobinScheduler,
     "priority": PriorityScheduler,
@@ -55,29 +60,9 @@ def _clean_global_pipeline():
     telemetry.disable()
 
 
-def _instance(instance_id, start, duration, category):
-    return ObjectInstance(
-        instance_id=instance_id,
-        category=category,
-        trajectory=Trajectory.stationary(start, duration, Box(0.0, 0.0, 1.0, 1.0)),
-    )
-
-
 def _repository(seed=0):
-    clips, start = [], 0
-    for clip_id, frames in enumerate(CLIP_FRAMES):
-        clips.append(VideoClip(clip_id, f"c{clip_id}", start, frames))
-        start += frames
-    instances = [
-        _instance(0, (10 + 31 * seed) % 60, 25, "bus"),
-        _instance(1, 90 + (17 * seed) % 50, 30, "bus"),
-        _instance(2, 230 + (7 * seed) % 40, 20, "bus"),
-        _instance(3, 310 + (11 * seed) % 60, 30, "bus"),
-        _instance(4, 40 + (13 * seed) % 100, 22, "car"),
-        _instance(5, 250 + (19 * seed) % 80, 28, "car"),
-        _instance(6, 150 + (23 * seed) % 90, 26, "person"),
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
+    """The matrix world plus one person, so three categories share it."""
+    return matrix_world(seed, stationary_instance(6, 150 + (23 * seed) % 90, 26, "person"))
 
 
 def _counter(snapshot, name):
@@ -306,7 +291,7 @@ def test_append_payload_is_built_once_per_clip_for_the_whole_fleet(monkeypatch):
     )
     try:
         sid = service.submit("live", "car", follow=True, max_samples=60)
-        service.feed("live", 60, [_instance(0, 10, 20, "car")])
+        service.feed("live", 60, [stationary_instance(0, 10, 20, "car")])
         service.run_until_idle(max_ticks=3)  # all four workers are up
         coordinator = service.shard_backend("live")
         assert coordinator.workers_alive() == [0, 1, 2, 3]
@@ -314,7 +299,7 @@ def test_append_payload_is_built_once_per_clip_for_the_whole_fleet(monkeypatch):
         clips = 5
         for k in range(clips):
             start = repo.horizon
-            service.feed("live", 40, [_instance(10 + k, start + 5, 12, "car")])
+            service.feed("live", 40, [stationary_instance(10 + k, start + 5, 12, "car")])
             service.tick()
         service.run_until_idle(max_ticks=40)
         assert built == list(range(1, clips + 1))
@@ -329,20 +314,13 @@ def test_append_payload_is_built_once_per_clip_for_the_whole_fleet(monkeypatch):
 
 # ------------------------------------------------------------ plan-ahead parity
 
-def _service(seed, scheduler, execution, shards, **options):
+def _service(seed, scheduler, execution, shards):
     # one batch per tick: most of the time most sessions are out of budget,
     # which is when they can be planned ahead
-    options.setdefault("frames_per_tick", 4)
-    options.setdefault("batch_size", 4)
-    return QueryService(
-        _repository(seed),
-        scheduler=SCHEDULERS[scheduler](),
-        chunk_frames=50,
-        execution=execution,
-        shards=shards,
+    return parity_service(
+        _repository(seed), seed, execution, shards,
+        scheduler=SCHEDULERS[scheduler](), frames_per_tick=4, batch_size=4,
         detector_latency=0.0005 if execution == "sharded" else 0.0,
-        seed=seed,
-        **options,
     )
 
 
@@ -359,25 +337,12 @@ def _submit_three(service):
     return [first, second, third]
 
 
-def _streams(service, session_ids):
-    out = {}
-    for sid in session_ids:
-        session = service.sessions[sid]
-        out[sid] = {
-            "state": session.state.value,
-            "frames": [int(f) for f in session.engine.history.frame_indices],
-            "results": [int(r) for r in session.engine.history.results],
-            "result_frames": session.result_frames(),
-        }
-    return out
-
-
 def _run(seed, scheduler, execution, shards):
     service = _service(seed, scheduler, execution, shards)
     try:
         sids = _submit_three(service)
         service.run_until_idle(max_ticks=80)
-        return _streams(service, sids)
+        return fingerprint(service, sids)
     finally:
         service.close()
 
@@ -385,15 +350,18 @@ def _run(seed, scheduler, execution, shards):
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_planned_ahead_sessions_match_their_local_twin(seed, scheduler):
-    reference = _run(seed, scheduler, "local", 1)
-    assert all(len(s["frames"]) >= 12 for s in reference.values())
-    for shards in (1, 2, 4):
+    def run(shards):
+        if shards == "local":
+            return _run(seed, scheduler, "local", 1)
         tel = telemetry.enable()
         got = _run(seed, scheduler, "sharded", shards)
         planned_ahead = _counter(tel.snapshot(), "repro_serving_planned_ahead_total")
         telemetry.disable()
-        assert got == reference, f"seed={seed} {scheduler} shards={shards}"
         assert planned_ahead > 0, "the matrix row never planned ahead"
+        return got
+
+    reference = json.loads(assert_same_decisions(run, "local", 1, 2, 4))
+    assert all(len(s["sampled_frames"]) >= 12 for s in reference.values())
 
 
 def test_who_is_planned_ahead_does_not_depend_on_worker_speed():
@@ -441,32 +409,37 @@ def _parked(service):
 
 def test_a_paused_planned_ahead_session_keeps_its_stream():
     seed = 4
-    reference = _run(seed, "round-robin", "local", 1)
-    service = _service(seed, "round-robin", "sharded", 2)
-    try:
-        sids = _submit_three(service)
-        service.tick()
-        parked = sorted(_parked(service))
-        assert parked, "nobody was planned ahead in the first tick"
-        victim = parked[0]
-        held = list(service.sessions[victim]._pending)
-        service.pause(victim)
-        for _ in range(4):
+
+    def run(leg):
+        if leg == "local":
+            return _run(seed, "round-robin", "local", 1)
+        service = _service(seed, "round-robin", "sharded", 2)
+        try:
+            sids = _submit_three(service)
             service.tick()
-        # paused with its batch parked: never scheduled, never re-planned
-        assert service.sessions[victim]._pending == held
-        service.resume(victim)
-        service.run_until_idle(max_ticks=80)
-        assert _streams(service, sids) == reference
-        for sid in sids:
-            _oracle_check(service, sid, seed)
-    finally:
-        service.close()
+            parked = sorted(_parked(service))
+            assert parked, "nobody was planned ahead in the first tick"
+            victim = parked[0]
+            held = list(service.sessions[victim]._pending)
+            service.pause(victim)
+            for _ in range(4):
+                service.tick()
+            # paused with its batch parked: never scheduled, never re-planned
+            assert service.sessions[victim]._pending == held
+            service.resume(victim)
+            service.run_until_idle(max_ticks=80)
+            for sid in sids:
+                _oracle_check(service, sid, seed)
+            return fingerprint(service, sids)
+        finally:
+            service.close()
+
+    assert_same_decisions(run, "local", "pause+resume")
 
 
 def test_a_cancelled_planned_ahead_session_stops_where_it_committed():
     seed = 5
-    reference = _run(seed, "priority", "local", 1)
+    reference = json.loads(_run(seed, "priority", "local", 1))
     service = _service(seed, "priority", "sharded", 2)
     try:
         sids = _submit_three(service)
@@ -476,11 +449,13 @@ def test_a_cancelled_planned_ahead_session_stops_where_it_committed():
         committed = service.status(victim).frames_processed
         service.cancel(victim)
         service.run_until_idle(max_ticks=80)
-        streams = _streams(service, sids)
+        streams = json.loads(fingerprint(service, sids))
         # the parked batch was never charged, detected or committed
-        assert streams[victim]["state"] == "cancelled"
-        assert len(streams[victim]["frames"]) == committed
-        assert streams[victim]["frames"] == reference[victim]["frames"][:committed]
+        cancelled, twin = streams[victim], reference[victim]
+        assert cancelled["state"] == "cancelled"
+        assert len(cancelled["sampled_frames"]) == committed
+        for key in ("sampled_frames", "d0_counts", "results"):
+            assert cancelled[key] == twin[key][:committed], key
         for sid in sids:
             if sid != victim:
                 assert streams[sid] == reference[sid]
@@ -491,30 +466,34 @@ def test_a_cancelled_planned_ahead_session_stops_where_it_committed():
 
 def test_a_planned_ahead_session_snapshots_and_restores_exactly():
     seed = 6
-    reference = _run(seed, "thompson-sum", "local", 1)
-    first = _service(seed, "thompson-sum", "sharded", 2)
-    try:
-        sids = _submit_three(first)
-        first.tick()
-        first.tick()
-        parked = _parked(first)
-        assert parked
-        snapshots = first.snapshot_all()
-        # a parked batch is not progress: the snapshot counts commits only
-        for snap in snapshots:
-            assert snap.steps_taken == first.status(snap.session_id).frames_processed
-    finally:
-        first.close()
-    second = _service(seed, "thompson-sum", "sharded", 4)
-    try:
-        for snap in snapshots:
-            second.restore(snap)
-        second.run_until_idle(max_ticks=80)
-        assert _streams(second, sids) == reference
-        for sid in sids:
-            _oracle_check(second, sid, seed)
-    finally:
-        second.close()
+
+    def run(leg):
+        if leg == "local":
+            return _run(seed, "thompson-sum", "local", 1)
+        first = _service(seed, "thompson-sum", "sharded", 2)
+        try:
+            sids = _submit_three(first)
+            first.tick()
+            first.tick()
+            assert _parked(first)
+            snapshots = first.snapshot_all()
+            # a parked batch is not progress: the snapshot counts commits only
+            for snap in snapshots:
+                assert snap.steps_taken == first.status(snap.session_id).frames_processed
+        finally:
+            first.close()
+        second = _service(seed, "thompson-sum", "sharded", 4)
+        try:
+            for snap in snapshots:
+                second.restore(snap)
+            second.run_until_idle(max_ticks=80)
+            for sid in sids:
+                _oracle_check(second, sid, seed)
+            return fingerprint(second, sids)
+        finally:
+            second.close()
+
+    assert_same_decisions(run, "local", "snapshot+restore")
 
 
 def test_a_sigterm_drained_sharded_server_resumes_planned_ahead_sessions(tmp_path):
@@ -598,7 +577,7 @@ def test_a_session_with_waiting_footage_is_never_planned_ahead():
         detector_latency=0.0005, seed=9,
     )
     try:
-        service.feed("live", 120, [_instance(0, 10, 20, "car")])
+        service.feed("live", 120, [stationary_instance(0, 10, 20, "car")])
         sids = []
         for _ in range(3):  # a tick apart, or round-robin keeps them in lockstep
             sids.append(service.submit("live", "car", follow=True, max_samples=400))
@@ -607,7 +586,7 @@ def test_a_session_with_waiting_footage_is_never_planned_ahead():
         assert parked  # budget 4 = one batch: the others were planned ahead
         # footage lands out of band (another process appended the clips):
         # parked sessions cannot absorb it yet, the others do at once
-        repo.append_clip(80, [_instance(1, 150, 20, "car")])
+        repo.append_clip(80, [stationary_instance(1, 150, 20, "car")])
         held = {sid: list(service.sessions[sid]._pending) for sid in sids}
         absorbed_at = {}
         for _tick in range(12):

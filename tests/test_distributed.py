@@ -8,38 +8,22 @@ processes, including the kill → transparent-respawn path.
 
 import numpy as np
 import pytest
+from contracts import clip_repository, stationary_instance
 
 from repro.detection.detector import OracleDetector, SimulatedDetector
 from repro.distributed.coordinator import ShardCoordinator
 from repro.distributed.worker import DetectorSpec, ShardWorker, WorkerSpec
 from repro.serving.service import QueryService
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository, empty_repository
-
-
-def _instance(instance_id, start, duration, category="bus"):
-    return ObjectInstance(
-        instance_id=instance_id,
-        category=category,
-        trajectory=Trajectory.stationary(start, duration, Box(0.0, 0.0, 1.0, 1.0)),
-    )
+from repro.video.repository import empty_repository
 
 
 def _repository():
-    clips = [
-        VideoClip(0, "c0", 0, 100),
-        VideoClip(1, "c1", 100, 150),
-        VideoClip(2, "c2", 250, 50),
-        VideoClip(3, "c3", 300, 120),
-    ]
-    instances = [
-        _instance(0, 20, 40),
-        _instance(1, 140, 60),
-        _instance(2, 310, 30),
-        _instance(3, 60, 25, "car"),
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
+    return clip_repository("cam0", (100, 150, 50, 120), [
+        stationary_instance(0, 20, 40),
+        stationary_instance(1, 140, 60),
+        stationary_instance(2, 310, 30),
+        stationary_instance(3, 60, 25, "car"),
+    ])
 
 
 # -------------------------------------------------------------- DetectorSpec
@@ -139,7 +123,7 @@ def test_worker_append_grows_replica_and_serves_new_frames():
                 "num_frames": 60,
                 "name": "c4",
                 "fps": 30.0,
-                "instances": [_instance(9, horizon + 10, 20, "car")],
+                "instances": [stationary_instance(9, horizon + 10, 20, "car")],
             },
         )
     )
@@ -262,7 +246,7 @@ def test_coordinator_forwards_appends_to_live_workers():
     repo = _repository()
     with ShardCoordinator(repo, 2) as coordinator:
         coordinator.detect_many([5, 310])  # spawn both workers
-        clip = repo.append_clip(80, [_instance(9, repo.horizon + 10, 20, "car")])
+        clip = repo.append_clip(80, [stationary_instance(9, repo.horizon + 10, 20, "car")])
         raw = OracleDetector(repo)
         got = coordinator.detect_many([clip.start_frame + 12])
         assert got == [raw.detect(clip.start_frame + 12)]
@@ -303,7 +287,7 @@ def test_coordinator_empty_live_repository_then_ingest():
     repo = empty_repository("live")
     with ShardCoordinator(repo, 3) as coordinator:
         assert coordinator.detect_many([]) == []
-        repo.append_clip(50, [_instance(1, 10, 15, "car")])
+        repo.append_clip(50, [stationary_instance(1, 10, 15, "car")])
         raw = OracleDetector(repo)
         assert coordinator.detect_many([12]) == [raw.detect(12)]
 
@@ -371,8 +355,8 @@ def test_service_sharded_feed_mid_query():
     try:
         sid = service.submit("live", "car", follow=True, max_samples=30)
         assert service.tick() == {}  # nothing to do yet
-        service.feed("live", 60, [_instance(0, 10, 20, "car")])
-        service.feed("live", 60, [_instance(1, 70, 20, "car")])
+        service.feed("live", 60, [stationary_instance(0, 10, 20, "car")])
+        service.feed("live", 60, [stationary_instance(1, 70, 20, "car")])
         service.run_until_idle(max_ticks=20)
         status = service.status(sid)
         assert status.frames_processed > 0

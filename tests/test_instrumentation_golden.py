@@ -11,15 +11,13 @@ observers replaced the inline instrumentation.
 """
 
 import pytest
+from contracts import small_world
 
 from repro import telemetry
 from repro.serving import QueryService
 from repro.telemetry.registry import parse_series_key
 from repro.telemetry.schema import validate
 from repro.telemetry.trace import derive_span_id
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository
 
 SERIES_NAMES = [
     "repro_cache_backend_roundtrips_total",
@@ -82,31 +80,13 @@ def _clean_global_pipeline():
     telemetry.disable()
 
 
-def _world():
-    clips, start = [], 0
-    for clip_id, frames in enumerate((80, 70, 90, 60)):
-        clips.append(VideoClip(clip_id, f"c{clip_id}", start, frames))
-        start += frames
-    instances = [
-        ObjectInstance(
-            instance_id=i,
-            category="bus" if i < 3 else "car",
-            trajectory=Trajectory.stationary(
-                (20 + 61 * i) % 270, 25, Box(0.0, 0.0, 1.0, 1.0)
-            ),
-        )
-        for i in range(5)
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
-
-
 def _observe():
     """Run the workload; return (snapshot, trace events) taken mid-run."""
     tel = telemetry.enable(
         slow_tick_threshold=0.0, trace=True, slow_query_threshold=0.0
     )
     service = QueryService(
-        _world(),
+        small_world(0),
         frames_per_tick=16,
         chunk_frames=50,
         execution="sharded",

@@ -15,6 +15,7 @@ import threading
 import time
 
 import pytest
+from contracts import clip_repository, stationary_instance
 
 import repro
 from repro import telemetry
@@ -36,9 +37,6 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.schema import validate
 from repro.telemetry.trace import Tracer, validate_trace
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository
 
 _SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -57,21 +55,10 @@ def _clean_global_pipeline():
 
 
 def _world():
-    clips, start = [], 0
-    for clip_id, frames in enumerate((80, 70, 90, 60)):
-        clips.append(VideoClip(clip_id, f"c{clip_id}", start, frames))
-        start += frames
-    instances = [
-        ObjectInstance(
-            instance_id=i,
-            category="bus",
-            trajectory=Trajectory.stationary(
-                (20 + 61 * i) % 270, 25, Box(0.0, 0.0, 1.0, 1.0)
-            ),
-        )
-        for i in range(4)
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
+    return clip_repository(
+        "cam0", (80, 70, 90, 60),
+        [stationary_instance(i, (20 + 61 * i) % 270, 25) for i in range(4)],
+    )
 
 
 # ------------------------------------------------------- label escaping

@@ -12,8 +12,16 @@ trace span carries its own share of the round's planning.
 """
 
 import dataclasses
+import json
 
 import pytest
+from contracts import (
+    CountingDetector,
+    assert_same_decisions,
+    clip_repository,
+    fingerprint,
+    stationary_instance,
+)
 
 from repro.core import rng as rng_module
 from repro.core import sampler as sampler_module
@@ -31,9 +39,7 @@ from repro.serving.service import QueryService
 from repro.serving.session import QuerySession
 from repro.telemetry import Telemetry
 from repro.tracking.discriminator import OracleDiscriminator
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository, single_clip_repository
+from repro.video.repository import single_clip_repository
 
 @pytest.fixture(params=[False, True], ids=lambda forced: "fallback" if forced else "numpy")
 def forced(request, executor):
@@ -142,25 +148,17 @@ def test_plan_many_rejects_engines_sharing_an_rng(forced):
 # --------------------------------------------------------------- service
 
 
-def _instance(instance_id, start, duration, category):
-    return ObjectInstance(
-        instance_id=instance_id,
-        category=category,
-        trajectory=Trajectory.stationary(start, duration, Box(0.0, 0.0, 1.0, 1.0)),
-    )
-
-
 def _repository(name, clip_frames, seed):
-    clips, instances, start = [], [], 0
+    """A bus, a car and a bus in every clip, placed by ``seed``."""
+    instances, start = [], 0
     for clip_id, frames in enumerate(clip_frames):
-        clips.append(VideoClip(clip_id, f"{name}{clip_id}", start, frames))
         for k, category in enumerate(("bus", "car", "bus")):
-            instances.append(_instance(
+            instances.append(stationary_instance(
                 len(instances), start + (7 * seed + 13 * k + 5 * clip_id) % (frames - 20),
                 12 + k, category,
             ))
         start += frames
-    return VideoRepository(clips, InstanceSet(instances), name=name)
+    return clip_repository(name, clip_frames, instances)
 
 
 def _repositories(seed):
@@ -169,25 +167,6 @@ def _repositories(seed):
         "cam0": _repository("cam0", (140, 160, 120), seed),
         "cam1": _repository("cam1", (100, 90, 110), seed + 1),
     }
-
-
-class _FailsOnce:
-    """A detector whose third batched call raises: the tick in flight
-    parks every batch it planned."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.stats = inner.stats
-        self.calls = 0
-
-    def detect(self, frame_index):
-        return self._inner.detect(frame_index)
-
-    def detect_many(self, frame_indices):
-        self.calls += 1
-        if self.calls == 3:
-            raise RuntimeError("transient detector outage")
-        return self._inner.detect_many(frame_indices)
 
 
 SCHEDULERS = {"round-robin": RoundRobinScheduler, "thompson": ThompsonSumScheduler}
@@ -206,15 +185,16 @@ def _service(seed, scheduler, detector_factory=None):
 
 def _feed(service, seed):
     start = service.repository("cam1").horizon
-    service.feed("cam1", 80, [_instance(900, start + 10 + seed, 15, "car")])
+    service.feed("cam1", 80, [stationary_instance(900, start + 10 + seed, 15, "car")])
 
 
 def _scripted_run(seed, scheduler):
     """Two datasets, batches of 1, 2 and 3, a follow session fed mid-run,
-    pause/resume, and one failed tick; returns the service afterwards."""
+    pause/resume, and one failed tick (cam0's third detector batch);
+    returns the service afterwards."""
     def factory(repo):
         inner = OracleDetector(repo)
-        return _FailsOnce(inner) if repo.name == "cam0" else inner
+        return CountingDetector(inner, fail_on={3}) if repo.name == "cam0" else inner
 
     service = _service(seed, scheduler, detector_factory=factory)
     service.submit("cam0", "bus", limit=5, seed=seed + 11)
@@ -237,17 +217,6 @@ def _scripted_run(seed, scheduler):
     return service
 
 
-def _histories(service):
-    return {
-        sid: (
-            session.state.value,
-            [int(f) for f in session.engine.history.frame_indices],
-            [int(d) for d in session.engine.history.d0_counts],
-        )
-        for sid, session in service.sessions.items()
-    }
-
-
 def _plan_one_by_one(plans):
     return [engine.plan(size) for engine, size in plans]
 
@@ -257,14 +226,20 @@ def _plan_one_by_one(plans):
 def test_service_matches_planning_one_session_at_a_time(
     forced, monkeypatch, seed, scheduler
 ):
-    batched = _scripted_run(seed, scheduler)
-    with monkeypatch.context() as patch:
-        patch.setattr(sampler_module, "plan_many", _plan_one_by_one)
-        patch.setattr("repro.serving.session.plan_many", _plan_one_by_one)
-        serial = _scripted_run(seed, scheduler)
-    assert _histories(batched) == _histories(serial)
-    assert batched._rng.state == serial._rng.state  # the scheduler's stream too
-    assert sum(len(h[1]) for h in _histories(batched).values()) > 60
+    rng_states = []
+
+    def run(plan):
+        with monkeypatch.context() as patch:
+            if plan is not plan_many:
+                patch.setattr(sampler_module, "plan_many", plan)
+                patch.setattr("repro.serving.session.plan_many", plan)
+            service = _scripted_run(seed, scheduler)
+        rng_states.append(service._rng.state)  # the scheduler's stream too
+        return fingerprint(service, service.sessions)
+
+    batched = json.loads(assert_same_decisions(run, plan_many, _plan_one_by_one))
+    assert rng_states[0] == rng_states[1]
+    assert sum(len(s["sampled_frames"]) for s in batched.values()) > 60
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
@@ -310,26 +285,21 @@ def _population(seed):
     return sessions
 
 
-def _sequential_allocation(sessions, budget, rng, priority_weighted):
+def _sequential_allocation(sessions, budget, rng):
     """``ThompsonSumScheduler.allocate`` as one bid draw per session."""
-    bids = []
-    for session in sessions:
-        bid = session.thompson_draw(rng)
-        if priority_weighted:
-            bid *= session.priority
-        bids.append(bid)
+    bids = [session.thompson_draw(rng) for session in sessions]
     return proportional_allocation([s.session_id for s in sessions], bids, budget)
 
 
-@pytest.mark.parametrize("priority_weighted", [False, True])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_thompson_bids_in_one_call_equal_the_loop(forced, seed, priority_weighted):
+# the surviving cells of a deleted scheduler option keep their ids
+@pytest.mark.parametrize("seed", [0, 1, 2], ids=lambda seed: f"{seed}-False")
+def test_thompson_bids_in_one_call_equal_the_loop(forced, seed):
     sessions = _population(seed)
-    scheduler = ThompsonSumScheduler(priority_weighted=priority_weighted)
+    scheduler = ThompsonSumScheduler()
     for round_seed in range(3):
         batched_rng, loop_rng = DecisionRng((seed, round_seed)), DecisionRng((seed, round_seed))
         got = scheduler.allocate(sessions, 64, batched_rng)
-        want = _sequential_allocation(sessions, 64, loop_rng, priority_weighted)
+        want = _sequential_allocation(sessions, 64, loop_rng)
         assert got == want
         assert batched_rng.state == loop_rng.state
         shared = DecisionRng(round_seed)

@@ -113,13 +113,3 @@ def test_thompson_scheduler_favors_high_yield_sessions():
     assert alloc["hot"] > alloc["cold"]
     assert alloc["hot"] == 19  # 0.95 / 1.00 of the budget
 
-
-def test_thompson_scheduler_priority_weighted_composes():
-    sessions = [
-        StubSession("a", priority=4.0, draw=0.25),
-        StubSession("b", priority=1.0, draw=0.25),
-    ]
-    plain = ThompsonSumScheduler().allocate(sessions, 10, RNG)
-    weighted = ThompsonSumScheduler(priority_weighted=True).allocate(sessions, 10, RNG)
-    assert plain == {"a": 5, "b": 5}
-    assert weighted == {"a": 8, "b": 2}

@@ -8,6 +8,13 @@ import json
 import threading
 
 import pytest
+from contracts import (
+    clip_repository,
+    fingerprint,
+    parity_service,
+    small_world,
+    stationary_instance,
+)
 
 from repro import telemetry
 from repro.cli import main
@@ -34,9 +41,6 @@ from repro.telemetry.observers import DispatchObserver, TickObserver
 from repro.telemetry.trace import SlowRing, tick_tree
 from repro.telemetry.prometheus import render
 from repro.telemetry.schema import load_schema, validate, validation_errors
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository
 
 SCHEDULERS = {
     "round-robin": RoundRobinScheduler,
@@ -325,15 +329,7 @@ def test_schema_validator_refuses_unsupported_keywords():
 # ------------------------------------------------- cache satellite fixes
 
 def _oracle_world():
-    instances = [
-        ObjectInstance(
-            instance_id=0,
-            category="bus",
-            trajectory=Trajectory.stationary(10, 30, Box(0.0, 0.0, 1.0, 1.0)),
-        )
-    ]
-    clips = [VideoClip(0, "c0", 0, 100)]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
+    return clip_repository("cam0", (100,), [stationary_instance(0, 10, 30)])
 
 
 def test_get_many_reports_exact_per_batch_split():
@@ -380,38 +376,15 @@ def test_dedup_savings_counted_once_per_duplicate_miss():
 
 # --------------------------------------------------- parity: on == off
 
-def _parity_repository(seed):
-    clips, start = [], 0
-    for clip_id, frames in enumerate((80, 70, 90, 60)):
-        clips.append(VideoClip(clip_id, f"c{clip_id}", start, frames))
-        start += frames
-    instances = [
-        ObjectInstance(
-            instance_id=i,
-            category="bus" if i < 3 else "car",
-            trajectory=Trajectory.stationary(
-                (20 + 37 * seed + 61 * i) % 270, 25, Box(0.0, 0.0, 1.0, 1.0)
-            ),
-        )
-        for i in range(5)
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
-
-
 def _decision_stream(seed, scheduler, shards=1, enabled=False, trace=False):
     """Run a fixed workload and return the canonical decision bytes."""
     if enabled or trace:
         telemetry.enable(slow_tick_threshold=0.0, trace=trace)
     else:
         telemetry.disable()
-    service = QueryService(
-        _parity_repository(seed),
+    service = parity_service(
+        small_world(seed), seed, "sharded" if shards > 1 else "local", shards,
         scheduler=SCHEDULERS[scheduler](),
-        frames_per_tick=16,
-        chunk_frames=50,
-        execution="sharded" if shards > 1 else "local",
-        shards=shards,
-        seed=seed,
     )
     try:
         a = service.submit("cam0", "bus", limit=3, max_samples=40, priority=2.0)
@@ -419,19 +392,7 @@ def _decision_stream(seed, scheduler, shards=1, enabled=False, trace=False):
         service.run_until_idle(max_ticks=50)
         if trace:  # the traced leg must actually trace, or parity is vacuous
             assert telemetry.get().tracer.events()
-        payload = {}
-        for sid in (a, b):
-            session = service.sessions[sid]
-            payload[sid] = {
-                "state": session.state.value,
-                "results_found": session.results_found,
-                "result_frames": session.result_frames(),
-                "per_chunk_samples": [int(n) for n in session.engine.stats.n],
-                "sampled_frames": [
-                    int(f) for f in session.engine.history.frame_indices
-                ],
-            }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+        return fingerprint(service, (a, b))
     finally:
         service.close()
         telemetry.disable()
@@ -476,7 +437,7 @@ def test_sharded_run_covers_all_five_layers(tmp_path):
     — serving ticks, cache, exec batches, shards, ingest — plus span
     trees in the slow-tick log (threshold 0 retains every tick)."""
     telemetry.enable(slow_tick_threshold=0.0)
-    repo = _parity_repository(0)
+    repo = small_world(0)
     service = QueryService(
         repo,
         frames_per_tick=16,
@@ -522,7 +483,7 @@ def test_idle_rounds_file_no_tick():
     must not file a tick record numbered like the next working tick."""
     tel = telemetry.enable(slow_tick_threshold=0.0)
     service = QueryService(
-        _parity_repository(0), frames_per_tick=16, chunk_frames=50, seed=0
+        small_world(0), frames_per_tick=16, chunk_frames=50, seed=0
     )
     try:
         assert service.tick() == {}  # nothing submitted yet
@@ -545,7 +506,7 @@ def test_per_session_gauges_end_with_their_session():
     theirs, live and paused ones keep them."""
     tel = telemetry.enable()
     service = QueryService(
-        _parity_repository(0), frames_per_tick=64, chunk_frames=50, batch_size=4,
+        small_world(0), frames_per_tick=64, chunk_frames=50, batch_size=4,
         seed=0,
     )
 
@@ -663,7 +624,7 @@ def test_plan_seconds_split_draw_vs_score_reaches_stats(tmp_path, capsys):
     ``stats`` surface renders them."""
     telemetry.enable()
     service = QueryService(
-        _parity_repository(0), frames_per_tick=16, chunk_frames=50, seed=0
+        small_world(0), frames_per_tick=16, chunk_frames=50, seed=0
     )
     try:
         service.submit("cam0", "bus", max_samples=30)

@@ -5,10 +5,10 @@ produces admission -> plan -> shard-dispatch -> worker-detect -> commit
 spans parented under one trace id, while the decision stream stays
 byte-identical tracing on or off."""
 
-import json
 import time
 
 import pytest
+from contracts import clip_repository, stationary_instance
 
 from repro import telemetry
 from repro.serving import QueryService
@@ -20,9 +20,6 @@ from repro.telemetry.trace import (
     trace_document,
     validate_trace,
 )
-from repro.video.geometry import Box, Trajectory
-from repro.video.instances import InstanceSet, ObjectInstance
-from repro.video.repository import VideoClip, VideoRepository
 
 
 @pytest.fixture(autouse=True)
@@ -268,21 +265,10 @@ def test_validator_rejects_non_trace_shapes():
 # ------------------------------------------------- end-to-end causal chain
 
 def _world():
-    clips, start = [], 0
-    for clip_id, frames in enumerate((80, 70, 90, 60)):
-        clips.append(VideoClip(clip_id, f"c{clip_id}", start, frames))
-        start += frames
-    instances = [
-        ObjectInstance(
-            instance_id=i,
-            category="bus",
-            trajectory=Trajectory.stationary(
-                (20 + 61 * i) % 270, 25, Box(0.0, 0.0, 1.0, 1.0)
-            ),
-        )
-        for i in range(4)
-    ]
-    return VideoRepository(clips, InstanceSet(instances), name="cam0")
+    return clip_repository(
+        "cam0", (80, 70, 90, 60),
+        [stationary_instance(i, (20 + 61 * i) % 270, 25) for i in range(4)],
+    )
 
 
 def test_sharded_run_exports_full_causal_chain():
