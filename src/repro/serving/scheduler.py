@@ -19,7 +19,10 @@ the active sessions:
   chunks explorable (§III-C).
 
 All policies are deterministic given the service RNG and return integer
-allocations summing to the budget (when any session is eligible).
+allocations summing to the budget (when any session is eligible).  A
+session granted zero frames may be left out of the allocation: the
+round-robin policy returns only the sessions it grants frames, so when
+sessions outnumber the budget its cost is O(budget), not O(sessions).
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ class RoundRobinScheduler:
     With ``budget = q * len(sessions) + r`` every session gets ``q``
     frames and the ``r`` extras go to the ``r`` sessions after a rotating
     offset, so no session is systematically favored by submission order.
+    When sessions outnumber the budget (``q == 0``) only the ``r``
+    sessions granted a frame are returned — the zero grants are left out.
     """
 
     def __init__(self) -> None:
@@ -108,12 +113,14 @@ class RoundRobinScheduler:
         _validate(sessions, budget)
         if not sessions:
             return {}
-        count = len(sessions)
+        count, offset = len(sessions), self._offset
         share, extra = divmod(budget, count)
+        self._offset = (offset + 1) % count
+        if not share:
+            return {sessions[(offset + k) % count].session_id: 1 for k in range(extra)}
         alloc = {s.session_id: share for s in sessions}
         for k in range(extra):
-            alloc[sessions[(self._offset + k) % count].session_id] += 1
-        self._offset = (self._offset + 1) % count
+            alloc[sessions[(offset + k) % count].session_id] += 1
         return alloc
 
 

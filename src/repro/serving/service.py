@@ -28,6 +28,7 @@ Two invariants carry the whole design:
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -66,11 +67,18 @@ class QueryService:
     admitted or restored: :meth:`status`, :meth:`results`,
     :meth:`snapshot_all` and the :attr:`sessions` view answer from it.
     ``_live`` is the live-session index — the non-terminal ones, in the
-    same submission order — and everything that runs per tick
-    (:meth:`schedulable_sessions`, :meth:`sync`, the deficit prune;
-    :meth:`live_sessions` for the server's quota count) reads only
-    that, so a tick costs O(sessions in flight) however many have come
-    and gone.
+    same submission order — which :meth:`live_sessions` (the server's
+    quota count) and a :meth:`sync` that found new footage read.
+
+    A tick costs O(frames granted), not O(sessions in flight).  The
+    schedulable sessions sit in a *ready index* kept at events: a session
+    reports every event that can change its readiness (plan, commit,
+    pause, resume, cancel, absorbed footage) through one hook, and
+    :meth:`schedulable_sessions` re-evaluates only the sessions reported
+    since its last call.  :meth:`sync` does nothing unless a repository's
+    horizon moved (or a session is still owed footage), and the tick
+    plans, commits and settles only the sessions its scheduler granted
+    frames.  A session that is not granted costs a tick nothing.
 
     Parameters
     ----------
@@ -209,10 +217,27 @@ class QueryService:
         self._detectors: dict[str, CachingDetector] = {}
         self._sessions: dict[str, QuerySession] = {}
         # the live-session index: the non-terminal subset of _sessions in
-        # the same (submission) order.  Filled where _sessions is; a
-        # session leaves at the first schedulable_sessions() walk that
-        # finds it terminal and, terminal being final, never comes back
+        # the same (submission) order, with each session's rank in that
+        # order.  Filled where _sessions is (_admit); a session leaves when
+        # the ready index finds it terminal and, terminal being final,
+        # never comes back.  Every per-session map below leaves with it
         self._live: dict[str, QuerySession] = {}
+        self._rank: dict[str, int] = {}
+        self._next_rank = 0
+        # the ready index: the schedulable live sessions sorted by rank,
+        # and the ranks alongside for bisection.  Re-evaluated only for
+        # the sessions that reported an event since the last look
+        self._ready: list[QuerySession] = []
+        self._ready_ranks: list[int] = []
+        self._touched: dict[str, QuerySession] = {}
+        # sessions that joined the ready index since the last working tick:
+        # the tick observer writes their gauges
+        self._entered: dict[str, QuerySession] = {}
+        # sessions still owed footage whatever the horizons do: restored
+        # ones, and those whose parked batch deferred an absorption
+        self._behind: dict[str, QuerySession] = {}
+        # each repository's horizon when sync last walked its sessions
+        self._synced: dict[str, int] = {}
         self._next_id = 1
         self._ticks = 0
         # frames a session processed beyond its past allocations (batched
@@ -300,26 +325,63 @@ class QueryService:
         return [s for s in self._live.values() if not s.state.terminal]
 
     def schedulable_sessions(self) -> list[QuerySession]:
-        """Active sessions a tick could actually advance — excludes
-        ``follow`` sessions idling for footage (ACTIVE but drained).
+        """Active sessions a tick could actually advance, in submission
+        order — excludes ``follow`` sessions idling for footage (ACTIVE
+        but drained).
 
-        Walks the live index, never the whole session map, and retires
-        from it the sessions it finds terminal, however they got there
-        (a commit, :meth:`cancel`, or ``session.cancel()`` behind the
-        service's back).  Every tick and every turn of the serving loop
-        starts with this walk, so each session is dropped once and the
-        per-tick walks cost O(non-terminal + newly terminal)."""
-        ready, retire = [], False
-        for session in self._live.values():
-            if session.schedulable:
-                ready.append(session)
-            elif session.state.terminal:
-                retire = True
-        if retire:
-            # rebuilt, not deleted from: a dict keeps its deleted slots and
-            # iterating them would make the walk O(sessions ever) again
-            self._live = {s.session_id: s for s in self.live_sessions()}
-        return ready
+        Read from the ready index, never from a walk: only the sessions
+        that reported an event since the last call (their hook fires at
+        plan, commit, pause, resume, cancel, absorbed footage, submit and
+        restore — ``session.cancel()`` behind the service's back
+        included) re-evaluate :attr:`QuerySession.schedulable`.  The ones
+        found terminal retire here from the live index and every
+        per-session map, so a call costs O(sessions reported), plus a
+        copy of the ready list."""
+        if self._touched:
+            for session_id, session in self._touched.items():
+                self._reindex(session_id, session)  # reports nothing back
+            self._touched.clear()
+        return list(self._ready)
+
+    def _touch(self, session: QuerySession) -> None:
+        """A session's readiness hook: re-evaluate it at the next look."""
+        self._touched[session.session_id] = session
+
+    def _reindex(self, session_id: str, session: QuerySession) -> None:
+        """Move one reported session into or out of the ready index, and
+        retire it if it turned terminal."""
+        rank = self._rank.get(session_id)
+        if rank is None:  # already retired
+            return
+        ranks = self._ready_ranks
+        at = bisect_left(ranks, rank)
+        listed = at < len(ranks) and ranks[at] == rank
+        if session.schedulable:
+            if not listed:
+                ranks.insert(at, rank)
+                self._ready.insert(at, session)
+                self._entered[session_id] = session
+            return
+        if listed:
+            del ranks[at], self._ready[at]
+            self._entered.pop(session_id, None)
+        if session.state.terminal:
+            # paused sessions keep their debt and pay it on resume; a
+            # terminal one is gone for good
+            del self._live[session_id], self._rank[session_id]
+            self._deficits.pop(session_id, None)
+            self._behind.pop(session_id, None)
+            session._on_change = None
+
+    def _admit(self, session: QuerySession) -> None:
+        """Index a submitted or restored non-terminal session."""
+        session_id = session.session_id
+        self._sessions[session_id] = session
+        self._live[session_id] = session
+        self._rank[session_id] = self._next_rank
+        self._next_rank += 1
+        session._on_change = self._touch
+        self._touched[session_id] = session
 
     # ------------------------------------------------------------- lifecycle
 
@@ -371,8 +433,7 @@ class QueryService:
         self._next_id += 1
         warm_frames = self._cache.frames(dataset) if warm_start else []
         session = self._build_session(session_id, spec, warm_frames)
-        self._sessions[session_id] = session
-        self._live[session_id] = session
+        self._admit(session)
         telemetry.get().tick_observer.admitted(session, admit_start, len(warm_frames))
         return session_id
 
@@ -430,21 +491,46 @@ class QueryService:
     def sync(self, dataset: str | None = None) -> dict[str, int]:
         """Let sessions absorb any footage appended since they last looked.
 
-        Walks the live index (of ``dataset``, or all), never the whole
-        session map, and extends each session's engine over newly
-        visible clips via its own chunk feed; a session still in the
-        index that has turned terminal absorbs nothing.  Returns
+        Gated on horizons: a dataset's live sessions are walked only when
+        its repository's horizon moved since the last sync that walked
+        them, and each extends its engine over the newly visible clips
+        via its own chunk feed.  Beside them, the sessions still owed
+        footage — restored ones, and those whose parked batch deferred
+        an absorption — are walked until each has caught up (a chunk
+        feed takes whole clips, so none stays behind for ever).  Both
+        walks go in submission order, over ``dataset`` or all.  Returns
         ``{session_id: frames_absorbed}`` for the sessions that grew.
-        O(non-terminal sessions) integer compares when nothing changed,
-        so it is safe to call every tick.
+        When no horizon moved and nobody is behind, a call costs one
+        integer compare per dataset, so it is safe to call every tick.
         """
+        moved = [
+            name for name, repo in self._repos.items()
+            if (dataset is None or name == dataset) and self._synced.get(name) != repo.horizon
+        ]
+        behind = self._behind
+        if not moved and not behind:
+            return {}
+        for name in moved:
+            self._synced[name] = self._repos[name].horizon
+        if moved:
+            walk = [
+                session for session_id, session in self._live.items()
+                if session.spec.dataset in moved or session_id in behind
+            ]
+        else:
+            walk = sorted(behind.values(), key=lambda s: self._rank[s.session_id])
         absorbed: dict[str, int] = {}
-        for session in self._live.values():
-            if dataset is not None and session.spec.dataset != dataset:
+        for session in walk:
+            session_id, owner = session.session_id, session.spec.dataset
+            if dataset is not None and owner != dataset:
                 continue
             grew = session.absorb_new_footage()
             if grew:
-                absorbed[session.session_id] = grew
+                absorbed[session_id] = grew
+            if not session.state.terminal and session.horizon < self._repos[owner].horizon:
+                behind[session_id] = session
+            else:
+                behind.pop(session_id, None)
         if absorbed:
             telemetry.get().counter("repro_serving_absorbed_frames_total").inc(
                 sum(absorbed.values())
@@ -457,7 +543,10 @@ class QueryService:
         """One scheduling round: split the frames-per-tick budget across
         active sessions and advance each by its share, **coalescing**
         detector work across sessions.  Returns frames actually processed
-        per session (empty when the service is idle).
+        per session of the scheduler's allocation, in submission order
+        (empty when the service is idle): a session the policy left out
+        — round-robin leaves out its zero grants — is left out here too,
+        and everything the tick builds is O(sessions granted).
 
         The tick runs in *rounds*.  Each round, every session with budget
         left plans one engine iteration (its next §III-F batch of frames
@@ -518,19 +607,16 @@ class QueryService:
             return {}
         self._ticks += 1
         allocation = self._scheduler.allocate(active, self._frames_per_tick, self._rng)
-        obs.scheduled(self._ticks, active, allocation)
-        processed: dict[str, int] = {s.session_id: 0 for s in active}
-        # forget debt only for sessions that are gone for good; paused
-        # sessions keep theirs and pay it on resume
-        self._deficits = {
-            sid: debt for sid, debt in self._deficits.items()
-            if sid in self._live  # just walked: holds no terminal session
-        }
-        remaining = {
-            s.session_id: allocation.get(s.session_id, 0)
-            - self._deficits.get(s.session_id, 0)
-            for s in active
-        }
+        # only the granted sessions plan, commit and settle, in submission
+        # order: an ungranted session's debt cannot change this tick
+        granted_ids = sorted(allocation, key=self._rank.__getitem__)
+        granted = [self._live[sid] for sid in granted_ids]
+        entered = list(self._entered.values())
+        self._entered.clear()
+        obs.scheduled(self._ticks, active, allocation, granted, entered)
+        deficits = self._deficits
+        processed = dict.fromkeys(granted_ids, 0)
+        remaining = {sid: allocation[sid] - deficits.get(sid, 0) for sid in granted_ids}
         ahead = partial(self._plan_ahead, active, obs)  # for a detector that overlaps
         completed = False
         try:
@@ -538,7 +624,7 @@ class QueryService:
                 # stage 1, all sessions: plan one engine iteration each,
                 # in submission order, policy-free — one Thompson draw
                 plans: list[tuple[QuerySession, list[tuple[int, int]]]] = []
-                due = [s for s in active if remaining[s.session_id] > 0]
+                due = [s for sid, s in zip(granted_ids, granted) if remaining[sid] > 0]
                 for session, pending in zip(due, QuerySession.plan_steps(due)):
                     obs.planned(session, pending)
                     if pending:
@@ -578,14 +664,13 @@ class QueryService:
             # settle the books even if the detector raised mid-tick: every
             # committed frame is charged, old debt survives, and the tick's
             # share is only credited when the quantum actually completed
-            for session in active:
-                session_id = session.session_id
-                debt = self._deficits.pop(session_id, 0)
-                credit = allocation.get(session_id, 0) if completed else 0
+            for session_id in granted_ids:
+                debt = deficits.pop(session_id, 0)
+                credit = allocation[session_id] if completed else 0
                 new_debt = debt + processed[session_id] - credit
                 if new_debt > 0:
-                    self._deficits[session_id] = new_debt
-            obs.settled(self._deficits)
+                    deficits[session_id] = new_debt
+            obs.settled(deficits)
             self._cache.flush()  # one durability point per scheduling quantum
         obs.finish(processed)
         return processed
@@ -704,8 +789,9 @@ class QueryService:
             state=SessionState(snapshot.state),
             horizons=snapshot.horizons,
         )
-        self._sessions[snapshot.session_id] = session
-        self._live[snapshot.session_id] = session
+        self._admit(session)
+        # its horizon log may stop short of the repository's horizon
+        self._behind[snapshot.session_id] = session
         self._reserve_id(snapshot.session_id)
         return snapshot.session_id
 

@@ -390,6 +390,11 @@ class QuerySession:
         # the last plan_steps re-offered a pending batch) — observational
         # only, read by the service's plan-stage telemetry
         self.last_plan_timings: dict[str, float] = {"draw": 0.0, "score": 0.0}
+        # the owning service's readiness hook (QueryService keeps its ready
+        # index by it): called with this session at every event that can
+        # change :attr:`schedulable` — plan, commit, pause, resume, cancel
+        # and absorbed footage
+        self._on_change = None
         if self._state is SessionState.ACTIVE:
             self._refresh_state()
 
@@ -421,6 +426,7 @@ class QuerySession:
         ]
         session._pending = []
         session.last_plan_timings = {"draw": 0.0, "score": 0.0}
+        session._on_change = None
         return session
 
     # ------------------------------------------------------------ properties
@@ -550,10 +556,15 @@ class QuerySession:
             if not self._spec.follow:
                 self._state = SessionState.EXHAUSTED
 
+    def _changed(self) -> None:
+        if self._on_change is not None:
+            self._on_change(self)
+
     def pause(self) -> None:
         if self._state.terminal:
             raise ValueError(f"cannot pause {self._state.value} session {self._session_id}")
         self._state = SessionState.PAUSED
+        self._changed()
 
     def resume(self) -> None:
         if self._state.terminal:
@@ -562,10 +573,12 @@ class QuerySession:
             )
         self._state = SessionState.ACTIVE
         self._refresh_state()
+        self._changed()
 
     def cancel(self) -> None:
         if not self._state.terminal:
             self._state = SessionState.CANCELLED
+            self._changed()
 
     # ------------------------------------------------------------- ingestion
 
@@ -595,6 +608,7 @@ class QuerySession:
             return 0
         self._engine.extend(new_chunks)
         self._horizon_log.append((self.frames_processed, self._chunker.horizon))
+        self._changed()
         return self._chunker.horizon - before
 
     # ------------------------------------------------------------- execution
@@ -627,6 +641,7 @@ class QuerySession:
         for session in sessions:
             session.last_plan_timings = {"draw": 0.0, "score": 0.0}
             session._refresh_state()
+            session._changed()
             if session._state is not SessionState.ACTIVE:
                 out.append([])
             elif session._pending:
@@ -666,6 +681,7 @@ class QuerySession:
         records = self._engine.commit(pending, detections=filtered)
         self._pending = []
         self._refresh_state()
+        self._changed()
         return len(records)
 
     def thompson_draw(self, rng) -> float:

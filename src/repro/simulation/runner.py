@@ -61,7 +61,9 @@ __all__ = ["RecordingScheduler", "SimulationReport", "SimulationRunner", "run_sc
 
 class RecordingScheduler:
     """Wraps a budget policy and records every grant for the invariant
-    checker — the scheduler-facing equivalent of the event log."""
+    checker — the scheduler-facing equivalent of the event log.  A policy
+    may leave zero grants out; the record fills them in from the ids it
+    was handed, so it covers every requesting session."""
 
     def __init__(self, inner, records: list):
         self._inner = inner
@@ -69,8 +71,9 @@ class RecordingScheduler:
 
     def allocate(self, sessions, budget, rng):
         allocation = self._inner.allocate(sessions, budget, rng)
+        ids = tuple(s.session_id for s in sessions)
         self._records.append(
-            (tuple(s.session_id for s in sessions), int(budget), dict(allocation))
+            (ids, int(budget), {sid: allocation.get(sid, 0) for sid in ids})
         )
         return allocation
 
@@ -494,6 +497,11 @@ class SimulationRunner:
                 if self.service.schedulable_sessions():
                     try:
                         processed = self.service.tick()
+                        # a tick reports its granted sessions only: the
+                        # rest of the scheduled ones processed nothing
+                        fresh = self.alloc_records[alloc_before:]
+                        ids = fresh[-1][0] if fresh else ()
+                        processed = {sid: processed.get(sid, 0) for sid in ids}
                         self._emit(f"tick {tick} processed {_fmt(processed)}")
                     except FaultError:
                         self.detector_errors += 1

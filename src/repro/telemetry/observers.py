@@ -39,6 +39,9 @@ class TickObserver:
         self._handles: dict | None = None  # resolved at the first working tick
         # session id -> (grant, deficit) gauges; non-terminal sessions only
         self.session_gauges: dict[str, list] = {}
+        # the sessions the last tick granted frames: the only ones besides
+        # this tick's whose grant gauge can move
+        self._granted: list = []
 
     # ------------------------------------------- session edges outside a tick
 
@@ -70,6 +73,7 @@ class TickObserver:
     def service_closed(self, sessions) -> None:
         """Sessions that never reached terminal still export a root span."""
         self._tel.tracer.finish_all({sid: s.state.value for sid, s in sessions.items()})
+        self._granted = []  # the next service's ticks start afresh
 
     # ---------------------------------------------------------------- a tick
 
@@ -79,9 +83,17 @@ class TickObserver:
     def synced(self) -> None:
         self._sync_seconds = perf_counter() - self._start
 
-    def scheduled(self, tick: int, active, allocation) -> None:
-        """The tick has work.  An idle round never gets here, so it
-        counts nothing and files nothing."""
+    def scheduled(self, tick: int, active, allocation, granted=(), entered=()) -> None:
+        """The tick has work: ``allocation`` splits it over ``granted``
+        (its sessions, in submission order) out of the schedulable
+        ``active``; ``entered`` joined the schedulable set since the last
+        tick.  An idle round never gets here, so it counts nothing and
+        files nothing.
+
+        The per-session gauges cost O(granted + entered), not O(active):
+        a grant gauge moves only for a session granted this tick or the
+        last, and a session's series are born only when it first enters
+        the schedulable set."""
         tel = self._tel
         self._tick, self._active = tick, active
         # stage time is summed over the tick's rounds and filed once at
@@ -109,7 +121,14 @@ class TickObserver:
                 **{s: hist("repro_serving_plan_seconds", {"stage": s}) for s in _PLAN_SPLIT},
             }
         self._handles["schedulable"].set(len(active))
-        for session in active:
+        for session in self._granted:
+            # granted last tick, not this one: back to 0 while schedulable
+            # (one that left the set keeps its value until it returns)
+            gauges = self.session_gauges.get(session.session_id)
+            if gauges and session.session_id not in allocation and session.schedulable:
+                gauges[0].set(0)
+        self._granted, self._written = granted, [*granted, *entered]
+        for session in self._written:
             session_id = session.session_id
             gauges = self.session_gauges.get(session_id)
             if gauges is None:
@@ -192,9 +211,10 @@ class TickObserver:
                 self.session_closed(session)
 
     def settled(self, deficits) -> None:
-        """The books are settled (also after a failed round): publish each
-        live session's debt, close the ones that turned terminal."""
-        for session in self._active:
+        """The books are settled (also after a failed round): publish the
+        debt of each session written at :meth:`scheduled` (no other
+        session's debt moved), close the ones that turned terminal."""
+        for session in self._written:
             if session.state.terminal:
                 self.session_closed(session)
             else:

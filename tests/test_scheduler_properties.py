@@ -12,7 +12,10 @@ Two properties carry the scheduling contract:
   proportional share, however extreme the weight mix.
 """
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +76,40 @@ def test_round_robin_is_exactly_fair_over_a_rotation(n, budget):
         for sid, share in scheduler.allocate(sessions, budget, RNG).items():
             totals[sid] += share
     assert all(total == budget for total in totals.values())
+
+
+def dense_round_robin(ids, budget, offset):
+    """The dense reference: every session keyed, zero grants included,
+    and the offset the next call starts from."""
+    count = len(ids)
+    share, extra = divmod(budget, count)
+    alloc = {sid: share for sid in ids}
+    for k in range(extra):
+        alloc[ids[(offset + k) % count]] += 1
+    return alloc, (offset + 1) % count
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_round_robin_grants_are_the_dense_reference_without_zeros(seed):
+    """The allocation leaves out exactly the zero entries of the dense
+    reference, and the rotating offset follows the same sequence, over
+    live counts that change every tick."""
+    rng = random.Random(seed)
+    pool = [f"s{i + 1}" for i in range(64)]
+    scheduler = RoundRobinScheduler()
+    offset, shapes = 0, set()
+    for _ in range(300):
+        budget = rng.randint(1, 16)
+        count = rng.choice([
+            1, budget, rng.randint(1, budget), rng.randint(budget, 3 * budget + 4)
+        ])
+        ids = sorted(rng.sample(pool, count), key=pool.index)
+        expected, offset = dense_round_robin(ids, budget, offset)
+        alloc = scheduler.allocate([StubSession(sid) for sid in ids], budget, RNG)
+        assert alloc == {sid: n for sid, n in expected.items() if n}
+        assert scheduler._offset == offset
+        shapes.add("one" if count == 1 else (count > budget) - (count < budget))
+    assert shapes == {"one", -1, 0, 1}
 
 
 # --------------------------------------------------------------- priority

@@ -21,7 +21,6 @@ from repro.server import (
     MAX_REQUEST_BYTES,
     AsyncQueryServer,
     ProtocolError,
-    ServerConfig,
     ServerThread,
     parse_request,
 )

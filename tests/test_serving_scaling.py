@@ -1,14 +1,21 @@
-"""A tick costs O(sessions in flight): the live-session index.
+"""A tick touches only the sessions it grants: the live and ready indexes.
 
-``QueryService`` keeps the non-terminal sessions in an index beside the
-map of every session, and everything that runs per tick reads the index.
-The contracts under test, none of them by the clock:
+``QueryService`` keeps the non-terminal sessions in a live index beside
+the map of every session, and the schedulable ones in a ready index that
+sessions update at events (plan, commit, pause, resume, cancel, absorbed
+footage).  ``sync`` walks sessions only when a repository's horizon moved
+or a session is still owed footage, and a tick plans, commits and
+settles only the sessions the scheduler granted frames.  The contracts
+under test, none of them by the clock:
 
-* *equivalence* — after any sequence of operations the index answers
+* *equivalence* — after any sequence of operations the indexes answer
   exactly what a walk over every session would: same objects, same
   order, same absorbed footage;
 * *cost* — with hundreds of terminal residents a tick looks at the live
   sessions only (counted reads), and keeps doing so as sessions churn;
+  at a fixed budget a tick makes as many readiness evaluations with a
+  thousand long-lived sessions as with eight (O(frames granted)), and a
+  sync with no new footage makes no absorb call;
 * *server* — the per-tick and per-admission paths of
   ``AsyncQueryServer`` neither copy nor walk the whole map, and the
   tenant quota counts non-terminal sessions;
@@ -27,9 +34,12 @@ import time
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.server import AsyncQueryServer, ServerConfig, ServerThread
 from repro.serving import QueryService, ServingClient, SessionState
+from repro.serving.scheduler import SCHEDULERS
 from repro.serving.session import QuerySession, SessionSnapshot
+from repro.simulation.runner import RecordingScheduler
 from repro.video.instances import InstanceSet
 from repro.video.repository import VideoClip, VideoRepository, single_clip_repository
 from repro.video.synthetic import place_instances
@@ -186,6 +196,80 @@ def test_index_equals_a_walk_over_every_session(seed):
         service.close()
 
 
+@pytest.mark.parametrize("policy", ["round-robin", "priority"])
+@pytest.mark.parametrize("seed", range(4))
+def test_session_gauges_equal_a_write_for_every_schedulable_session(seed, policy):
+    """The tick observer writes the per-session gauges of the sessions
+    granted this tick or the last and of those that entered the ready
+    set; the series equal writing every schedulable session each tick."""
+    rng = random.Random(seed)
+    repo = growing_repo()
+    records = []
+    tel = telemetry.enable()
+    service = QueryService(
+        repo, chunk_frames=600, frames_per_tick=4, seed=seed,
+        scheduler=RecordingScheduler(SCHEDULERS[policy](), records),
+    )
+    expected: dict[str, list[int]] = {}  # session -> [grant, deficit]
+
+    def submit():
+        service.submit("cam", "bus", max_samples=rng.choice([8, 40, 200]),
+                       batch_size=rng.choice([1, 8]), follow=rng.random() < 0.3,
+                       priority=rng.choice([1.0, 3.0]), warm_start=False)
+
+    def tick():
+        before = len(records)
+        service.tick()
+        for ids, _budget, allocation in records[before:]:
+            for sid in ids:
+                expected.setdefault(sid, [0, 0])[0] = allocation[sid]
+            for sid in ids:
+                if service.sessions[sid].state.terminal:
+                    expected.pop(sid)
+                else:
+                    expected[sid][1] = service.deficits.get(sid, 0)
+
+    def live(predicate):
+        pool = [s for s in service.sessions.values() if predicate(s)]
+        return rng.choice(pool).session_id if pool else None
+
+    def pause():
+        sid = live(lambda s: not s.state.terminal)
+        if sid is not None:
+            service.pause(sid)
+
+    def resume():
+        sid = live(lambda s: s.state is SessionState.PAUSED)
+        if sid is not None:
+            service.resume(sid)
+
+    def cancel():
+        sid = live(lambda s: not s.state.terminal)
+        if sid is not None:
+            service.cancel(sid)
+            expected.pop(sid, None)
+
+    def feed():
+        service.feed("cam", 600, clip_instances(repo.horizon, 600, 3, start_id=9000 + repo.horizon))
+
+    try:
+        for _ in range(6):
+            submit()
+        for _ in range(120):
+            rng.choice([submit, tick, tick, tick, tick, pause, resume, cancel, feed])()
+            gauges = tel.snapshot()["gauges"]
+            got = {}
+            for key, value in gauges.items():
+                for index, name in enumerate(("grant", "deficit")):
+                    prefix = f'repro_serving_session_{name}_frames{{session="'
+                    if key.startswith(prefix):
+                        got.setdefault(key[len(prefix):-2], [0, 0])[index] = value
+            assert got == expected
+    finally:
+        service.close()
+        telemetry.disable()
+
+
 # ------------------------------------------------------------------- cost
 
 @pytest.fixture
@@ -240,6 +324,56 @@ def test_a_tick_looks_at_live_sessions_only(touched):
     assert one_tick() == (reads, absorbs)
     assert [s.session_id for s in service.live_sessions()] == [live]
     service.close()
+
+
+@pytest.mark.parametrize("live", [8, 100, 1000])
+def test_a_tick_costs_the_sessions_it_grants(touched, live):
+    budget = 8
+    service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=budget)
+    for seed in range(live):
+        service.submit("synthetic", "bus", max_samples=10_000,
+                       warm_start=False, seed=seed)
+    service.tick()  # the first look evaluates every new session once
+    per_tick = []
+    for _ in range(6):
+        touched.clear()
+        service.schedulable_sessions()  # the serving loop's look, then the tick's
+        processed = service.tick()
+        assert len(processed) == budget and sum(processed.values()) == budget
+        per_tick.append((touched["schedulable"], touched["absorb"]))
+    # each granted session reports its plan and commit, and is evaluated
+    # once at the next look; the other sessions are never read
+    assert per_tick == [(budget, 0)] * 6
+    touched.clear()
+    assert service.sync() == {}
+    assert touched["absorb"] == 0  # no horizon moved: no walk
+    service.feed("synthetic", 600)
+    assert touched["absorb"] == live  # one walk over the dataset's sessions
+    touched.clear()
+    assert service.sync() == {}
+    assert touched["absorb"] == 0
+    service.close()
+
+
+def test_a_restored_session_catches_up_with_no_horizon_move(touched):
+    """A restore can land behind footage the service has already synced
+    past: the next sync absorbs it, and then walks it no more."""
+    repo = growing_repo()
+    live = QueryService(repo, chunk_frames=600, frames_per_tick=16)
+    sid = live.submit("cam", "bus", max_samples=200, warm_start=False, seed=1)
+    live.tick()
+    snapshot = live.snapshot(sid)
+    repo.append_clip(600, clip_instances(2400, 600, 3, start_id=100))
+    host = QueryService(repo, chunk_frames=600, frames_per_tick=16)
+    assert host.sync() == {}  # the host has now seen horizon 3000
+    host.restore(snapshot)
+    assert host.sessions[sid].horizon == 2400
+    assert host.sync() == {sid: 600}
+    touched.clear()
+    assert host.sync() == {}
+    assert touched["absorb"] == 0
+    live.close()
+    host.close()
 
 
 # ----------------------------------------------------------------- server
