@@ -43,6 +43,7 @@ from ..detection.execution import with_latency
 from ..detection.cache import TieredBackend
 from ..distributed.coordinator import ShardCoordinator
 from ..distributed.worker import DetectorSpec
+from ..telemetry.observers import NULL_TICK_OBSERVER
 from ..tracking.discriminator import Discriminator, OracleDiscriminator
 from ..video.instances import ObjectInstance
 from ..video.repository import VideoClip, VideoRepository
@@ -238,6 +239,9 @@ class QueryService:
         self._behind: dict[str, QuerySession] = {}
         # each repository's horizon when sync last walked its sessions
         self._synced: dict[str, int] = {}
+        # the sessions restore_many is rebuilding, each with the step
+        # count to replay it to (None outside one): restore builds into it
+        self._restoring: list[tuple[QuerySession, int]] | None = None
         self._next_id = 1
         self._ticks = 0
         # frames a session processed beyond its past allocations (batched
@@ -372,6 +376,9 @@ class QueryService:
             self._deficits.pop(session_id, None)
             self._behind.pop(session_id, None)
             session._on_change = None
+            # every terminal session passes here, cancelled behind the
+            # service's back included: its gauges and trace end with it
+            telemetry.get().tick_observer.session_closed(session)
 
     def _admit(self, session: QuerySession) -> None:
         """Index a submitted or restored non-terminal session."""
@@ -636,21 +643,7 @@ class QueryService:
                     break
                 # stage 2, once per dataset: one batched detector call over
                 # the union of planned frames, duplicates coalesced
-                frames_by_dataset: dict[str, dict[int, None]] = {}
-                for session, pending in plans:
-                    ordered = frames_by_dataset.setdefault(session.spec.dataset, {})
-                    for _, frame in pending:
-                        ordered[frame] = None
-                obs.lap("coalesce")
-                detections: dict[str, dict[int, list[Detection]]] = {}
-                for dataset, ordered in frames_by_dataset.items():
-                    frames = list(ordered)
-                    obs.begin_dispatch(dataset, plans, frames)
-                    try:
-                        per_frame = self._shared_detector(dataset).detect_many(frames, ahead)
-                    finally:
-                        obs.end_dispatch()
-                    detections[dataset] = dict(zip(frames, per_frame))
+                detections = self._detect_coalesced(plans, obs, ahead)
                 obs.lap("detect")
                 # stage 3, all sessions: commit in submission order
                 for session, pending in plans:
@@ -674,6 +667,34 @@ class QueryService:
             self._cache.flush()  # one durability point per scheduling quantum
         obs.finish(processed)
         return processed
+
+    def _detect_coalesced(
+        self, plans, obs=NULL_TICK_OBSERVER, ahead=None
+    ) -> dict[str, dict[int, list[Detection]]]:
+        """Stage 2 of a round, for the tick and the restore replay alike:
+        the frames ``plans`` (``(session, batch)`` pairs) want, merged per
+        dataset with duplicates collapsed, fetched through the dataset's
+        shared caching detector in **one** batched call — one cache round
+        trip, the misses fanned out over the shard workers under sharded
+        execution.  Returns ``{dataset: {frame: unfiltered detections}}``.
+        ``obs`` hears the coalesce lap and each dispatch; ``ahead`` is the
+        plan-ahead callback a detector that overlaps may call back."""
+        frames_by_dataset: dict[str, dict[int, None]] = {}
+        for session, pending in plans:
+            ordered = frames_by_dataset.setdefault(session.spec.dataset, {})
+            for _, frame in pending:
+                ordered[frame] = None
+        obs.lap("coalesce")
+        detections: dict[str, dict[int, list[Detection]]] = {}
+        for dataset, ordered in frames_by_dataset.items():
+            frames = list(ordered)
+            obs.begin_dispatch(dataset, plans, frames)
+            try:
+                per_frame = self._shared_detector(dataset).detect_many(frames, ahead)
+            finally:
+                obs.end_dispatch()
+            detections[dataset] = dict(zip(frames, per_frame))
+        return detections
 
     @staticmethod
     def _plan_ahead(active, obs) -> None:
@@ -751,49 +772,98 @@ class QueryService:
         return [s.snapshot() for s in self._sessions.values()]
 
     def restore(self, snapshot: SessionSnapshot) -> str:
-        """Rebuild a session from its snapshot by deterministic replay.
+        """Rebuild one session from its snapshot; returns its session id.
 
-        Warm-start frames are re-absorbed from the cache (or, for a
-        not-yet-started submission, taken fresh from the current cache),
-        then the recorded number of engine steps is re-run — all cache
-        hits when the snapshot's frames are still cached, so the restore
-        costs no detector calls.  The snapshot's horizon log drives the
-        chunk-set evolution: chunks are taken up to the admission-time
-        horizon first and re-extended at each recorded absorption point,
-        so sessions that caught up with footage ingested mid-query replay
-        bit-exact even though the repository has grown since.  Footage
-        beyond the last logged horizon is *not* absorbed here — the next
-        :meth:`sync` (or tick) picks it up, exactly as it would have for
-        the live session.  Terminal sessions skip the replay entirely and
-        restore *sealed*: they can never be scheduled again, and the
-        snapshot already answers every status/results poll.
+        Called alone, this is :meth:`restore_many` of the one snapshot
+        (see there).  Inside :meth:`restore_many` — which builds every
+        snapshot through here, so whatever watches this method sees each
+        restored session — it builds the session at step 0 and leaves
+        the replay and the admission to the batch.
         """
-        if snapshot.session_id in self._sessions:
-            raise ValueError(f"session {snapshot.session_id!r} already exists")
-        spec = snapshot.spec
-        if SessionState(snapshot.state).terminal:
-            # sealed: no engine, so no repository is needed at all
-            session = QuerySession.from_sealed_snapshot(snapshot)
-            self._sessions[snapshot.session_id] = session
-            self._reserve_id(snapshot.session_id)
+        batch = self._restoring
+        if batch is None:
+            return self.restore_many([snapshot])[0]
+        state = SessionState(snapshot.state)
+        if state.terminal:
+            batch.append((QuerySession.from_sealed_snapshot(snapshot), 0))
             return snapshot.session_id
-        self._repository(spec.dataset)  # validate before building anything
+        spec = snapshot.spec
         warm_frames = snapshot.warm_start_frames
-        if warm_frames is None:
-            warm_frames = self._cache.frames(spec.dataset) if spec.warm_start else []
+        if warm_frames is None and spec.warm_start:
+            # a submission that never ran warm-starts over the cache as the
+            # snapshots before it leave it: replay those first
+            self._replay(batch)
+            warm_frames = self._cache.frames(spec.dataset)
         session = self._build_session(
-            snapshot.session_id,
-            spec,
-            warm_frames,
-            replay_steps=snapshot.steps_taken,
-            state=SessionState(snapshot.state),
-            horizons=snapshot.horizons,
+            snapshot.session_id, spec, warm_frames or (), state, snapshot.horizons
         )
-        self._admit(session)
-        # its horizon log may stop short of the repository's horizon
-        self._behind[snapshot.session_id] = session
-        self._reserve_id(snapshot.session_id)
+        batch.append((session, snapshot.steps_taken))
         return snapshot.session_id
+
+    def restore_many(self, snapshots: Iterable[SessionSnapshot]) -> list[str]:
+        """Rebuild sessions from their snapshots by deterministic replay,
+        all of them together; returns their ids in snapshot order.
+
+        Terminal snapshots restore *sealed*: no engine and no replay —
+        they can never be scheduled again, and the snapshot already
+        answers every status/results poll.  Every other session is built
+        at step 0: warm-start frames are re-absorbed from the cache (or,
+        for a not-yet-started submission, taken fresh from the cache as
+        the snapshots before it left it), a frame that fell out of the
+        cache re-detected.  Then the recorded engine steps are re-run for
+        all of them in lockstep rounds
+        (:meth:`QuerySession.replay_steps`): each round plans one batch
+        per session still short of its step count in one Thompson draw,
+        fetches the round's frames per dataset in one batched call
+        through the shared caching detector — all hits when the
+        snapshots' frames are still cached, so no detector calls — and
+        commits each session's share.  A session's decisions depend on
+        its own seed and step count only, so the result is exactly what
+        restoring the snapshots one at a time gives.
+
+        The snapshot's horizon log drives the chunk-set evolution:
+        chunks are taken up to the admission-time horizon first and
+        re-extended at each recorded absorption point, so sessions that
+        caught up with footage ingested mid-query replay bit-exact even
+        though the repository has grown since.  Footage beyond the last
+        logged horizon is *not* absorbed here — the next :meth:`sync`
+        (or tick) picks it up, exactly as it would have for the live
+        session.  Sessions are admitted in snapshot order once every
+        replay is done; none is admitted when a snapshot is invalid (an
+        id already held, an unknown dataset) or a replay fails.
+        """
+        snapshots = list(snapshots)
+        ids: set[str] = set()
+        for snapshot in snapshots:  # validate before building anything
+            if snapshot.session_id in self._sessions or snapshot.session_id in ids:
+                raise ValueError(f"session {snapshot.session_id!r} already exists")
+            ids.add(snapshot.session_id)
+            if not SessionState(snapshot.state).terminal:
+                self._repository(snapshot.dataset)
+        self._restoring = batch = []
+        try:
+            for snapshot in snapshots:
+                self.restore(snapshot)
+            self._replay(batch)
+        finally:
+            self._restoring = None
+        for session, _steps in batch:
+            if session.engine is None:  # sealed
+                self._sessions[session.session_id] = session
+            else:
+                self._admit(session)
+                # its horizon log may stop short of the repository's horizon
+                self._behind[session.session_id] = session
+            self._reserve_id(session.session_id)
+        return [session.session_id for session, _steps in batch]
+
+    def _replay(self, batch: list[tuple[QuerySession, int]]) -> None:
+        """Bring every engine-backed session of ``batch`` up to its step
+        count, in lockstep rounds; the ones already there cost nothing."""
+        QuerySession.replay_steps(
+            [(session, steps) for session, steps in batch if session.engine is not None],
+            self._detect_coalesced,
+        )
 
     def _reserve_id(self, session_id: str) -> None:
         """Keep fresh ids clear of restored ones (s7 -> next is s8)."""
@@ -850,10 +920,12 @@ class QueryService:
         session_id: str,
         spec: SessionSpec,
         warm_frames,
-        replay_steps: int = 0,
         state: SessionState = SessionState.ACTIVE,
         horizons: tuple[tuple[int, int], ...] = (),
     ) -> QuerySession:
+        """A session at step 0: its chunks taken up to the first logged
+        horizon and its warm-start frames absorbed.  A restore replays
+        its recorded steps afterwards (:meth:`restore_many`)."""
         repo = self._repository(spec.dataset)
         rng = DecisionRng(spec.seed)
         chunker = IncrementalChunker(
@@ -892,22 +964,6 @@ class QueryService:
             frames=warm_frames,
             detector=self._shared_detector(spec.dataset).wrapped,
         )
-
-        # replay by frame count, not step count, planning each batch with
-        # the same max_samples clamp the live session used — both sides
-        # compute batch sizes from (spec, frames_processed) alone, so the
-        # replayed sampling stream is identical.  The horizon log gates
-        # chunk-set growth to the recorded absorption points, replaying
-        # mid-query ingestion exactly.
-        def replay_to(step_target: int) -> None:
-            while engine.frames_processed < step_target:
-                size = spec.next_batch_size(engine.frames_processed)
-                engine.commit(engine.plan(batch_size=size))
-
-        for at_steps, horizon in log[1:]:
-            replay_to(at_steps)
-            engine.extend(chunker.take(up_to_horizon=horizon))
-        replay_to(replay_steps)
         return QuerySession(
             session_id,
             spec,

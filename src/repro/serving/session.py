@@ -21,8 +21,11 @@ around three serving-specific ideas:
   engine makes is a deterministic function of the session seed and its
   own step count — never of how sessions were interleaved — restoring
   re-runs those steps against the cache (all hits, zero detector cost)
-  and lands in the exact pre-pause state.  No RNG internals, stratum
-  sets, or tracker state ever need to be pickled.
+  and lands in the exact pre-pause state.  The re-run is interleaved on
+  purpose: :meth:`QuerySession.replay_steps` replays every restored
+  session together, one shared Thompson draw and one cache round trip
+  per round, exactly as the serving tick plans.  No RNG internals,
+  stratum sets, or tracker state ever need to be pickled.
 
 Live ingestion adds a fourth idea: a session's engine can **absorb new
 footage** mid-query (:meth:`QuerySession.absorb_new_footage`), extending
@@ -683,6 +686,50 @@ class QuerySession:
         self._refresh_state()
         self._changed()
         return len(records)
+
+    @staticmethod
+    def replay_steps(replays, detect) -> None:
+        """Re-run recorded steps for many sessions built at step 0, in
+        lockstep rounds — the restore half of the coalescing seam.
+
+        ``replays`` holds ``(session, frames)`` pairs: each session replays
+        until it has processed ``frames`` frames.  Each round, every
+        session still short of its next goal plans one batch of
+        ``spec.next_batch_size(frames_processed)`` frames — the batch its
+        live run planned there — all in one
+        :func:`~repro.core.sampler.plan_many` draw; ``detect`` (the
+        service's stage 2) fetches the round's ``(session, batch)`` plans
+        and returns ``{dataset: {frame: detections}}``; each session
+        commits its batch.  The horizon log gates chunk-set growth: a
+        session that reaches a logged absorption point extends over the
+        logged horizon before its next plan, so mid-query ingestion
+        replays exactly.  Nothing a round shares reaches a decision, so
+        every session lands where replaying it alone would have.
+        """
+        todo = [
+            (session, session._horizon_log[1:], frames)
+            for session, frames in replays
+        ]
+        while True:
+            due = []
+            for session, points, frames in todo:
+                engine = session._engine
+                while points and engine.frames_processed >= points[0][0]:
+                    horizon = points.pop(0)[1]
+                    engine.extend(session._chunker.take(up_to_horizon=horizon))
+                if engine.frames_processed < (points[0][0] if points else frames):
+                    due.append((session, points, frames))
+            if not due:
+                return
+            todo = due
+            sessions = [session for session, _, _ in due]
+            plans = list(zip(sessions, plan_many(
+                (s._engine, s._spec.next_batch_size(s._engine.frames_processed))
+                for s in sessions
+            )))
+            detections = detect(plans)
+            for session, pending in plans:
+                session.commit_step(pending, detections[session._spec.dataset])
 
     def thompson_draw(self, rng) -> float:
         """One Thompson sample of this session's best-chunk yield — its

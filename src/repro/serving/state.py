@@ -211,12 +211,11 @@ def absorb(
         service, directory, seed, cursor, on_missing_dataset=factory
     )
     held = service.sessions
-    for snapshot in load_snapshots(directory):
-        if snapshot.session_id in held:
-            continue
+    fresh = [s for s in load_snapshots(directory) if s.session_id not in held]
+    for snapshot in fresh:
         if not SessionState(snapshot.state).terminal:
             ingest.ensure_dataset(service, snapshot.dataset, factory)
-        service.restore(snapshot)
+    service.restore_many(fresh)
     return cursor
 
 

@@ -381,8 +381,7 @@ class SimulationRunner:
         self.service = self._build_service()
         self.cursor = 0
         self._apply_journal()
-        for snap in serving_state.load_snapshots(self.state_dir):
-            self.service.restore(snap)
+        self.service.restore_many(serving_state.load_snapshots(self.state_dir))
         self.crashes += 1
         # the restore proof: every rebuilt session must land exactly
         # where the live run logged it

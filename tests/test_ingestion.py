@@ -8,16 +8,18 @@ query over the fully materialized repository, and with a fixed seed the
 post-catch-up sampling decisions are reproducible.
 """
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from contracts import clip_repository
 
 from repro.core.chunking import IncrementalChunker, make_chunks
 from repro.core.multiquery import MultiQueryExSample
 from repro.core.sampler import ExSample
 from repro.detection.detector import OracleDetector, SimulatedDetector
 from repro.tracking.discriminator import OracleDiscriminator
-from repro.video.instances import InstanceSet
-from repro.video.repository import VideoClip, VideoRepository, empty_repository
+from repro.video.repository import empty_repository
 from repro.video.synthetic import place_instances
 
 
@@ -33,17 +35,19 @@ def clip_instances(clip_start, clip_frames, count, category="bus", seed=0, start
     )
 
 
+def clip_starts(num_clips):
+    """Where each of the first ``num_clips`` CLIP_FRAMES clips starts when
+    laid end to end."""
+    return [0, *accumulate(CLIP_FRAMES)][:num_clips]
+
+
 def full_repository(num_clips=len(CLIP_FRAMES), per_clip=6):
     """The up-front materialization: every clip present at construction."""
-    clips, instances, start = [], [], 0
-    for k in range(num_clips):
-        frames = CLIP_FRAMES[k]
-        clips.append(VideoClip(k, f"clip-{k}", start, frames))
-        instances.extend(
-            clip_instances(start, frames, per_clip, start_id=k * per_clip)
-        )
-        start += frames
-    return VideoRepository(clips, InstanceSet(instances))
+    return clip_repository("synthetic", CLIP_FRAMES[:num_clips], [
+        instance
+        for k, start in enumerate(clip_starts(num_clips))
+        for instance in clip_instances(start, CLIP_FRAMES[k], per_clip, start_id=k * per_clip)
+    ])
 
 
 def grow_repository(repo, from_clip, per_clip=6):
@@ -54,7 +58,7 @@ def grow_repository(repo, from_clip, per_clip=6):
         repo.append_clip(
             CLIP_FRAMES[k],
             clip_instances(start, CLIP_FRAMES[k], per_clip, start_id=k * per_clip),
-            name=f"clip-{k}",
+            name=f"c{k}",
         )
 
 
@@ -132,7 +136,7 @@ def test_incremental_chunks_match_upfront_layout(chunk_frames):
     grown = list(chunker.take())
     for k in range(1, len(CLIP_FRAMES)):
         start = repo_live.total_frames
-        repo_live.append_clip(CLIP_FRAMES[k], name=f"clip-{k}")
+        repo_live.append_clip(CLIP_FRAMES[k], name=f"c{k}")
         grown.extend(chunker.take())
 
     assert [(c.chunk_id, c.start_frame, c.end_frame) for c in grown] == [
@@ -295,10 +299,9 @@ def test_empty_start_engine_becomes_runnable_after_extend():
 def test_multiquery_extend_parity():
     # ground truth with two categories across all clips
     def two_cat_repo(num_clips):
-        clips, instances, start = [], [], 0
-        for k in range(num_clips):
+        instances = []
+        for k, start in enumerate(clip_starts(num_clips)):
             frames = CLIP_FRAMES[k]
-            clips.append(VideoClip(k, f"clip-{k}", start, frames))
             instances.extend(
                 clip_instances(start, frames, 4, category="bus", start_id=k * 8)
             )
@@ -307,8 +310,7 @@ def test_multiquery_extend_parity():
                     start, frames, 4, category="truck", seed=1, start_id=k * 8 + 4
                 )
             )
-            start += frames
-        return VideoRepository(clips, InstanceSet(instances))
+        return clip_repository("synthetic", CLIP_FRAMES[:num_clips], instances)
 
     repo_full = two_cat_repo(len(CLIP_FRAMES))
     rng_full = np.random.default_rng(13)
@@ -339,7 +341,7 @@ def test_multiquery_extend_parity():
         ) + clip_instances(
             start, frames, 4, category="truck", seed=1, start_id=k * 8 + 4
         )
-        repo_live.append_clip(frames, instances, name=f"clip-{k}")
+        repo_live.append_clip(frames, instances, name=f"c{k}")
     live.extend(chunker.take())
     live.run(max_samples=150)
 

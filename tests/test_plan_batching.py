@@ -347,6 +347,41 @@ def test_a_tick_round_makes_one_kernel_call(counters):
         assert counters["kernel"] == 1
 
 
+def test_a_restore_round_makes_one_kernel_call(counters, monkeypatch):
+    """Restoring N sessions of S steps each at batch 1 replays them in S
+    lockstep rounds: S kernel calls, not N·S, and one cache round trip
+    per round per dataset."""
+    steps, live = 5, QueryService(
+        _repositories(0), chunk_frames={"cam0": 20, "cam1": 45},
+        frames_per_tick=4, seed=0,
+    )
+    for k in range(4):
+        live.submit("cam0" if k % 2 else "cam1", "bus", max_samples=30,
+                    seed=k, warm_start=False)
+    for _ in range(steps):
+        live.tick()
+    snapshots = live.snapshot_all()
+    assert [s.steps_taken for s in snapshots] == [steps] * 4
+    restored = QueryService(
+        _repositories(0), cache=live.cache, chunk_frames={"cam0": 20, "cam1": 45},
+        frames_per_tick=4, seed=0,
+    )
+    lookups = []
+    get_many = live.cache.get_many
+
+    def counting_get_many(dataset, frames):
+        lookups.append(dataset)
+        return get_many(dataset, frames)
+
+    monkeypatch.setattr(live.cache, "get_many", counting_get_many)
+    counters["kernel"] = counters["plan"] = 0
+    restored.restore_many(snapshots)
+    assert counters["plan"] == 4 * steps
+    assert counters["kernel"] == steps
+    assert sorted(lookups) == ["cam0"] * steps + ["cam1"] * steps
+    assert fingerprint(restored, live.sessions) == fingerprint(live, live.sessions)
+
+
 def test_plan_ahead_makes_one_kernel_call(counters, monkeypatch):
     calls = []
     ahead = QueryService._plan_ahead

@@ -10,11 +10,11 @@ import os
 
 import numpy as np
 import pytest
+from contracts import clip_repository
 
 from repro.serving import IngestEntry, QueryService, SessionState
 from repro.serving import ingest as serving_ingest
-from repro.video.instances import InstanceSet
-from repro.video.repository import VideoClip, VideoRepository, empty_repository
+from repro.video.repository import empty_repository
 from repro.video.synthetic import place_instances
 
 _SCALE = float(os.environ.get("REPRO_TEST_SCALE", "1.0"))
@@ -42,15 +42,10 @@ def clip_specs(per_clip=8):
 
 
 def full_repo(specs, num_clips=None):
-    if num_clips is None:
-        num_clips = len(specs)
-    clips, instances, start = [], [], 0
-    for k in range(num_clips):
-        frames, insts = specs[k]
-        clips.append(VideoClip(k, f"clip-{k}", start, frames))
-        instances.extend(insts)
-        start += frames
-    return VideoRepository(clips, InstanceSet(instances), name="cam")
+    specs = specs[:num_clips]
+    return clip_repository(
+        "cam", [frames for frames, _ in specs], [i for _, insts in specs for i in insts]
+    )
 
 
 def make_service(repo, **kwargs):
@@ -75,7 +70,7 @@ def test_feed_extends_running_sessions():
     h0 = session.horizon
     assert h0 == specs[0][0]
     frames, insts = specs[1]
-    service.feed("cam", frames, insts, name="clip-1")
+    service.feed("cam", frames, insts, name="c1")
     assert session.horizon == h0 + frames
     assert session.horizon_log[-1] == (session.frames_processed, h0 + frames)
     assert service.status(sid).horizon == h0 + frames
@@ -143,7 +138,7 @@ def test_snapshot_restore_across_horizon_change():
     for _ in range(5):
         service.tick()
     frames, insts = specs[2]
-    service.feed("cam", frames, insts, name="clip-2")
+    service.feed("cam", frames, insts, name="c2")
     for _ in range(5):
         service.tick()
 

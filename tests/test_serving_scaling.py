@@ -33,6 +33,7 @@ import time
 
 import numpy as np
 import pytest
+from contracts import clip_repository
 
 from repro import telemetry
 from repro.server import AsyncQueryServer, ServerConfig, ServerThread
@@ -40,8 +41,7 @@ from repro.serving import QueryService, ServingClient, SessionState
 from repro.serving.scheduler import SCHEDULERS
 from repro.serving.session import QuerySession, SessionSnapshot
 from repro.simulation.runner import RecordingScheduler
-from repro.video.instances import InstanceSet
-from repro.video.repository import VideoClip, VideoRepository, single_clip_repository
+from repro.video.repository import single_clip_repository
 from repro.video.synthetic import place_instances
 
 RESIDENTS = 500
@@ -58,10 +58,7 @@ def clip_instances(start, frames, count, start_id):
 
 def growing_repo():
     """One clip of footage that later clips can be appended to."""
-    instances = clip_instances(0, 2400, 8, start_id=0)
-    return VideoRepository(
-        [VideoClip(0, "clip-0", 0, 2400)], InstanceSet(instances), name="cam"
-    )
+    return clip_repository("cam", (2400,), clip_instances(0, 2400, 8, start_id=0))
 
 
 def fixed_repo(total_frames=20_000, count=25):

@@ -541,6 +541,30 @@ def test_per_session_gauges_end_with_their_session():
         service.close()
 
 
+def test_a_session_cancelled_behind_the_service_retires_its_gauges():
+    """``session.cancel()`` called on the session object, not through
+    :meth:`QueryService.cancel`: the service learns of it only when its
+    ready index retires the session, and the gauges must end there."""
+    tel = telemetry.enable()
+    service = QueryService(small_world(0), frames_per_tick=8, chunk_frames=50, seed=0)
+    try:
+        kept = service.submit("cam0", "bus", max_samples=400, warm_start=False)
+        gone = service.submit("cam0", "car", max_samples=400, warm_start=False)
+        service.tick()
+        assert set(tel.tick_observer.session_gauges) == {kept, gone}
+        service.sessions[gone].cancel()
+        for _ in range(3):
+            service.tick()
+        series = [key for key in tel.snapshot()["gauges"] if "{session=" in key]
+        assert series == [
+            f'repro_serving_session_deficit_frames{{session="{kept}"}}',
+            f'repro_serving_session_grant_frames{{session="{kept}"}}',
+        ]
+        assert set(tel.tick_observer.session_gauges) == {kept}
+    finally:
+        service.close()
+
+
 def test_registry_drop_forgets_one_series():
     registry = MetricsRegistry()
     registry.gauge("repro_g_frames", {"session": "s1"}).set(3)
