@@ -14,8 +14,9 @@ recover from early bad luck.
 
 Sampling dispatches on the generator type: a
 :class:`~repro.core.rng.DecisionRng` takes the bulk contract
-(:meth:`DecisionRng.gamma_matrix` — bit-identical whichever executor
-runs each round), while a ``numpy.random.Generator`` keeps the historical
+(:meth:`DecisionRng.gamma_matrix` — numpy's ``standard_gamma`` on a
+Philox keyed by one draw of the stream, so the matrix is a function of
+seeds alone), while a ``numpy.random.Generator`` keeps the historical
 ``rng.gamma`` stream so existing experiment seeds reproduce unchanged.
 """
 

@@ -54,6 +54,7 @@ from .session import (
     SessionSpec,
     SessionState,
     SessionStatus,
+    StateError,
     derive_session_seed,
     replay_cached_frames,
 )
@@ -828,9 +829,13 @@ class QueryService:
         though the repository has grown since.  Footage beyond the last
         logged horizon is *not* absorbed here — the next :meth:`sync`
         (or tick) picks it up, exactly as it would have for the live
-        session.  Sessions are admitted in snapshot order once every
-        replay is done; none is admitted when a snapshot is invalid (an
-        id already held, an unknown dataset) or a replay fails.
+        session.  A replayed session must land on the result frames its
+        snapshot recorded; one that does not was saved under another
+        decision stream (an older release, or a numpy whose Thompson draw
+        changed) and raises :class:`StateError` naming it.  Sessions are
+        admitted in snapshot order once every replay is done; none is
+        admitted when a snapshot is invalid (an id already held, an
+        unknown dataset) or a replay fails or misses its results.
         """
         snapshots = list(snapshots)
         ids: set[str] = set()
@@ -847,6 +852,17 @@ class QueryService:
             self._replay(batch)
         finally:
             self._restoring = None
+        for snapshot, (session, _steps) in zip(snapshots, batch):
+            # a submission that never ran recorded no results to replay
+            if session.engine is None or snapshot.warm_start_frames is None:
+                continue
+            if session.result_frames() != sorted(snapshot.result_frames):
+                raise StateError(
+                    f"session {snapshot.session_id!r} replays to result frames "
+                    f"{session.result_frames()}, not the recorded "
+                    f"{sorted(snapshot.result_frames)}: it was saved under "
+                    "another decision stream"
+                )
         for session, _steps in batch:
             if session.engine is None:  # sealed
                 self._sessions[session.session_id] = session

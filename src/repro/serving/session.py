@@ -61,10 +61,25 @@ __all__ = [
     "SessionSpec",
     "SessionSnapshot",
     "SessionStatus",
+    "StateError",
     "QuerySession",
     "derive_session_seed",
     "replay_cached_frames",
 ]
+
+
+class StateError(ValueError):
+    """Saved session state that cannot be served: a state-directory file
+    that does not read back, or a snapshot whose replay does not
+    reproduce the results it recorded.
+
+    Every file of a state directory but the cache is one plain
+    ``write_text`` — not atomic, and torn by a crash mid-write — so a
+    file that does not parse is either that or real corruption.  A
+    replay that misses its recorded results was written under another
+    decision stream (an older release, or a numpy whose Thompson draw
+    changed).  The CLI surfaces each as one clean line (exit 2) instead
+    of a traceback."""
 
 
 def derive_session_seed(base_seed: int, session_number: int) -> int:

@@ -40,7 +40,7 @@ from ..video.repository import VideoRepository, empty_repository
 from . import ingest
 from .scheduler import SCHEDULERS
 from .service import QueryService
-from .session import SessionSnapshot, SessionState
+from .session import SessionSnapshot, SessionState, StateError
 
 __all__ = [
     "CACHE_FILENAME",
@@ -60,15 +60,6 @@ __all__ = [
     "write_snapshot",
 ]
 
-
-class StateError(ValueError):
-    """A state directory that cannot be served: a file that does not
-    read back.
-
-    Every file here but the cache is one plain ``write_text`` — not
-    atomic, and torn by a crash mid-write — so a file that does not
-    parse is either that or real corruption.  The CLI surfaces both as
-    one clean line naming the file (exit 2) instead of a traceback."""
 
 CONFIG_FILENAME = "service.json"
 CACHE_FILENAME = "cache.sqlite"

@@ -381,7 +381,12 @@ class SimulationRunner:
         self.service = self._build_service()
         self.cursor = 0
         self._apply_journal()
-        self.service.restore_many(serving_state.load_snapshots(self.state_dir))
+        try:
+            self.service.restore_many(serving_state.load_snapshots(self.state_dir))
+        except serving_state.StateError as exc:  # a replay missed its results
+            raise InvariantViolation(
+                self.scenario.seed, f"crash-restart at tick {tick}: {exc}"
+            ) from exc
         self.crashes += 1
         # the restore proof: every rebuilt session must land exactly
         # where the live run logged it

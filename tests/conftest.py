@@ -20,26 +20,9 @@ to exercise larger repositories with the same assertions.
 
 import os
 
-import pytest
 from hypothesis import settings
 
 settings.register_profile("default", deadline=None, max_examples=25)
 settings.register_profile("nightly", deadline=None, max_examples=250)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-
-@pytest.fixture
-def executor(monkeypatch):
-    """``executor(kind)`` picks who runs every Thompson draw from then on
-    by setting ``repro.core.rng._SCALAR_ROUND_MAX``: ``"vector"`` runs
-    every round through numpy, ``"scalar"`` runs every draw whole through
-    the pure-Python rounds — the bit-identity oracle — and ``"shipped"``
-    restores the module's own handover, as the end of the test does."""
-    from repro.core import rng as rng_module
-
-    thresholds = {"vector": 0, "scalar": 10**9, "shipped": rng_module._SCALAR_ROUND_MAX}
-
-    def use(kind: str) -> None:
-        monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", thresholds[kind])
-
-    return use

@@ -1,124 +1,48 @@
-"""Vector-vs-scalar decision-stream parity, end to end.
+"""Decision streams that outlive one process, and the flat belief layout.
 
-Every Thompson draw runs round by round, each round either through numpy
-vector rounds or through the pure-Python scalar rounds, picked by
-``repro.core.rng._SCALAR_ROUND_MAX``.  The contract is that the choice
-of executor is **invisible in every decision**: same seed, same workload
-=> bit-identical sampled frames, result sets, schedules, and event logs.
-The ``executor`` fixture (``tests/conftest.py``) sets the threshold to 0
-(every round vectorised) or past every draw (the scalar rounds execute
-each draw whole, the reference).  This module enforces the contract at
-three distances:
+Every Thompson draw is numpy's ``standard_gamma`` on a Philox keyed per
+draw (``repro.core.rng``), so a decision is a function of seeds alone.
+This module holds that at the distances a process boundary adds:
 
-* a serving-stack workload matrix (seed x scheduler x shards), flipping
-  the executor in-process (shard workers draw no Thompson matrices, so
-  the coordinating process is the only one that needs the switch);
-* the simulation harness: whole randomized scenarios (ingestion,
-  faults, crash-restart, oracle parity) must produce the same event-log
-  digest under both executors;
-* a child process that sets the scalar threshold itself and must print
-  the digest the shipped executor logs in this process.
-
-It also pins the flat-array belief layout's behavioral edges — live
-``extend()`` growth and snapshot/restore — under both executors,
-including a snapshot JSON written in the pre-vectorization format.
+* a child process (fresh interpreter, its own hash seed) runs a whole
+  randomized scenario — live ingestion, faults, crash-restart, oracle
+  parity — and must print the digest this process logs;
+* the flat-array belief layout's behavioral edges: live ``extend()``
+  growth, and a snapshot restored through JSON that must replay to the
+  live session's state, including a snapshot written in the
+  pre-vectorization format;
+* a snapshot whose recorded results its replay cannot reproduce — one
+  saved under another decision stream — must fail the restore loudly.
 """
 
+import dataclasses
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
-from contracts import assert_same_decisions, fingerprint, parity_service, small_world
+from contracts import small_world
 
 from repro.core.chunking import IncrementalChunker
 from repro.core.rng import DecisionRng
 from repro.core.sampler import ExSample
 from repro.detection.cache import CategoryFilterDetector, DetectionCache
 from repro.detection.detector import OracleDetector
-from repro.serving import (
-    PriorityScheduler,
-    QueryService,
-    RoundRobinScheduler,
-    ThompsonSumScheduler,
-)
-from repro.serving.session import SessionSnapshot
+from repro.serving import QueryService
+from repro.serving.session import SessionSnapshot, SessionState, StateError
 from repro.simulation import generate_scenario, run_scenario
 from repro.tracking.discriminator import OracleDiscriminator
 
-SCHEDULERS = {
-    "round-robin": RoundRobinScheduler,
-    "priority": PriorityScheduler,
-    "thompson": ThompsonSumScheduler,
-}
 
-
-def _serve(seed, scheduler, shards):
-    """Run the canonical two-session workload; return its fingerprint."""
-    service = parity_service(
-        small_world(seed), seed, "sharded" if shards > 1 else "local", shards,
-        scheduler=SCHEDULERS[scheduler](),
-    )
-    try:
-        a = service.submit("cam0", "bus", limit=3, max_samples=40, priority=2.0)
-        b = service.submit("cam0", "car", max_samples=30)
-        service.run_until_idle(max_ticks=50)
-        return fingerprint(service, (a, b))
-    finally:
-        service.close()
-
-
-def _across_executors(executor, workload):
-    """The vector executor's decisions equal the scalar reference's."""
-    def run(kind):
-        executor(kind)
-        return workload()
-
-    assert_same_decisions(run, "vector", "scalar")
-
-
-# ----------------------------------------------- serving workload matrix
-
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_serving_matrix_numpy_vs_fallback(executor, seed, scheduler):
-    _across_executors(executor, lambda: _serve(seed, scheduler, shards=1))
-
-
-@pytest.mark.parametrize("shards", [2, 3])
-def test_serving_sharded_numpy_vs_fallback(executor, shards):
-    _across_executors(executor, lambda: _serve(5, "round-robin", shards=shards))
-
-
-# ------------------------------------------------- whole-scenario digests
-
-@pytest.mark.parametrize("seed", [0, 2, 5, 11])
-def test_scenario_digests_match_across_backends(executor, tmp_path, seed):
-    """The strongest in-process form: a full randomized scenario — live
-    ingestion, faults, crash-restart, oracle parity on both sides — must
-    log a byte-identical event stream under either executor."""
-    scenario = generate_scenario(seed, "quick")
-    executor("vector")
-    fast = run_scenario(scenario, workdir=tmp_path / "fast")
-    executor("scalar")
-    slow = run_scenario(scenario, workdir=tmp_path / "slow")
-    assert fast.log_digest() == slow.log_digest()
-    assert fast.event_log == slow.event_log
-
-
-def test_scenario_digest_matches_with_numpy_import_blocked(tmp_path):
-    """Run the same scenario in a fresh child process that sets the
-    scalar threshold before anything draws — the scalar rounds execute
-    every draw there — and compare digests with the shipped executor's
-    run in this process."""
+def test_scenario_digest_matches_in_a_fresh_process(tmp_path):
+    """Run the same scenario in a fresh child process and compare its
+    digest with this process's run."""
     seed = 3
     reference = run_scenario(generate_scenario(seed, "quick"), workdir=tmp_path)
 
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
-        "from repro.core import rng\n"
-        "rng._SCALAR_ROUND_MAX = 10**9\n"
         "from repro.simulation import generate_scenario, run_scenario\n"
         f"report = run_scenario(generate_scenario({seed}, 'quick'))\n"
         "print(report.log_digest())\n"
@@ -154,9 +78,7 @@ def make_engine(horizon=200, chunk_frames=50, seed=0):
     return engine, chunker
 
 
-@pytest.mark.parametrize("forced", [False, True])
-def test_extend_grows_flat_arrays_mid_run(executor, forced):
-    executor("scalar" if forced else "vector")
+def test_extend_grows_flat_arrays_mid_run():
     engine, chunker = make_engine(horizon=150)
     before_arms = len(list(engine.stats.n))
     for _ in range(10):
@@ -182,31 +104,17 @@ def test_extend_grows_flat_arrays_mid_run(executor, forced):
     assert list(engine.history.frame_indices)[: len(sampled_before)] == sampled_before
 
 
-def test_extend_decisions_identical_across_backends(executor):
-    def run(forced: bool):
-        executor("scalar" if forced else "vector")
-        engine, chunker = make_engine(horizon=150)
-        for _ in range(8):
-            engine.commit(engine.plan())
-        engine.extend(chunker.take(up_to_horizon=300))
-        while not engine.exhausted and len(engine.history.frame_indices) < 120:
-            engine.commit(engine.plan())
-        return [int(f) for f in engine.history.frame_indices]
-
-    assert run(False) == run(True)
-
-
-@pytest.mark.parametrize("forced", [False, True])
-def test_snapshot_restore_replays_flat_layout(executor, forced):
-    executor("scalar" if forced else "vector")
+def test_snapshot_restore_replays_flat_layout():
     repo = small_world(1)
     service = QueryService(
         repo, cache=DetectionCache(), frames_per_tick=12, chunk_frames=50, seed=0
     )
-    sid = service.submit("cam0", "bus", limit=3, max_samples=60, seed=9)
+    sid = service.submit("cam0", "bus", limit=3, max_samples=60, seed=14)
     for _ in range(3):
         service.tick()
     live = service.sessions[sid]
+    # the point is replaying a live engine: a terminal one restores sealed
+    assert not live.state.terminal
     blob = json.dumps(service.snapshot(sid).to_dict())
 
     clone_host = QueryService(
@@ -228,6 +136,33 @@ def test_snapshot_restore_replays_flat_layout(executor, forced):
     clone_host.run_until_idle(max_ticks=40)
     assert live.result_frames() == clone.result_frames()
     assert live.state == clone.state
+
+
+def test_a_replay_that_misses_its_recorded_results_fails_loudly():
+    """A snapshot saved under another decision stream (an older release,
+    or a numpy whose Thompson draw changed) replays to other frames.  The
+    restore names the session and admits nothing, instead of serving
+    results the session never reported."""
+    repo = small_world(1)
+    service = QueryService(
+        repo, cache=DetectionCache(), frames_per_tick=12, chunk_frames=50, seed=0
+    )
+    other = service.submit("cam0", "car", max_samples=30, seed=3)
+    sid = service.submit("cam0", "bus", limit=3, max_samples=60, seed=14)
+    for _ in range(3):
+        service.tick()
+    good, snapshot = service.snapshot(other), service.snapshot(sid)
+    assert snapshot.result_frames and not SessionState(snapshot.state).terminal
+    # the frames another stream found: the replay finds some, not all
+    foreign = dataclasses.replace(
+        snapshot, result_frames=snapshot.result_frames[:-1] + (repo.horizon - 1,)
+    )
+
+    host = QueryService(repo, cache=service.cache, frames_per_tick=12, chunk_frames=50, seed=0)
+    with pytest.raises(StateError, match=repr(sid)):
+        host.restore_many([good, foreign])
+    assert host.sessions == {}
+    assert host.restore_many([good, snapshot]) == [other, sid]
 
 
 def test_pre_vectorization_snapshot_restores_and_replays():

@@ -3,12 +3,12 @@
 numpy and scipy are hard dependencies, so the decision path has one
 execution mode and each accessor one body.  A second mode grows back one
 guard at a time ("fall back to lists when ..."), and with it a flag to
-reach the branch from a test.  The bit-identity oracle the contract
-tests compare against is the scalar round code in :mod:`repro.core.rng`,
-reached by raising ``_SCALAR_ROUND_MAX`` inside a test, never by a flag
-the package reads.  This test reads the shapes: the switch module is
-gone, no source line names the switch or guards on numpy's absence, and
-the packaging declares what the code imports.
+reach the branch from a test.  The Thompson draw has one executor too:
+numpy's ``standard_gamma``, whose bits the packaging pins by bounding
+numpy's major version.  This test reads the shapes: the switch module is
+gone, no source line names the switch, guards on numpy's absence or
+names the deleted hand-built gamma executors, and the packaging
+declares what the code imports.
 """
 
 import importlib
@@ -32,6 +32,10 @@ def test_no_source_line_names_the_switch():
     gone = re.compile(
         r"use_numpy|HAVE_NUMPY|require_numpy|set_force_fallback|REPRO_FORCE_FALLBACK"
         r"|\bnp(_mod)? is (not )?None|core import backend"
+        # the hand-built two-executor gamma kernel
+        r"|_ln_vec|_exp_vec|_Substream|_unit_vec|_Streams|_polar_normals"
+        r"|_accept_round|_rejection_rounds|_gamma_matrix_py|_gamma_matrices_np"
+        r"|_SCALAR_ROUND_MAX"
     )
     hits = [
         f"{path.relative_to(SRC)}:{number}"
@@ -46,4 +50,10 @@ def test_numpy_and_scipy_are_hard_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     block = re.search(r"^dependencies = \[(.*?)\]", text, re.MULTILINE | re.DOTALL)
     assert block is not None, "pyproject.toml declares no dependencies"
-    assert {"numpy", "scipy"} <= set(re.findall(r'"([^"]+)"', block.group(1)))
+    requirements = dict(
+        re.match(r"([A-Za-z0-9_.-]+)(.*)", req).groups()
+        for req in re.findall(r'"([^"]+)"', block.group(1))
+    )
+    assert {"numpy", "scipy"} <= set(requirements)
+    # the golden Thompson draw holds for one numpy major version
+    assert requirements["numpy"] == ">=2,<3"

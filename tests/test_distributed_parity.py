@@ -7,9 +7,11 @@ decision lives in the coordinator and depends only on each session's
 seed and step count, never on where detection ran.  The matrix also
 covers the distributed fault path: a mid-run worker kill followed by a
 snapshot/restore into a fresh sharded service must land on the same
-bytes, and mid-run ingestion (a clip fed two ticks in), whose known
+bytes, and mid-run ingestion (a clip fed one tick in), whose known
 divergent cells ROADMAP item 8 owns.
 """
+
+from functools import partial
 
 import pytest
 from contracts import (
@@ -47,12 +49,16 @@ def _submit_unbounded(service):
     return [a, b]
 
 
-def _submit_and_feed(service):
-    """Mid-run ingestion (ROADMAP item 8): two ticks in, a clip with one
-    more bus lands and every live session absorbs it."""
+def _submit_and_feed(service, planned_ahead=False):
+    """Mid-run ingestion (ROADMAP item 8): one tick in, a clip with one
+    more bus lands and every live session absorbs it.  ``planned_ahead``
+    asks for the precondition of item 8's cells: the lower-priority
+    session holds a planned-ahead batch when the clip lands."""
     sids = _submit_unbounded(service)
-    for _ in range(2):
-        service.tick()
+    service.tick()
+    if planned_ahead and not service.sessions[sids[1]]._pending:
+        # pytest.fail, not an AssertionError the strict xfail would absorb
+        pytest.fail("the lower-priority session was not planned ahead at the feed")
     service.feed("cam0", 60, [stationary_instance(9, sum(MATRIX_CLIPS) + 10, 20)])
     return sids
 
@@ -124,10 +130,12 @@ ITEM_8 = pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP i
 @pytest.mark.parametrize("scheduler", [pytest.param("priority", marks=ITEM_8), "round-robin"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parity_survives_a_mid_run_feed(seed, scheduler):
-    assert_same_decisions(
-        lambda leg: _run_plain(seed, scheduler, *leg, submit=_submit_and_feed),
-        ("local", 1), ("sharded", 2),
-    )
+    def run(leg):
+        planned_ahead = scheduler == "priority" and leg[0] == "sharded"
+        submit = partial(_submit_and_feed, planned_ahead=planned_ahead)
+        return _run_plain(seed, scheduler, *leg, submit=submit)
+
+    assert_same_decisions(run, ("local", 1), ("sharded", 2))
 
 
 def test_matrix_shape_meets_the_acceptance_bar():

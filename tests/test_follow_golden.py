@@ -6,7 +6,11 @@ One fixed scenario — two ``submit --follow``, two ``ingest``, a
 exactly the session payloads listed here, at the stop point and at the
 end, on local execution and on ``--shards 2`` alike.  The payloads were
 recorded at the commit before follow mode moved onto the server's tick
-loop; ``tests/test_server_cli.py`` holds the same check for ``server``.
+loop, and re-recorded once when the Thompson draw moved onto numpy's
+``standard_gamma`` (every session's stream moved), each payload checked
+against :mod:`repro.simulation.oracle`'s standalone re-run of its
+snapshot; ``tests/test_server_cli.py`` holds the same check for
+``server``.
 """
 
 import json
@@ -20,15 +24,15 @@ FIELDS = ("state", "results_found", "result_frames", "frames_processed", "horizo
 STOPPED = {
     "s1": {
         "state": "active",
-        "results_found": 1,
-        "result_frames": [939],
+        "results_found": 0,
+        "result_frames": [],
         "frames_processed": 16,
         "horizon": 4000,
     },
     "s2": {
         "state": "active",
-        "results_found": 1,
-        "result_frames": [1395],
+        "results_found": 0,
+        "result_frames": [],
         "frames_processed": 16,
         "horizon": 3600,
     },
@@ -38,15 +42,15 @@ FINISHED = {
     "s1": {
         "state": "completed",
         "results_found": 6,
-        "result_frames": [830, 939, 1128, 2452, 3107, 3635],
-        "frames_processed": 160,
+        "result_frames": [828, 952, 1132, 2455, 3113, 3640],
+        "frames_processed": 560,
         "horizon": 4000,
     },
     "s2": {
         "state": "completed",
         "results_found": 5,
-        "result_frames": [942, 995, 1395, 3421, 3516],
-        "frames_processed": 260,
+        "result_frames": [934, 1364, 2193, 3404, 3506],
+        "frames_processed": 152,
         "horizon": 3600,
     },
 }

@@ -41,13 +41,6 @@ from repro.telemetry import Telemetry
 from repro.tracking.discriminator import OracleDiscriminator
 from repro.video.repository import single_clip_repository
 
-@pytest.fixture(params=[False, True], ids=lambda forced: "fallback" if forced else "numpy")
-def forced(request, executor):
-    """Each test runs on the shipped executor ("numpy") and with the
-    scalar rounds executing every draw whole ("fallback")."""
-    executor("scalar" if request.param else "shipped")
-    return request.param
-
 
 # --------------------------------------------------------------- engines
 
@@ -108,8 +101,9 @@ def _state(engine):
     )
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_plan_many_equals_planning_one_by_one(forced, seed):
+# "numpy-" ids: the surviving cells of a deleted second gamma executor
+@pytest.mark.parametrize("seed", range(4), ids=lambda seed: f"numpy-{seed}")
+def test_plan_many_equals_planning_one_by_one(seed):
     batched, serial = _engines(seed), _engines(seed)
     _REDRAWS[0] = 0
     while not all(e.exhausted for e in serial):
@@ -125,7 +119,7 @@ def test_plan_many_equals_planning_one_by_one(forced, seed):
     assert _REDRAWS[0] > 0  # a chunk drained mid-batch and was re-drawn
 
 
-def test_plan_many_rejects_engines_sharing_an_rng(forced):
+def test_plan_many_rejects_engines_sharing_an_rng():
     rng = DecisionRng(5)
     repo = single_clip_repository(40, [])
     engines = [
@@ -222,10 +216,8 @@ def _plan_one_by_one(plans):
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-@pytest.mark.parametrize("seed", [0, 1])
-def test_service_matches_planning_one_session_at_a_time(
-    forced, monkeypatch, seed, scheduler
-):
+@pytest.mark.parametrize("seed", [0, 1], ids=lambda seed: f"numpy-{seed}")
+def test_service_matches_planning_one_session_at_a_time(monkeypatch, seed, scheduler):
     rng_states = []
 
     def run(plan):
@@ -242,8 +234,8 @@ def test_service_matches_planning_one_session_at_a_time(
     assert sum(len(s["sampled_frames"]) for s in batched.values()) > 60
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-def test_each_session_matches_its_solo_replay(forced, scheduler):
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS), ids=lambda s: f"numpy-{s}")
+def test_each_session_matches_its_solo_replay(scheduler):
     """Restore replays a session alone, plan by plan, from its seed, warm
     start and horizon log: the batched run must be that history."""
     service = _scripted_run(3, scheduler)
@@ -291,9 +283,10 @@ def _sequential_allocation(sessions, budget, rng):
     return proportional_allocation([s.session_id for s in sessions], bids, budget)
 
 
-# the surviving cells of a deleted scheduler option keep their ids
-@pytest.mark.parametrize("seed", [0, 1, 2], ids=lambda seed: f"{seed}-False")
-def test_thompson_bids_in_one_call_equal_the_loop(forced, seed):
+# the surviving cells of a deleted scheduler option and of the deleted
+# second gamma executor keep their ids
+@pytest.mark.parametrize("seed", [0, 1, 2], ids=lambda seed: f"numpy-{seed}-False")
+def test_thompson_bids_in_one_call_equal_the_loop(seed):
     sessions = _population(seed)
     scheduler = ThompsonSumScheduler()
     for round_seed in range(3):

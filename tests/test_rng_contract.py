@@ -1,24 +1,24 @@
-"""The RNG contract: DecisionRng determinism and executor bit-identity.
+"""The RNG contract: DecisionRng determinism and the one Thompson draw.
 
 Every sampling decision in the system flows through
 :class:`repro.core.rng.DecisionRng`, whose scalar draws are pure Python
-and whose one bulk operation (``gamma_matrix``, the vectorized Thompson
-draw) has two executors — numpy vector rounds and pure-Python scalar
-rounds — that must return **bit-identical** matrices and leave the
-stream in the same position.  The ``executor`` fixture can make the
-scalar rounds run every draw whole, which is the reference each
-comparison here holds the shipped handover to.  These tests are the
-contract's enforcement: if either half drifts — a different
-transcendental, a reordered draw schedule, an executor-dependent
-rounding — the suite fails before any decision-stream parity test has
-to localize it.
+and whose one bulk operation (``gamma_matrices``, the vectorized Thompson
+draw) is numpy's ``standard_gamma`` on a Philox keyed by one op key per
+request.  These tests are the contract's enforcement: the scalar stream
+is deterministic, a multi-request call equals fresh per-request Philox
+generators and the one-by-one calls, the draws follow the Gamma law, and
+a golden digest of one fixed draw fails by name on a numpy whose Philox
+or ``standard_gamma`` changed — before any decision-stream parity test
+has to localize it.
 """
 
+import hashlib
 import math
 import signal
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core import rng as rng_module
 from repro.core.belief import GammaBelief
@@ -132,14 +132,11 @@ def _alphas_betas():
     return alphas, betas
 
 
-def test_gamma_matrix_shape_and_positivity(executor):
+def test_gamma_matrix_shape_and_positivity():
     alphas, betas = _alphas_betas()
-    for forced in (False, True):
-        executor("scalar" if forced else "shipped")
-        got = DecisionRng(5).gamma_matrix(alphas, betas, rows=4)
-        rows = [list(r) for r in got]
-        assert len(rows) == 4 and all(len(r) == len(alphas) for r in rows)
-        assert all(v > 0.0 for r in rows for v in r)
+    got = DecisionRng(5).gamma_matrix(alphas, betas, rows=4)
+    assert got.shape == (4, len(alphas))
+    assert (got > 0.0).all()
 
 
 def test_gamma_matrix_moments():
@@ -154,59 +151,25 @@ def test_gamma_matrix_moments():
         assert abs(mean - expected) < 0.12 * max(expected, 1.0)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 8])
-@pytest.mark.parametrize("seed", [0, 1, 42, (9, 0xBEEF)])
-def test_gamma_matrix_twins_bit_identical(executor, seed, rows):
-    """The heart of the contract: the shipped executor and the scalar
-    rounds alone must produce the exact same floats AND leave the stream
-    in the exact same position."""
-    alphas, betas = _alphas_betas()
-
-    fast_rng = DecisionRng(seed)
-    fast = fast_rng.gamma_matrix(alphas, betas, rows=rows)
-    fast_next = fast_rng.random()
-
-    executor("scalar")
-    slow_rng = DecisionRng(seed)
-    slow = slow_rng.gamma_matrix(alphas, betas, rows=rows)
-    slow_next = slow_rng.random()
-
-    assert fast.tolist() == slow.tolist()  # element-wise exact, not approximate
-    assert fast_next == slow_next  # the op consumed one main-stream step
-
-
-def test_gamma_matrix_twins_across_shape_regimes(executor):
-    """Shapes below and above 1 exercise both Marsaglia-Tsang branches."""
-    alphas = [0.05, 0.3, 0.9, 1.0, 1.1, 7.5, 40.0]
-    betas = [1.0] * len(alphas)
-    fast = DecisionRng(3).gamma_matrix(alphas, betas, rows=16)
-    executor("scalar")
-    slow = DecisionRng(3).gamma_matrix(alphas, betas, rows=16)
-    assert fast.tolist() == slow.tolist()
-
-
-def test_gamma_matrix_validates_inputs(executor, hard_timeout):
+def test_gamma_matrix_validates_inputs(hard_timeout):
     nan, inf = float("nan"), float("inf")
-    for forced in (False, True):
-        executor("scalar" if forced else "shipped")
-        rng = DecisionRng(0)
-        with pytest.raises(ValueError):
-            rng.gamma_matrix([1.0], [1.0], rows=0)
-        with pytest.raises(ValueError):
-            rng.gamma_matrix([0.0], [1.0], rows=1)
-        with pytest.raises(ValueError):
-            rng.gamma_matrix([1.0], [-1.0], rows=1)
-        with pytest.raises(ValueError):
-            rng.gamma_matrix([1.0, 2.0], [1.0], rows=1)
-        # non-finite parameters: a NaN shape used to spin forever (every
-        # round rejects it), a NaN or infinite rate returned NaN / 0 draws
-        for bad in (nan, inf, -inf):
-            with pytest.raises(ValueError, match="shapes"):
-                rng.gamma_matrix([1.0, bad], [1.0, 1.0], rows=1)
-            with pytest.raises(ValueError, match="rates"):
-                rng.gamma_matrix([1.0, 1.0], [bad, 1.0], rows=1)
-        # a rejected call consumes nothing
-        assert rng.state == DecisionRng(0).state
+    rng = DecisionRng(0)
+    with pytest.raises(ValueError):
+        rng.gamma_matrix([1.0], [1.0], rows=0)
+    with pytest.raises(ValueError):
+        rng.gamma_matrix([0.0], [1.0], rows=1)
+    with pytest.raises(ValueError):
+        rng.gamma_matrix([1.0], [-1.0], rows=1)
+    with pytest.raises(ValueError):
+        rng.gamma_matrix([1.0, 2.0], [1.0], rows=1)
+    # non-finite parameters would come back as NaN or 0 draws
+    for bad in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="shapes"):
+            rng.gamma_matrix([1.0, bad], [1.0, 1.0], rows=1)
+        with pytest.raises(ValueError, match="rates"):
+            rng.gamma_matrix([1.0, 1.0], [bad, 1.0], rows=1)
+    # a rejected call consumes nothing
+    assert rng.state == DecisionRng(0).state
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
@@ -217,11 +180,9 @@ def test_gamma_belief_rejects_non_finite_priors(bad):
         GammaBelief(0.1, bad)
 
 
-def test_gamma_matrix_empty_arms(executor):
-    for forced in (False, True):
-        executor("scalar" if forced else "shipped")
-        got = DecisionRng(1).gamma_matrix([], [], rows=3)
-        assert [list(r) for r in got] == [[], [], []]
+def test_gamma_matrix_empty_arms():
+    got = DecisionRng(1).gamma_matrix([], [], rows=3)
+    assert [list(r) for r in got] == [[], [], []]
 
 
 def test_gamma_matrix_advances_stream_once_regardless_of_shape():
@@ -233,96 +194,53 @@ def test_gamma_matrix_advances_stream_once_regardless_of_shape():
     assert a.random() == b.random()
 
 
-# ------------------------------------------------- the per-round handover
-
-T = rng_module._SCALAR_ROUND_MAX
-
-
-def _shapes(n, regime):
-    """``n`` (shape, rate) pairs below 1, above 1, or straddling it."""
-    base = DecisionRng((n, len(regime)))
-    lo, hi = {"small": (0.05, 0.95), "large": (1.0, 30.0), "mixed": (0.05, 4.0)}[regime]
-    alphas = [lo + (hi - lo) * base.random() for _ in range(n)]
-    betas = [0.05 + 20.0 * base.random() for _ in range(n)]
-    return alphas, betas
+# the (shape, rate) grid; shapes below 1 take standard_gamma's boost branch
+KS_SHAPES = [0.1, 0.5, 0.95, 1.0, 2.5, 40.0]
+KS_RATES = [0.3, 1.0, 7.0]
 
 
-def _draw(alphas, betas, rows, seed=5):
-    """(matrix as float rows, next main-stream draw) on the executor the
-    module's threshold currently picks."""
-    rng = DecisionRng(seed)
-    got = rng.gamma_matrix(alphas, betas, rows)
-    return got.tolist(), rng.random()
+@pytest.mark.parametrize("shape", KS_SHAPES)
+def test_gamma_draws_follow_the_gamma_law(shape):
+    """10**5 draws per (shape, rate) cell, Kolmogorov-Smirnov against
+    ``scipy.stats.gamma``."""
+    got = DecisionRng((0x6B5, KS_SHAPES.index(shape))).gamma_matrix(
+        [shape] * len(KS_RATES), KS_RATES, rows=100_000
+    )
+    for m, rate in enumerate(KS_RATES):
+        result = stats.kstest(got[:, m], stats.gamma(shape, scale=1.0 / rate).cdf)
+        assert result.pvalue > 1e-3, (shape, rate, result)
 
 
-@pytest.mark.parametrize("regime", ["small", "large", "mixed"])
-@pytest.mark.parametrize(
-    "arms, rows",
-    [(1, 1), (T - 1, 1), (T, 1), (T + 1, 1), (2 * T, 1), (1000, 1), (1000, 8)],
-)
-def test_handover_twins_bit_identical(executor, arms, rows, regime):
-    """Either side of the round-size threshold, and straddling it mid-draw,
-    the shipped executor returns the scalar rounds' bits and stream
-    position."""
-    alphas, betas = _shapes(arms, regime)
-    shipped = _draw(alphas, betas, rows)
-    executor("scalar")
-    assert shipped == _draw(alphas, betas, rows)
+# sha256 of DecisionRng(2024).gamma_matrix(GOLDEN_ALPHAS, GOLDEN_BETAS, 16)
+# as little-endian doubles
+GOLDEN_ALPHAS = [0.1, 0.5, 1.0, 3.7, 40.0]
+GOLDEN_BETAS = [1.0, 2.0, 0.5, 1.0, 10.0]
+GOLDEN_DIGEST = "e9b71b395898c3587dfa7ebccada55c72d950d99e47644eeb090f868bba88789"
 
 
-@pytest.mark.parametrize("threshold", [0, 10**9])
-@pytest.mark.parametrize("arms, rows", [(T // 2, 1), (37, 4), (1000, 1)])
-def test_threshold_cannot_reach_a_decision(
-    executor, monkeypatch, threshold, arms, rows
-):
-    """All rounds vectorised (0) and all rounds scalar (10**9) are the
-    same draw: the threshold picks an executor, never a result."""
-    alphas, betas = _shapes(arms, "mixed")
-    executor("scalar")
-    reference = _draw(alphas, betas, rows)
-    monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", threshold)
-    assert _draw(alphas, betas, rows) == reference
+def test_golden_draw_pins_numpy_philox_and_standard_gamma():
+    """Every Thompson decision rides on numpy's Philox bits and its
+    ``standard_gamma`` algorithm; NEP 19 keeps the first stable across
+    releases, not the second.  A numpy that changed either replays every
+    recorded session to different frames, and this test says so first."""
+    got = DecisionRng(2024).gamma_matrix(GOLDEN_ALPHAS, GOLDEN_BETAS, rows=16)
+    digest = hashlib.sha256(got.astype("<f8").tobytes()).hexdigest()
+    assert digest == GOLDEN_DIGEST, (
+        f"numpy {np.__version__} draws a different Thompson matrix: its Philox "
+        "or standard_gamma changed, so every decision stream moved"
+    )
 
 
-def test_numpy_draw_makes_few_scalar_log_calls(executor, monkeypatch):
-    """Only tail rounds reach the scalar code: a 1000-arm draw makes
-    O(T) scalar ``_ln`` calls where the scalar executor alone makes
-    O(M)."""
-    calls = [0]
-    scalar_ln = rng_module._ln
-
-    def counting_ln(x):
-        calls[0] += 1
-        return scalar_ln(x)
-
-    monkeypatch.setattr(rng_module, "_ln", counting_ln)
-    alphas, betas = _shapes(1000, "mixed")
-    draws = 20
-    rng = DecisionRng(3)
-    for _ in range(draws):
-        rng.gamma_matrix(alphas, betas, 1)
-    fast_calls = calls[0] / draws
-    calls[0] = 0
-    executor("scalar")
-    DecisionRng(3).gamma_matrix(alphas, betas, 1)
-    # each scalar round of k <= T elements makes at most 2k calls, and
-    # round sizes shrink geometrically
-    assert 0 < fast_calls <= 6 * T
-    assert calls[0] >= 1000
-
-
-@pytest.mark.parametrize("forced", [False, True])
-def test_availability_mask_grows_and_keeps_its_types(executor, forced):
+def test_availability_mask_grows_and_keeps_its_types():
     """The sampler's flat availability buffer: ``extend()`` mid-run grows
     it (no view may pin it), and ``chunk_availability`` stays a bool
-    ndarray whichever executor draws."""
+    ndarray."""
     from repro.core.chunking import fixed_size_chunks
     from repro.core.sampler import ExSample
     from repro.detection.detector import OracleDetector
     from repro.tracking.discriminator import OracleDiscriminator
     from repro.video.repository import single_clip_repository
 
-    executor("scalar" if forced else "vector")
     rng = DecisionRng(4)
     chunks = fixed_size_chunks(48, 4, rng)
     repo = single_clip_repository(48, [])
@@ -349,19 +267,15 @@ def test_availability_mask_grows_and_keeps_its_types(executor, forced):
     assert engine.frames_processed == 48
 
 
-# -------------------------------------------------- transcendental twins
+# ------------------------------------------- the scalar transcendentals
 
-def test_ln_exp_scalar_and_vector_twins_agree():
-    # the transcendental twins are the bit-identity foundation: the
-    # scalar (pure) and vectorized (numpy) forms must agree exactly,
-    # even where they differ from math.exp in the last ulp
-    from repro.core.rng import _exp, _exp_vec, _ln, _ln_vec
+def test_scalar_ln_exp_track_the_math_module():
+    # the scalar draws' own ln/exp are built from exactly-rounded steps
+    # (the same bits everywhere) and stay within an ulp of the math module
+    from repro.core.rng import _exp, _ln
 
     ln_pts = [1e-9, 0.1, 0.5, 1.0, 2.0, 10.0, 1e6]
     exp_pts = [-20.0, -1.0, 0.0, 1.0, 2.5, 20.0]
-    assert [_ln(x) for x in ln_pts] == list(_ln_vec(np.asarray(ln_pts)))
-    assert [_exp(x) for x in exp_pts] == list(_exp_vec(np.asarray(exp_pts)))
-    # and they stay within an ulp of the math module (sanity, not identity)
     assert all(
         math.isclose(_ln(x), math.log(x), rel_tol=1e-15) for x in ln_pts
     )
@@ -372,11 +286,20 @@ def test_ln_exp_scalar_and_vector_twins_agree():
 
 # ------------------------------------------------- many streams, one call
 
+def _shapes(n, regime):
+    """``n`` (shape, rate) pairs below 1, above 1, or straddling it."""
+    base = DecisionRng((n, len(regime)))
+    lo, hi = {"small": (0.05, 0.95), "large": (1.0, 30.0), "mixed": (0.05, 4.0)}[regime]
+    alphas = [lo + (hi - lo) * base.random() for _ in range(n)]
+    betas = [0.05 + 20.0 * base.random() for _ in range(n)]
+    return alphas, betas
+
+
 def _mixes(count):
-    """``count`` seeded request mixes: 1, 2, 8 or 40 streams, arm counts
-    around the round threshold and far from it, rows 1-8, every shape
-    regime, and now and then one rng asked twice in the same call."""
-    sizes = (0, 1, T - 1, T, T + 1, 30, 1000)
+    """``count`` seeded request mixes: 1, 2, 8 or 40 streams, 0 to 1000
+    arms, rows 1-8, every shape regime, and now and then one rng asked
+    twice in the same call."""
+    sizes = (0, 1, 7, 30, 33, 1000)
     for mix in range(count):
         base = DecisionRng((0x6A77, mix))
         streams = (1, 2, 8, 40)[mix % 4]
@@ -420,37 +343,33 @@ def _bits(result):
     )
 
 
-@pytest.mark.parametrize("forced", [False, True])
-def test_gamma_matrices_equal_one_by_one_calls(executor, forced):
-    """The multi-stream kernel returns each request exactly the matrix
-    its own ``gamma_matrix`` call would, and leaves every stream — an
-    rng asked twice included — where the calls one by one leave it."""
-    executor("scalar" if forced else "shipped")
-    # the scalar executor is a loop of one-stream draws: fewer mixes pin it
-    mixes = list(_mixes(64 if forced else 200))
+def test_gamma_matrices_equal_one_by_one_calls():
+    """A multi-request call returns each request exactly the matrix its
+    own ``gamma_matrix`` call would, and leaves every stream — an rng
+    asked twice included — where the calls one by one leave it."""
+    mixes = list(_mixes(200))
     assert any(len({r[0] for r in m}) < len(m) for m in mixes)  # repeats occur
     for requests in mixes:
         assert _bits(_in_one_call(requests)) == _bits(_one_by_one(requests))
 
 
-@pytest.mark.parametrize("threshold", [0, T, 10**9])
-def test_gamma_matrices_threshold_cannot_reach_a_decision(
-    executor, monkeypatch, threshold
-):
-    """Rounds handed over by *total* size, stream by stream: every
-    executor choice is the scalar executor's one-by-one draw."""
-    mixes = list(_mixes(40))
-    executor("scalar")
-    reference = [_bits(_one_by_one(requests)) for requests in mixes]
-    monkeypatch.setattr(rng_module, "_SCALAR_ROUND_MAX", threshold)
-    assert [_bits(_in_one_call(requests)) for requests in mixes] == reference
+def test_every_request_equals_a_fresh_philox():
+    """The one re-keyed Philox of a call gives each request exactly what
+    ``Generator(Philox(key=op_key))`` gives: no request sees another's
+    counter or buffered bits."""
+    for requests in _mixes(40):
+        got, _rngs = _in_one_call(requests)
+        streams = {}
+        for (seed, alphas, betas, rows), matrix in zip(requests, got):
+            op_key = streams.setdefault(seed, DecisionRng(seed))._next_u64()
+            fresh = np.random.Generator(np.random.Philox(key=op_key))
+            want = fresh.standard_gamma(alphas, size=(rows, len(alphas)))
+            assert matrix.tolist() == (want / np.asarray(betas)).tolist()
 
 
-@pytest.mark.parametrize("forced", [False, True])
-def test_gamma_matrices_validate_every_request_first(executor, forced):
+def test_gamma_matrices_validate_every_request_first():
     """An invalid request anywhere in the call raises before any stream
     takes its op key — the valid requests before it included."""
-    executor("scalar" if forced else "shipped")
     alphas, betas = _shapes(12, "mixed")
     for bad in (
         ([1.0], [1.0], 0),
