@@ -102,8 +102,8 @@ def _run_tenant(service):
     assert real == sum(w["detector_calls"] for w in workers)
     outcome = {
         sid: {
-            "frames": [int(f) for f in s.engine.history.frame_indices],
-            "results": [int(r) for r in s.engine.history.results],
+            "frames": [int(f) for f in s.history.frame_indices],
+            "results": [int(r) for r in s.history.results],
             "result_frames": s.result_frames(),
         }
         for sid, s in service.sessions.items()

@@ -133,8 +133,8 @@ def _run_service(execution, shards=1, categories=CATEGORIES,
         elapsed = time.perf_counter() - start
         outcome = {
             sid: {
-                "frames": [int(f) for f in s.engine.history.frame_indices],
-                "results": [int(r) for r in s.engine.history.results],
+                "frames": [int(f) for f in s.history.frame_indices],
+                "results": [int(r) for r in s.history.results],
                 "result_frames": s.result_frames(),
             }
             for sid, s in service.sessions.items()

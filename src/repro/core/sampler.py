@@ -156,6 +156,9 @@ class ExSample:
         carries its own lazy without-replacement frame order.
     detector / discriminator:
         The black-box detector and the distinct-object discriminator.
+        ``detector`` may be ``None`` for an engine whose caller always
+        commits with detections in hand (the serving layer's coalesced
+        tick); :meth:`commit` without them then raises ``ValueError``.
     policy:
         Chunk-selection rule; defaults to Thompson sampling with the
         paper's prior (alpha0 = 0.1, beta0 = 1).
@@ -177,7 +180,7 @@ class ExSample:
     def __init__(
         self,
         chunks: Sequence[Chunk],
-        detector: Detector,
+        detector: Detector | None,
         discriminator: Discriminator,
         policy: ChunkPolicy | None = None,
         rng=None,
@@ -376,7 +379,10 @@ class ExSample:
         detection list instead.  Either way the frames are matched and
         recorded in plan order, so the result is identical to the
         frame-at-a-time loop; per §III-F the state updates commute.
+        An engine built without a detector requires ``detections``.
         """
+        if detections is None and self._detector is None:
+            raise ValueError("this engine has no detector: commit with detections")
         pending = list(pending)
         frames = [frame for _, frame in pending]
         if self._repository is not None:

@@ -469,6 +469,14 @@ class TieredBackend:
 
 # ------------------------------------------------------------------ facade
 
+# telemetry delta rows a cache keeps before folding them into one
+_FOLD_ROWS = 64
+
+
+def _column_sums(rows):
+    return tuple(sum(column) for column in zip(*rows))
+
+
 class DetectionCache:
     """Detector outputs keyed by ``(dataset, frame_index)``.
 
@@ -481,31 +489,31 @@ class DetectionCache:
         self._backend = backend if backend is not None else InMemoryBackend()
         self._backend_label = type(self._backend).__name__
         self.stats = CacheStats()
-        # telemetry deltas since the last drain: hits, misses, inserts,
-        # get round-trips, put round-trips (see _record)
-        self._tel_pending = [0, 0, 0, 0, 0]
+        # telemetry deltas since the last drain, one row per round-trip:
+        # (hits, misses, inserts, get round-trips, put round-trips)
+        self._tel_pending: list[tuple[int, int, int, int, int]] = []
         self._tel_handles: tuple | None = None
 
     @property
     def backend(self) -> CacheBackend:
         return self._backend
 
-    def _record(self, op: str, hits: int = 0, misses: int = 0, inserts: int = 0) -> None:
-        """Accumulate one backend round-trip's telemetry deltas.
+    def _record(self, deltas: tuple[int, int, int, int, int]) -> None:
+        """Keep one backend round-trip's telemetry deltas, a row of
+        ``_tel_pending``.
 
         The cache sits on the per-frame serving path, so events are not
         mirrored into the registry one by one: while telemetry is
-        enabled they accumulate here as plain integers and are pushed by
-        :meth:`flush` / :meth:`clear` / :meth:`close` — one registry
-        drain per durability point (the service flushes once per tick).
+        enabled their rows wait here (one append each, summed at the
+        drain) and are pushed by :meth:`flush` / :meth:`clear` /
+        :meth:`close` — one registry drain per durability point (the
+        service flushes once per tick).
         """
-        if not telemetry.get().enabled:
-            return
-        pending = self._tel_pending
-        pending[0] += hits
-        pending[1] += misses
-        pending[2] += inserts
-        pending[3 if op == "get" else 4] += 1
+        if telemetry.get().enabled:
+            pending = self._tel_pending
+            pending.append(deltas)
+            if len(pending) >= _FOLD_ROWS:  # a cache nobody flushes stays bounded
+                self._tel_pending = [_column_sums(pending)]
 
     def _drain_telemetry(self) -> None:
         """Push accumulated deltas into the active registry.
@@ -515,10 +523,9 @@ class DetectionCache:
         and drained — while its own pipeline was live.  Instrument
         handles are memoized per pipeline.
         """
-        pending = self._tel_pending
-        if not (pending[0] or pending[1] or pending[2] or pending[3]
-                or pending[4]):
+        if not self._tel_pending:
             return
+        pending = _column_sums(self._tel_pending)
         tel = telemetry.get()
         if tel.enabled:
             memo = self._tel_handles
@@ -540,7 +547,7 @@ class DetectionCache:
             for counter, amount in zip(memo[1], pending):
                 if amount:
                     counter.inc(amount)
-        self._tel_pending = [0, 0, 0, 0, 0]
+        self._tel_pending = []
 
     def get_many(
         self, dataset: str, frame_indices: Sequence[int]
@@ -569,7 +576,7 @@ class DetectionCache:
         self.stats.batches += 1
         self.stats.last_batch_hits = batch_hits
         self.stats.last_batch_misses = batch_misses
-        self._record("get", hits=batch_hits, misses=batch_misses)
+        self._record((batch_hits, batch_misses, 0, 1, 0))
         return out
 
     def put_many(
@@ -581,7 +588,7 @@ class DetectionCache:
         encoded = [(int(frame), _encode(dets)) for frame, dets in items]
         self._backend.put_many(dataset, encoded)
         self.stats.inserts += len(encoded)
-        self._record("put", inserts=len(encoded))
+        self._record((0, 0, len(encoded), 0, 1))
 
     def frames(self, dataset: str) -> list[int]:
         """Sorted frame indices cached for ``dataset`` — the replay order

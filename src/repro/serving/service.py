@@ -37,7 +37,7 @@ from .. import telemetry
 from ..core.chunking import IncrementalChunker
 from ..core.rng import DecisionRng
 from ..core.sampler import ExSample
-from ..detection.cache import CachingDetector, CategoryFilterDetector, DetectionCache
+from ..detection.cache import CachingDetector, DetectionCache
 from ..detection.detector import Detection, Detector, OracleDetector
 from ..detection.execution import with_latency
 from ..detection.cache import TieredBackend
@@ -68,6 +68,9 @@ class QueryService:
     Two maps hold the sessions.  ``_sessions`` keeps every session ever
     admitted or restored: :meth:`status`, :meth:`results`,
     :meth:`snapshot_all` and the :attr:`sessions` view answer from it.
+    A terminal session in it is sealed — its snapshot, history and
+    per-chunk statistics, no engine — so the engines a service holds are
+    those of the sessions in flight.
     ``_live`` is the live-session index — the non-terminal ones, in the
     same submission order — which :meth:`live_sessions` (the server's
     quota count) and a :meth:`sync` that found new footage read.
@@ -241,8 +244,9 @@ class QueryService:
         # each repository's horizon when sync last walked its sessions
         self._synced: dict[str, int] = {}
         # the sessions restore_many is rebuilding, each with the step
-        # count to replay it to (None outside one): restore builds into it
-        self._restoring: list[tuple[QuerySession, int]] | None = None
+        # count to replay it to, None for one restored sealed (the list is
+        # None outside a restore_many): restore builds into it
+        self._restoring: list[tuple[QuerySession, int | None]] | None = None
         self._next_id = 1
         self._ticks = 0
         # frames a session processed beyond its past allocations (batched
@@ -785,8 +789,8 @@ class QueryService:
         if batch is None:
             return self.restore_many([snapshot])[0]
         state = SessionState(snapshot.state)
-        if state.terminal:
-            batch.append((QuerySession.from_sealed_snapshot(snapshot), 0))
+        if state.terminal:  # restored sealed: nothing to replay
+            batch.append((QuerySession.from_sealed_snapshot(snapshot), None))
             return snapshot.session_id
         spec = snapshot.spec
         warm_frames = snapshot.warm_start_frames
@@ -805,9 +809,9 @@ class QueryService:
         """Rebuild sessions from their snapshots by deterministic replay,
         all of them together; returns their ids in snapshot order.
 
-        Terminal snapshots restore *sealed*: no engine and no replay —
-        they can never be scheduled again, and the snapshot already
-        answers every status/results poll.  Every other session is built
+        Terminal snapshots restore *sealed*: no engine, no history and no
+        replay — they can never be scheduled again, and the snapshot
+        already answers every status/results poll.  Every other session is built
         at step 0: warm-start frames are re-absorbed from the cache (or,
         for a not-yet-started submission, taken fresh from the cache as
         the snapshots before it left it), a frame that fell out of the
@@ -832,7 +836,9 @@ class QueryService:
         session.  A replayed session must land on the result frames its
         snapshot recorded; one that does not was saved under another
         decision stream (an older release, or a numpy whose Thompson draw
-        changed) and raises :class:`StateError` naming it.  Sessions are
+        changed) and raises :class:`StateError` naming it.  The check runs
+        for every session whose *snapshot* is not terminal, one the replay
+        itself turned terminal (and so sealed) included.  Sessions are
         admitted in snapshot order once every replay is done; none is
         admitted when a snapshot is invalid (an id already held, an
         unknown dataset) or a replay fails or misses its results.
@@ -852,9 +858,10 @@ class QueryService:
             self._replay(batch)
         finally:
             self._restoring = None
-        for snapshot, (session, _steps) in zip(snapshots, batch):
-            # a submission that never ran recorded no results to replay
-            if session.engine is None or snapshot.warm_start_frames is None:
+        for snapshot, (session, steps) in zip(snapshots, batch):
+            # a submission that never ran recorded no results to replay; a
+            # replayed session that sealed itself on the way is checked too
+            if steps is None or snapshot.warm_start_frames is None:
                 continue
             if session.result_frames() != sorted(snapshot.result_frames):
                 raise StateError(
@@ -863,8 +870,8 @@ class QueryService:
                     f"{sorted(snapshot.result_frames)}: it was saved under "
                     "another decision stream"
                 )
-        for session, _steps in batch:
-            if session.engine is None:  # sealed
+        for session, steps in batch:
+            if steps is None:  # restored sealed
                 self._sessions[session.session_id] = session
             else:
                 self._admit(session)
@@ -873,11 +880,12 @@ class QueryService:
             self._reserve_id(session.session_id)
         return [session.session_id for session, _steps in batch]
 
-    def _replay(self, batch: list[tuple[QuerySession, int]]) -> None:
-        """Bring every engine-backed session of ``batch`` up to its step
-        count, in lockstep rounds; the ones already there cost nothing."""
+    def _replay(self, batch: list[tuple[QuerySession, int | None]]) -> None:
+        """Bring every replayed session of ``batch`` up to its step count,
+        in lockstep rounds; the ones already there, and the ones restored
+        sealed (step count ``None``), cost nothing."""
         QuerySession.replay_steps(
-            [(session, steps) for session, steps in batch if session.engine is not None],
+            [(session, steps) for session, steps in batch if steps is not None],
             self._detect_coalesced,
         )
 
@@ -956,9 +964,11 @@ class QueryService:
             # current repository is the admission-time chunk set
             log = [(0, repo.horizon)]
         chunks = chunker.take(up_to_horizon=log[0][1])
+        # no detector: the tick and the restore replay commit with the
+        # coalesced call's detections in hand (QuerySession.commit_step)
         engine = ExSample(
             chunks,
-            CategoryFilterDetector(self._shared_detector(spec.dataset), spec.category),
+            None,
             self._discriminator_factory(repo, spec.category),
             rng=rng,
             batch_size=spec.batch_size,

@@ -6,9 +6,11 @@ default, so the session can be suspended after any frame; larger
 batches trade suspension granularity for per-call amortization, §III-F)
 around three serving-specific ideas:
 
-* **shared detection** — the session's detector is a per-category view of
-  the dataset's shared :class:`~repro.detection.cache.CachingDetector`,
-  so every frame it samples is cached for all present and future queries;
+* **shared detection** — the session's engine holds no detector: every
+  frame it samples goes through the dataset's shared
+  :class:`~repro.detection.cache.CachingDetector` in the service's
+  coalesced call, so it is cached for all present and future queries,
+  and the session filters the detections to its own category;
 * **warm start** — at admission, :func:`replay_cached_frames` feeds every
   already-cached frame through the session's own discriminator and
   records the (d0, d1) outcomes into its per-chunk ``(N1, n)`` beliefs:
@@ -38,6 +40,12 @@ and all — and remains bit-exact even for sessions that caught up with
 footage appended mid-flight.  A ``follow`` session additionally refuses
 to call itself exhausted when its chunks drain: it idles, schedulable
 again the moment ingestion delivers more frames.
+
+A session that turns terminal **seals** itself: it keeps its snapshot,
+its sampling history and its per-chunk statistics, and drops its engine
+(chunks, their frame orders, the discriminator, the RNG) and its chunk
+feed.  Nothing it reports changes, and a long-lived service holds engines
+only for the sessions in flight.
 """
 
 from __future__ import annotations
@@ -50,8 +58,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.belief import GammaBelief
+from ..core.estimator import ChunkStatistics
 from ..core.rng import DecisionRng, gamma_matrices
-from ..core.sampler import ExSample, plan_many
+from ..core.sampler import ExSample, SamplingHistory, plan_many
 from ..detection.cache import DetectionCache
 from ..detection.detector import Detector
 from ..detection.execution import batch_detect
@@ -286,6 +295,9 @@ class SessionStatus:
 _SNAPSHOT_FIELDS = tuple(f.name for f in fields(SessionSnapshot))
 _STATUS_FIELDS = tuple(f.name for f in fields(SessionStatus))
 
+# the Thompson bid's belief: stateless, so one serves every session
+_BELIEF = GammaBelief()
+
 
 def replay_cached_frames(
     sampler: ExSample,
@@ -372,6 +384,12 @@ class QuerySession:
     ``plan_steps`` / ``commit_step`` (one whole engine batch at a time),
     which is what makes the step count a complete serialization of its
     progress.
+
+    At its terminal transition (completed, exhausted or cancelled) the
+    session seals: its snapshot answers every poll from then on, and
+    :attr:`history` / :attr:`chunk_stats` keep the engine's sampling
+    history and per-chunk ``(N1, n)``, while the engine, the chunk feed
+    and any parked batch are dropped.
     """
 
     def __init__(
@@ -391,8 +409,11 @@ class QuerySession:
         self._warm_frames = tuple(int(f) for f in warm_start_frames)
         self._warm_result_frames = tuple(int(f) for f in warm_result_frames)
         self._state = state
-        self._belief = GammaBelief()
         self._sealed: SessionSnapshot | None = None
+        # the engine's own history and statistics objects: what a session
+        # keeps of its engine once sealed
+        self._history: SamplingHistory | None = engine.history
+        self._chunk_stats: ChunkStatistics | None = engine.stats
         # the session's private chunk feed over the (possibly growing)
         # repository; None for sessions built outside the serving layer
         self._chunker = chunker
@@ -423,7 +444,9 @@ class QuerySession:
         A completed/exhausted/cancelled session can never be scheduled
         again, so rebuilding its engine would burn replay work only to
         answer status polls — the snapshot already carries everything a
-        poll needs."""
+        poll needs.  It is the form a live session seals into at its
+        terminal transition, minus the history and chunk statistics
+        (:attr:`history` and :attr:`chunk_stats` read ``None``)."""
         state = SessionState(snapshot.state)
         if not state.terminal:
             raise ValueError(
@@ -436,8 +459,9 @@ class QuerySession:
         session._warm_frames = snapshot.warm_start_frames or ()
         session._warm_result_frames = ()
         session._state = state
-        session._belief = GammaBelief()
         session._sealed = snapshot
+        session._history = None
+        session._chunk_stats = None
         session._chunker = None
         session._horizon_log = [
             (int(s), int(h)) for s, h in snapshot.horizons
@@ -467,8 +491,23 @@ class QuerySession:
 
     @property
     def engine(self) -> ExSample | None:
-        """The live sampling engine, or ``None`` for a sealed restore."""
+        """The live sampling engine; ``None`` once the session is terminal
+        (sealed).  Read :attr:`history` and :attr:`chunk_stats` for what a
+        finished session sampled."""
         return self._engine
+
+    @property
+    def history(self) -> SamplingHistory | None:
+        """The engine's sampling history: the live one while the session
+        runs, the one it kept once sealed, ``None`` for a session restored
+        sealed (its snapshot is all that was saved)."""
+        return self._history
+
+    @property
+    def chunk_stats(self) -> ChunkStatistics | None:
+        """The engine's per-chunk ``(N1, n)`` statistics, on the same terms
+        as :attr:`history`."""
+        return self._chunk_stats
 
     @property
     def results_found(self) -> int:
@@ -573,6 +612,18 @@ class QuerySession:
             # only non-follow sessions treat a drained chunk set as final
             if not self._spec.follow:
                 self._state = SessionState.EXHAUSTED
+        if self._state.terminal:
+            self._seal()
+
+    def _seal(self) -> None:
+        """Freeze what this terminal session reports and drop what only a
+        running one needs: from here on its snapshot answers every poll,
+        and of the engine only the history and chunk statistics stay."""
+        self._sealed = self.snapshot()
+        self._engine = None
+        self._chunker = None
+        self._pending = []
+        self._warm_result_frames = ()
 
     def _changed(self) -> None:
         if self._on_change is not None:
@@ -596,6 +647,7 @@ class QuerySession:
     def cancel(self) -> None:
         if not self._state.terminal:
             self._state = SessionState.CANCELLED
+            self._seal()
             self._changed()
 
     # ------------------------------------------------------------- ingestion
@@ -684,9 +736,7 @@ class QuerySession:
         the coalesced batch call.  ``detections_by_frame`` maps frame
         index to the frame's **unfiltered** detection list (the shared
         detector emits every category); the session filters to its own
-        category exactly as its
-        :class:`~repro.detection.cache.CategoryFilterDetector` would.
-        Returns the number of frames processed."""
+        category.  Returns the number of frames processed."""
         if not pending:
             return 0
         category = self._spec.category
@@ -719,7 +769,10 @@ class QuerySession:
         session that reaches a logged absorption point extends over the
         logged horizon before its next plan, so mid-query ingestion
         replays exactly.  Nothing a round shares reaches a decision, so
-        every session lands where replaying it alone would have.
+        every session lands where replaying it alone would have.  A
+        session that turns terminal (sealed) on the way stops there; only
+        a snapshot saved under another decision stream does that, and the
+        caller's result check names it.
         """
         todo = [
             (session, session._horizon_log[1:], frames)
@@ -729,6 +782,8 @@ class QuerySession:
             due = []
             for session, points, frames in todo:
                 engine = session._engine
+                if engine is None:
+                    continue
                 while points and engine.frames_processed >= points[0][0]:
                     horizon = points.pop(0)[1]
                     engine.extend(session._chunker.take(up_to_horizon=horizon))
@@ -753,7 +808,7 @@ class QuerySession:
         summed draws).  0.0 once the engine is gone or exhausted."""
         if self._engine is None or self._engine.exhausted:
             return 0.0
-        draws = self._belief.sample(self._engine.stats, rng, size=1)
+        draws = _BELIEF.sample(self._engine.stats, rng, size=1)
         return self._best_available(draws[0])
 
     @staticmethod
@@ -766,7 +821,7 @@ class QuerySession:
             return [session.thompson_draw(rng) for session in sessions]
         bidding = [s._engine is not None and not s._engine.exhausted for s in sessions]
         draws = iter(gamma_matrices([
-            (rng, s._belief.alphas(s._engine.stats), s._belief.betas(s._engine.stats), 1)
+            (rng, _BELIEF.alphas(s._engine.stats), _BELIEF.betas(s._engine.stats), 1)
             for s, bids in zip(sessions, bidding) if bids
         ]))
         return [

@@ -23,6 +23,13 @@ from disk exactly as ``python -m repro serve`` would, and then *proves*
 the restore: every rebuilt session's replayed decision stream must match
 what the live run already logged, and every status field must survive
 the round trip.
+
+Sessions are read through :attr:`QuerySession.history`, never through
+their engine: a session drops its engine when it turns terminal (it
+seals) but keeps its history, so the step that ended it is logged like
+any other.  Only a session restored sealed has no history — its
+snapshot is all the state directory held — and the restore proof
+checks its status alone.
 """
 
 from __future__ import annotations
@@ -399,9 +406,9 @@ class SimulationRunner:
                     f"crash-restart at tick {tick}: session {sid} status "
                     f"changed across restore: {pre} -> {post}",
                 )
-            if session.engine is None:
+            hist = session.history
+            if hist is None:  # restored sealed: its snapshot is all there is
                 continue
-            hist = session.engine.history
             expected = self.logged_stream.get(sid, [])
             if len(hist) != len(expected):
                 raise InvariantViolation(
@@ -429,10 +436,11 @@ class SimulationRunner:
     def _log_new_steps(self) -> dict[str, int]:
         growth: dict[str, int] = {}
         for sid, session in self.service.sessions.items():
-            engine = session.engine
-            if engine is None:
+            # a sealed session keeps its history, so the step that made
+            # it terminal is logged too
+            hist = session.history
+            if hist is None:
                 continue
-            hist = engine.history
             done = self.logged_steps.get(sid, 0)
             if len(hist) <= done:
                 continue

@@ -154,9 +154,9 @@ class TickObserver:
         """The sessions of a round plan in one call, then report one by
         one: each ``plan`` span is the session's own share (its draw and
         score seconds), laid end to end from the start of the planning."""
-        timings = session.last_plan_timings
-        for part in _PLAN_SPLIT:
-            self._seconds[part] += timings[part]
+        timings, seconds = session.last_plan_timings, self._seconds
+        seconds["draw"] += timings["draw"]
+        seconds["score"] += timings["score"]
         if self._contexts is not None:
             self._session_span(
                 session, "plan", len(pending), timings["draw"] + timings["score"]
@@ -202,7 +202,8 @@ class TickObserver:
 
     def end_dispatch(self) -> None:
         """From a ``finally``: an error never leaks contexts into a later batch."""
-        self._tel.tracer.end_dispatch()
+        if self._contexts is not None:  # else begin_dispatch declared none
+            self._tel.tracer.end_dispatch()
 
     def committed(self, session, count: int) -> None:
         if self._contexts is not None:

@@ -91,13 +91,13 @@ def fingerprint(service, session_ids):
     record = {}
     for sid in session_ids:
         session = service.sessions[sid]
-        history = session.engine.history
+        history = session.history
         record[sid] = {
             "state": session.state.value,
             "results_found": session.results_found,
             "result_frames": session.result_frames(),
             "frames_processed": session.frames_processed,
-            "per_chunk_samples": [int(n) for n in session.engine.stats.n],
+            "per_chunk_samples": [int(n) for n in session.chunk_stats.n],
             "sampled_frames": [int(f) for f in history.frame_indices],
             "d0_counts": [int(d) for d in history.d0_counts],
             "results": [int(r) for r in history.results],

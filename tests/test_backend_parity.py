@@ -122,14 +122,14 @@ def test_snapshot_restore_replays_flat_layout():
     )
     clone_sid = clone_host.restore(SessionSnapshot.from_dict(json.loads(blob)))
     clone = clone_host.sessions[clone_sid]
-    assert [int(v) for v in live.engine.stats.n1] == [
-        int(v) for v in clone.engine.stats.n1
+    assert [int(v) for v in live.chunk_stats.n1] == [
+        int(v) for v in clone.chunk_stats.n1
     ]
-    assert [int(v) for v in live.engine.stats.n] == [
-        int(v) for v in clone.engine.stats.n
+    assert [int(v) for v in live.chunk_stats.n] == [
+        int(v) for v in clone.chunk_stats.n
     ]
-    assert list(live.engine.history.frame_indices) == list(
-        clone.engine.history.frame_indices
+    assert list(live.history.frame_indices) == list(
+        clone.history.frame_indices
     )
     # and the two finish identically
     service.run_until_idle(max_ticks=40)
@@ -203,8 +203,8 @@ def test_pre_vectorization_snapshot_restores_and_replays():
     fresh_host.run_until_idle(max_ticks=40)
     fresh = fresh_host.sessions[fresh_sid]
 
-    assert list(restored.engine.history.frame_indices) == list(
-        fresh.engine.history.frame_indices
+    assert list(restored.history.frame_indices) == list(
+        fresh.history.frame_indices
     )
     assert restored.result_frames() == fresh.result_frames()
     assert restored.state == fresh.state

@@ -168,7 +168,7 @@ def test_detector_calls_equal_the_work_the_workers_did(cache_budget):
             sampled = {
                 int(frame)
                 for session in service.sessions.values()
-                for frame in session.engine.history.frame_indices
+                for frame in session.history.frame_indices
             }
             assert total > len(sampled)
     finally:

@@ -390,7 +390,7 @@ def test_who_is_planned_ahead_does_not_depend_on_worker_speed():
 
 def _oracle_check(service, sid, seed):
     session = service.sessions[sid]
-    hist = session.engine.history
+    hist = session.history
     logged = [
         (int(hist.frame_indices[i]), int(hist.d0_counts[i]), int(hist.results[i]))
         for i in range(len(hist))

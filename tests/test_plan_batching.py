@@ -36,7 +36,7 @@ from repro.serving.scheduler import (
     proportional_allocation,
 )
 from repro.serving.service import QueryService
-from repro.serving.session import QuerySession
+from repro.serving.session import QuerySession, SessionState
 from repro.telemetry import Telemetry
 from repro.tracking.discriminator import OracleDiscriminator
 from repro.video.repository import single_clip_repository
@@ -245,8 +245,8 @@ def test_each_session_matches_its_solo_replay(scheduler):
         # a terminal session would restore sealed; replay it as paused
         snapshot = dataclasses.replace(session.snapshot(), state="paused")
         solo.restore(snapshot)
-        replayed = solo.sessions[sid].engine.history
-        live = session.engine.history
+        replayed = solo.sessions[sid].history
+        live = session.history
         assert list(replayed.frame_indices) == list(live.frame_indices), sid
         assert list(replayed.d0_counts) == list(live.d0_counts), sid
 
@@ -269,9 +269,9 @@ def _population(seed):
                        warm_start=False, batch_size=1 + k % 3)
     service.run_until_idle(max_ticks=25)
     sessions = list(service.sessions.values())
-    assert any(s.engine.exhausted for s in sessions)
+    assert any(s.state is SessionState.EXHAUSTED for s in sessions)  # sealed
     assert any(
-        not s.engine.exhausted and not all(s.engine.chunk_availability)
+        s.engine is not None and not all(s.engine.chunk_availability)
         for s in sessions
     )
     return sessions

@@ -67,7 +67,7 @@ def _live_run(seed, batch, warm):
 
 def _decisions(service):
     """Fingerprint, next plan and status row of every restored session."""
-    engines = [sid for sid, s in service.sessions.items() if s.engine is not None]
+    engines = [sid for sid, s in service.sessions.items() if s.history is not None]
     live = service.live_sessions()
     return json.dumps({
         "fingerprint": fingerprint(service, engines).decode("utf-8"),

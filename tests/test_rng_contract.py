@@ -15,6 +15,8 @@ has to localize it.
 import hashlib
 import math
 import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -365,6 +367,51 @@ def test_every_request_equals_a_fresh_philox():
             fresh = np.random.Generator(np.random.Philox(key=op_key))
             want = fresh.standard_gamma(alphas, size=(rows, len(alphas)))
             assert matrix.tolist() == (want / np.asarray(betas)).tolist()
+
+
+def _fresh_philox(requests):
+    """Each request's matrix from its own ``Generator(Philox(key=op_key))``."""
+    streams, out = {}, []
+    for seed, alphas, betas, rows in requests:
+        op_key = streams.setdefault(seed, DecisionRng(seed))._next_u64()
+        fresh = np.random.Generator(np.random.Philox(key=op_key))
+        want = fresh.standard_gamma(alphas, size=(rows, len(alphas)))
+        out.append((want / np.asarray(betas)).tolist())
+    return out
+
+
+def test_threads_drawing_at_once_each_equal_a_fresh_philox():
+    """No draw shares a bit generator across threads: two threads
+    drawing at the same time (thread switches forced every microsecond)
+    still get exactly what a fresh Philox per request gives — the guard
+    for any Philox that outlives one call."""
+    mixes = list(_mixes(24))
+    start = threading.Barrier(2)
+    got = {}
+
+    def draw(name, mine):
+        start.wait()
+        got[name] = [
+            [m.tolist() for m in _in_one_call(requests)[0]]
+            for _ in range(3) for requests in mine
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=draw, args=(name, mixes[name::2]))
+            for name in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for name in (0, 1):
+        want = [_fresh_philox(requests) for _ in range(3) for requests in mixes[name::2]]
+        assert got[name] == want
 
 
 def test_gamma_matrices_validate_every_request_first():

@@ -175,6 +175,24 @@ def test_validation():
         ExSample(chunks, OracleDetector(repo), OracleDiscriminator(), batch_size=0)
 
 
+def test_an_engine_without_a_detector_commits_only_with_detections():
+    """The served engine holds no detector: ``commit`` needs the batch's
+    detections, and without them raises before touching any state."""
+    repo = make_repo()
+    chunks = even_count_chunks(repo.total_frames, 8, np.random.default_rng(0))
+    engine = ExSample(chunks, None, OracleDiscriminator(), rng=np.random.default_rng(0))
+    pending = engine.plan()
+    with pytest.raises(ValueError, match="no detector"):
+        engine.commit(pending)
+    assert engine.frames_processed == 0
+    detector = OracleDetector(repo)
+    records = engine.commit(pending, {f: detector.detect(f) for _, f in pending})
+    assert [r.frame_index for r in records] == [f for _, f in pending]
+    # the in-core API drives an engine through its own detector
+    with pytest.raises(ValueError, match="no detector"):
+        engine.run(max_samples=5)
+
+
 def test_thompson_concentrates_on_productive_chunk():
     """All results in one chunk: ExSample should oversample it (§III)."""
     rng = np.random.default_rng(8)

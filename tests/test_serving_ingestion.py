@@ -96,11 +96,11 @@ def test_ingest_before_ticking_matches_upfront_service():
     assert l_session.result_frames() == u_session.result_frames()
     assert l_session.frames_processed == u_session.frames_processed
     np.testing.assert_array_equal(
-        l_session.engine.stats.n, u_session.engine.stats.n
+        l_session.chunk_stats.n, u_session.chunk_stats.n
     )
     np.testing.assert_array_equal(
-        l_session.engine.history.frame_indices,
-        u_session.engine.history.frame_indices,
+        l_session.history.frame_indices,
+        u_session.history.frame_indices,
     )
 
 
@@ -121,9 +121,9 @@ def test_mid_query_feed_is_deterministic():
 
     a, b = run_once(), run_once()
     np.testing.assert_array_equal(
-        a.engine.history.frame_indices, b.engine.history.frame_indices
+        a.history.frame_indices, b.history.frame_indices
     )
-    np.testing.assert_array_equal(a.engine.stats.n, b.engine.stats.n)
+    np.testing.assert_array_equal(a.chunk_stats.n, b.chunk_stats.n)
     assert a.horizon_log == b.horizon_log
 
 
@@ -155,11 +155,11 @@ def test_snapshot_restore_across_horizon_change():
     original = service.sessions[sid]
 
     np.testing.assert_array_equal(
-        restored.engine.history.frame_indices,
-        original.engine.history.frame_indices,
+        restored.history.frame_indices,
+        original.history.frame_indices,
     )
     np.testing.assert_array_equal(
-        restored.engine.stats.n, original.engine.stats.n
+        restored.chunk_stats.n, original.chunk_stats.n
     )
     # restored horizon stops at the last logged absorption; the extra
     # clip is picked up by the next tick's sync, like any live append
@@ -174,8 +174,8 @@ def test_snapshot_restore_across_horizon_change():
     restored_service.run_until_idle()
     assert restored.results_found == original.results_found
     np.testing.assert_array_equal(
-        restored.engine.history.frame_indices,
-        original.engine.history.frame_indices,
+        restored.history.frame_indices,
+        original.history.frame_indices,
     )
 
 

@@ -19,6 +19,9 @@ under test, none of them by the clock:
 * *server* — the per-tick and per-admission paths of
   ``AsyncQueryServer`` neither copy nor walk the whole map, and the
   tenant quota counts non-terminal sessions;
+* *memory* — a terminal session holds no engine (counted live ``Chunk``
+  objects and dead weakrefs, not bytes), whichever way it ended, and
+  sealing changes nothing it reports;
 * *answers* — a seeded churn of one-batch sessions through the server
   returns the payloads it returned before the index existed.
 """
@@ -26,16 +29,19 @@ under test, none of them by the clock:
 import asyncio
 import collections
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
 from contracts import clip_repository
 
 from repro import telemetry
+from repro.core.chunking import Chunk
 from repro.server import AsyncQueryServer, ServerConfig, ServerThread
 from repro.serving import QueryService, ServingClient, SessionState
 from repro.serving.scheduler import SCHEDULERS
@@ -174,7 +180,7 @@ def test_index_equals_a_walk_over_every_session(seed):
         if session is not None:
             second.restore(first.snapshot(session.session_id))
             restored = second.sessions[session.session_id]
-            assert (restored.engine is None) == terminal
+            assert (restored.history is None) == terminal
 
     ops = [submit, submit, submit_warm_complete, submit_follow, tick, tick,
            tick, pause, resume, cancel, cancel_behind_the_service, feed,
@@ -440,6 +446,147 @@ def test_tenant_quota_counts_non_terminal_sessions_only(touched):
         assert stats["sessions_active"] == 3
 
     asyncio.run(scenario())
+    service.close()
+
+
+# ----------------------------------------------------------------- memory
+
+def live_chunks():
+    gc.collect()
+    return sum(isinstance(o, Chunk) for o in gc.get_objects())
+
+
+def test_terminal_sessions_hold_no_chunks():
+    """Served one after another, one-batch sessions leave no chunk behind:
+    the live ``Chunk`` count after 400 equals the count after 100."""
+    service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+
+    def serve(count, first_seed):
+        for i in range(count):
+            sid = service.submit("synthetic", "bus", limit=1, max_samples=8,
+                                 batch_size=8, seed=first_seed + i, warm_start=False)
+            while not service.sessions[sid].state.terminal:
+                service.tick()
+
+    serve(100, 0)
+    after_100 = live_chunks()
+    serve(300, 100)
+    assert live_chunks() == after_100
+    assert len(service.sessions) == 400
+    assert not service.live_sessions()
+    service.close()
+
+
+def ending(service, how):
+    """Submit a session and end it ``how``; returns it."""
+    limit, max_samples = {"completed": (1, None), "exhausted": (None, 8)}.get(how, (None, None))
+    sid = service.submit("synthetic", "bus", limit=limit, max_samples=max_samples,
+                         batch_size=4, warm_start=False)
+    session = service.sessions[sid]
+    service.tick()
+    if how == "cancelled":
+        service.cancel(sid)
+    elif how == "cancelled behind the service":
+        session.cancel()
+    elif how == "cancelled holding a parked batch":
+        # what plan-ahead does while a sharded round's detection is out
+        assert QuerySession.plan_steps([session])[0]
+        assert not session.plannable_ahead  # parked
+        service.cancel(sid)
+    while not session.state.terminal:
+        service.tick()
+    service.tick()  # the ready index retires it
+    assert session.state.value == how.split()[0]
+    return session
+
+
+ENDINGS = ["completed", "exhausted", "cancelled", "cancelled behind the service",
+           "cancelled holding a parked batch"]
+
+
+@pytest.mark.parametrize("how", ENDINGS)
+def test_a_terminal_session_drops_its_engine(how):
+    service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+    session = ending(service, how)
+    assert session.engine is None and not session._pending
+    # what it sampled stays readable
+    assert len(session.history) == session.frames_processed > 0
+    assert sum(session.chunk_stats.n) == session.frames_processed
+    service.close()
+
+
+@pytest.mark.parametrize("how", ENDINGS)
+def test_a_terminal_sessions_engine_is_collected(how):
+    service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+    engines = []
+    record = QuerySession.plan_steps
+
+    def plan_steps(sessions):  # take a weakref to every engine that plans
+        engines.extend(weakref.ref(s.engine) for s in sessions if s.engine is not None)
+        return record(sessions)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QuerySession, "plan_steps", staticmethod(plan_steps))
+        session = ending(service, how)
+    assert engines
+    gc.collect()
+    assert all(ref() is None for ref in engines), how
+    assert session.snapshot().state == how.split()[0]
+    service.close()
+
+
+def test_sealing_changes_nothing_a_session_reports(monkeypatch):
+    """``status``, ``results`` and ``snapshot`` read the same just before
+    and just after each seal, across every way a session ends, follow
+    sessions and footage fed mid-run included (their ``horizon`` comes
+    from the chunk feed live and from the horizon log sealed)."""
+    rng = random.Random(11)
+    repo = growing_repo()
+    service = QueryService(repo, chunk_frames=600, frames_per_tick=16, seed=11)
+    seal = QuerySession._seal
+    sealed = collections.Counter()
+
+    def reports(session):
+        # QueryService.results' payload, built from the session: one that
+        # completes on its warm start seals before the service holds it
+        results = dict(session.status().to_dict(), result_frames=session.result_frames())
+        return session.status().to_dict(), results, session.snapshot().to_dict()
+
+    def checked_seal(session):
+        before = reports(session)
+        seal(session)
+        assert reports(session) == before
+        sealed[session.state.value, session.spec.follow] += 1
+
+    monkeypatch.setattr(QuerySession, "_seal", checked_seal)
+    next_instance = 1000
+    for step in range(60):
+        op = rng.random()
+        if op < 0.3:
+            service.submit("cam", "bus", limit=rng.choice([1, 3, None]),
+                           max_samples=rng.choice([8, 40, None]),
+                           batch_size=rng.choice([1, 8]), follow=rng.random() < 0.4,
+                           warm_start=rng.random() < 0.5)
+        elif op < 0.4:
+            live = service.live_sessions()
+            if live:
+                victim = rng.choice(live)
+                if rng.random() < 0.5:
+                    service.cancel(victim.session_id)
+                else:
+                    victim.cancel()
+        elif op < 0.5:
+            start = repo.horizon
+            service.feed("cam", 600, clip_instances(start, 600, 3, start_id=next_instance))
+            next_instance += 3
+        else:
+            service.tick()
+    for session in service.live_sessions():
+        session.cancel()
+    service.tick()
+    assert {state for state, _ in sealed} == {"completed", "exhausted", "cancelled"}
+    assert any(follow for _, follow in sealed)
+    assert all(s.engine is None for s in service.sessions.values())
     service.close()
 
 

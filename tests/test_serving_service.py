@@ -11,6 +11,7 @@ from repro.serving import (
     ThompsonSumScheduler,
 )
 from repro.serving import state as serving_state
+from repro.serving.session import SessionSnapshot, StateError
 from repro.video.repository import single_clip_repository
 from repro.video.synthetic import place_instances
 
@@ -249,12 +250,31 @@ def test_terminal_sessions_restore_sealed():
     assert host.detector_calls == 0
     assert host.cache.stats.lookups == 0
     assert host.status(restored) == done
-    assert host.sessions[restored].engine is None
+    assert host.sessions[restored].history is None
     assert (
         host.results(restored)["result_frames"]
         == donor.results(sid)["result_frames"]
     )
     assert host.tick() == {}  # sealed sessions are never scheduled
+
+
+def test_a_replay_that_turns_terminal_early_fails_loudly():
+    """A snapshot whose replay reaches its limit before its step count
+    (here: a live session's snapshot with its limit cut to 1) seals on
+    the way; the replay stops there and the result check still names the
+    session, instead of replaying a sealed session's engine."""
+    repo = make_repo()
+    donor = make_service(repo)
+    sid = donor.submit("synthetic", "bus", limit=25, seed=5, warm_start=False)
+    while donor.status(sid).results_found < 2:
+        donor.tick()
+    snapshot = donor.snapshot(sid)
+    assert snapshot.state == "active" and len(snapshot.result_frames) >= 2
+    tampered = SessionSnapshot.from_dict(dict(snapshot.to_dict(), limit=1))
+    host = make_service(repo, cache=donor.cache)
+    with pytest.raises(StateError, match=sid):
+        host.restore(tampered)
+    assert sid not in host.sessions
 
 
 def test_restored_ids_do_not_collide_with_fresh_submissions():

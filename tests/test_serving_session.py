@@ -107,7 +107,8 @@ def test_thompson_draw_positive_and_zero_when_exhausted():
     draw = session.thompson_draw(rng)
     assert np.isfinite(draw) and draw > 0.0
     service.run_until_idle()  # no limit: drains all 64 frames
-    assert session.engine.exhausted
+    assert session.state is SessionState.EXHAUSTED
+    assert sum(session.chunk_stats.n) == 64
     assert session.thompson_draw(rng) == 0.0
 
 
@@ -177,10 +178,10 @@ def test_restore_is_exact_replay_of_live_state():
     clone_sid = clone_host.restore(service.snapshot(sid))
     clone = clone_host.sessions[clone_sid]
 
-    np.testing.assert_array_equal(live.engine.stats.n1, clone.engine.stats.n1)
-    np.testing.assert_array_equal(live.engine.stats.n, clone.engine.stats.n)
+    np.testing.assert_array_equal(live.chunk_stats.n1, clone.chunk_stats.n1)
+    np.testing.assert_array_equal(live.chunk_stats.n, clone.chunk_stats.n)
     np.testing.assert_array_equal(
-        live.engine.history.frame_indices, clone.engine.history.frame_indices
+        live.history.frame_indices, clone.history.frame_indices
     )
     assert live.results_found == clone.results_found
 
