@@ -664,17 +664,13 @@ class CachingDetector:
     def detect(self, frame_index: int) -> list[Detection]:
         return self.detect_many([frame_index])[0]
 
-    def detect_many(
-        self, frame_indices: Sequence[int], while_waiting=None
-    ) -> list[list[Detection]]:
+    def detect_many(self, frame_indices: Sequence[int]) -> list[list[Detection]]:
         """Detections per input frame, with partial-hit splitting.
 
         One cache round-trip answers the hits; the misses (deduplicated,
         in first-seen order) go to the wrapped detector as **one** batch
         call and land in the cache as one batch write.  Results align
         with the input frames; :meth:`detect` is the one-frame case.
-        ``while_waiting`` rides the miss call through
-        :func:`~repro.detection.execution.batch_detect`.
         """
         frames = [int(f) for f in frame_indices]
         self.stats.frames_processed += len(frames)
@@ -691,7 +687,7 @@ class CachingDetector:
                 )
         fresh: dict[int, list[Detection]] = {}
         if missing:
-            detected = batch_detect(self._detector, missing, while_waiting)
+            detected = batch_detect(self._detector, missing)
             self._cache.put_many(self._dataset, list(zip(missing, detected)))
             fresh = dict(zip(missing, detected))
         out = [

@@ -35,26 +35,17 @@ from .detector import Detection, Detector
 __all__ = ["batch_detect", "with_latency"]
 
 
-def batch_detect(
-    detector: Detector, frame_indices: Sequence[int], while_waiting=None
-) -> list[list[Detection]]:
+def batch_detect(detector: Detector, frame_indices: Sequence[int]) -> list[list[Detection]]:
     """Run ``detector`` over a batch of frames, one result list per frame.
 
     Dispatches to the detector's native ``detect_many`` when available
     (one amortized call) and falls back to sequential per-frame
     ``detect`` calls otherwise.  Either way the results align with
     ``frame_indices`` in order, and are identical to the per-frame path.
-
-    ``while_waiting`` is work the caller can do while the batch is out
-    of process; it reaches a detector that declares ``overlaps_wait``
-    (the shard coordinator, whose ``detect_many`` documents the hook)
-    and is dropped, never called, for every other.
     """
     native = getattr(detector, "detect_many", None)
     if native is None:
         return [detector.detect(int(f)) for f in frame_indices]
-    if while_waiting is not None and getattr(detector, "overlaps_wait", False):
-        return native(list(frame_indices), while_waiting)
     return native(list(frame_indices))
 
 

@@ -15,7 +15,8 @@ ExSample engines, their RNGs, the belief state), and workers compute
 number of shards, which worker detects which frame, worker deaths,
 respawns, and every other execution detail are invisible to a query's
 answer — a sharded run returns byte-identical matches and per-chunk
-sample counts to a single-process run (asserted over a seed matrix in
+sample counts to a single-process run, footage ingested mid-run
+included (asserted over a seed matrix in
 ``tests/test_distributed_parity.py``).
 
 It is also why there is no routing: every worker holds a full replica
@@ -316,24 +317,15 @@ class ShardCoordinator:
 
     # ------------------------------------------------------------- detection
 
-    #: ``detect_many`` takes ``while_waiting``: what ``batch_detect`` looks for
-    overlaps_wait = True
-
-    def detect_many(
-        self, frame_indices: Sequence[int], while_waiting=None
-    ) -> list[list[Detection]]:
+    def detect_many(self, frame_indices: Sequence[int]) -> list[list[Detection]]:
         """Split a batch evenly over the shards, fan out, merge in input
-        order: *send* every slice, let the caller work, *collect*.
+        order: *send* every slice, then *collect* the replies.
 
         All requests are sent before any response is awaited, so workers
         overlap their detection work — with an even split that overlap
         is the whole throughput story
-        (``benchmarks/test_bench_distributed.py``).  ``while_waiting``,
-        when given, is called once between the two halves, with every
-        worker busy, and may do anything that does not touch this
-        coordinator (the serving tick plans other sessions' next batches
-        there); the replies are drained even if it raises.  What the
-        batch reports goes through
+        (``benchmarks/test_bench_distributed.py``).  What the batch
+        reports goes through
         :class:`~repro.telemetry.observers.DispatchObserver`.
         """
         frames = [int(f) for f in frame_indices]
@@ -342,11 +334,7 @@ class ShardCoordinator:
         obs = telemetry.get().dispatch_observer
         obs.begin()
         in_flight = self._send(list(dict.fromkeys(frames)), obs)
-        try:
-            if while_waiting is not None:
-                while_waiting()
-        finally:
-            by_frame = self._collect(in_flight, obs)
+        by_frame = self._collect(in_flight, obs)
         out = [list(by_frame[frame]) for frame in frames]
         self.stats.frames_processed += len(frames)
         self.stats.detections_emitted += sum(len(d) for d in out)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -589,15 +588,6 @@ class QueryService:
         so a transient detector error loses at most the tick in flight —
         the same durability the state layer promises.
 
-        Plan-ahead: a detector that works out of process (the shard
-        coordinator) calls back while its replies are outstanding, and
-        the tick spends that wait planning the next batch of the
-        sessions outside this round (:meth:`_plan_ahead`).  The batch is
-        parked exactly as a failed tick's is and re-offered at the
-        session's turn: no plan, snapshot or restore can tell.  A parked
-        batch defers absorption, so a session with footage waiting is
-        never planned ahead — it absorbs at the next :meth:`sync` first.
-
         What the tick reports (the ``tick`` trace and its stage children,
         the per-tick series, per-session spans and gauges) goes through
         :class:`~repro.telemetry.observers.TickObserver` — a no-op twin
@@ -629,7 +619,6 @@ class QueryService:
         deficits = self._deficits
         processed = dict.fromkeys(granted_ids, 0)
         remaining = {sid: allocation[sid] - deficits.get(sid, 0) for sid in granted_ids}
-        ahead = partial(self._plan_ahead, active, obs)  # for a detector that overlaps
         completed = False
         try:
             while True:
@@ -648,7 +637,7 @@ class QueryService:
                     break
                 # stage 2, once per dataset: one batched detector call over
                 # the union of planned frames, duplicates coalesced
-                detections = self._detect_coalesced(plans, obs, ahead)
+                detections = self._detect_coalesced(plans, obs)
                 obs.lap("detect")
                 # stage 3, all sessions: commit in submission order
                 for session, pending in plans:
@@ -674,7 +663,7 @@ class QueryService:
         return processed
 
     def _detect_coalesced(
-        self, plans, obs=NULL_TICK_OBSERVER, ahead=None
+        self, plans, obs=NULL_TICK_OBSERVER
     ) -> dict[str, dict[int, list[Detection]]]:
         """Stage 2 of a round, for the tick and the restore replay alike:
         the frames ``plans`` (``(session, batch)`` pairs) want, merged per
@@ -682,8 +671,7 @@ class QueryService:
         shared caching detector in **one** batched call — one cache round
         trip, the misses fanned out over the shard workers under sharded
         execution.  Returns ``{dataset: {frame: unfiltered detections}}``.
-        ``obs`` hears the coalesce lap and each dispatch; ``ahead`` is the
-        plan-ahead callback a detector that overlaps may call back."""
+        ``obs`` hears the coalesce lap and each dispatch."""
         frames_by_dataset: dict[str, dict[int, None]] = {}
         for session, pending in plans:
             ordered = frames_by_dataset.setdefault(session.spec.dataset, {})
@@ -695,31 +683,11 @@ class QueryService:
             frames = list(ordered)
             obs.begin_dispatch(dataset, plans, frames)
             try:
-                per_frame = self._shared_detector(dataset).detect_many(frames, ahead)
+                per_frame = self._shared_detector(dataset).detect_many(frames)
             finally:
                 obs.end_dispatch()
             detections[dataset] = dict(zip(frames, per_frame))
         return detections
-
-    @staticmethod
-    def _plan_ahead(active, obs) -> None:
-        """Plan next batches while this round's detection is in flight
-        (the detector calls back between sending and collecting).
-
-        Every session of ``active`` that is
-        :attr:`QuerySession.plannable_ahead` — which rules out the ones
-        in this round: their batch is parked until it commits — plans
-        one batch, in submission order and in one Thompson draw
-        (:meth:`QuerySession.plan_steps`): work a later tick would
-        otherwise do with the workers idle.  Who plans depends on the
-        tick history alone, never on how long the workers take: a parked
-        batch defers absorption, so a clock would get to pick a
-        session's chunk set.
-        """
-        obs.planning_ahead()
-        ready = [s for s in active if s.plannable_ahead]
-        for session, pending in zip(ready, QuerySession.plan_steps(ready)):
-            obs.planned_ahead(session, pending)
 
     def run_until_idle(self, max_ticks: int | None = None) -> int:
         """Tick until no session can be advanced (or ``max_ticks``);

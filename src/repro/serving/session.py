@@ -569,19 +569,6 @@ class QuerySession:
             return False
         return not self._engine.exhausted
 
-    @property
-    def plannable_ahead(self) -> bool:
-        """Whether the service may plan this session's next batch before
-        its turn: schedulable, nothing parked already, and no footage
-        waiting — a parked batch defers absorption
-        (:meth:`absorb_new_footage`), so planning over waiting footage
-        could put it off for as long as plans kept coming."""
-        return (
-            not self._pending
-            and self.schedulable
-            and (self._chunker is None or self._chunker.pending_frames <= 0)
-        )
-
     def result_frames(self) -> list[int]:
         """Frames a user would open: every frame that yielded a new result,
         warm-start and sampled alike."""

@@ -73,7 +73,8 @@ class TickObserver:
     def service_closed(self, sessions) -> None:
         """Sessions that never reached terminal still export a root span."""
         self._tel.tracer.finish_all({sid: s.state.value for sid, s in sessions.items()})
-        self._granted = []  # the next service's ticks start afresh
+        # the next service's ticks start afresh, and hold no session of this one
+        self._granted, self._active, self._written = [], [], []
 
     # ---------------------------------------------------------------- a tick
 
@@ -161,25 +162,6 @@ class TickObserver:
             self._session_span(
                 session, "plan", len(pending), timings["draw"] + timings["score"]
             )
-
-    def planning_ahead(self) -> None:
-        """A dispatch is in flight and the tick may plan ahead: the first
-        such plan's clock starts here, not at the send.  The counter is
-        born here, so it exists exactly where planning ahead can happen
-        — local runs never get this far."""
-        self._ahead = self._tel.counter("repro_serving_planned_ahead_total")
-        self._span_mark = self._ahead_mark = perf_counter()
-
-    def planned_ahead(self, session, pending) -> None:
-        """``session`` planned its next batch inside the round's ``detect``
-        stage: the seconds are ``plan`` work, so they move from one to
-        the other (the coming ``lap("detect")`` adds the whole wait)."""
-        seconds = perf_counter() - self._ahead_mark
-        self._seconds["plan"] += seconds
-        self._seconds["detect"] -= seconds
-        self._ahead.inc()
-        self.planned(session, pending)
-        self._ahead_mark = perf_counter()
 
     def lap(self, stage: str) -> None:
         """``stage`` of the current round just ended."""

@@ -11,11 +11,11 @@ that pin them assert them beside the comparison.
 
 The rest is the scaffolding those suites share: a world of stationary
 instances over clips laid end to end (:func:`clip_repository`; the
-five-clip :func:`matrix_world` of the sharded, eviction and plan-ahead
-matrices; the four-clip :func:`small_world` of the snapshot-replay and
-telemetry tests), the service they run (:func:`parity_service`), and
-one detector wrapper that counts batches and fails on chosen calls
-(:class:`CountingDetector`).
+five-clip :func:`matrix_world` of the sharded, eviction and
+staggered-session matrices; the four-clip :func:`small_world` of the
+snapshot-replay and telemetry tests), the service they run
+(:func:`parity_service`), and one detector wrapper that counts batches
+and fails on chosen calls (:class:`CountingDetector`).
 """
 
 import json

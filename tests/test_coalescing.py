@@ -8,7 +8,7 @@ accounting may change.
 
 import numpy as np
 import pytest
-from contracts import CountingDetector
+from contracts import CountingDetector, fingerprint, stationary_instance
 
 from repro.core.chunking import even_count_chunks
 from repro.core.multiquery import MultiQueryExSample
@@ -17,7 +17,7 @@ from repro.detection.cache import DetectionCache
 from repro.detection.detector import OracleDetector, SimulatedDetector
 from repro.serving import QueryService
 from repro.tracking.discriminator import OracleDiscriminator
-from repro.video.repository import single_clip_repository
+from repro.video.repository import empty_repository, single_clip_repository
 from repro.video.synthetic import place_instances
 
 TOTAL_FRAMES = 16_000
@@ -349,6 +349,42 @@ def test_failed_final_batch_is_not_dropped_on_exhaustion():
         return service.results(sid)
 
     assert run(failures={1}) == run(failures=())
+
+
+def test_a_parked_batch_defers_absorption_until_it_commits():
+    """Footage that lands while a failed tick's batch is parked is
+    absorbed only after that batch commits, between whole batches: the
+    batch was planned over the old chunk set, and absorbing under it
+    would leave a stream its own snapshot cannot replay."""
+    repo = empty_repository("live")
+    repo.append_clip(120, [stationary_instance(0, 10, 20, "car")])
+
+    def service():
+        return QueryService(
+            repo, chunk_frames=40, frames_per_tick=4, batch_size=4, seed=9,
+            detector_factory=lambda r: CountingDetector(OracleDetector(r)),
+        )
+
+    flaky = service()
+    sid = flaky.submit("live", "car", follow=True, max_samples=400, warm_start=False)
+    flaky.tick()
+    detector = flaky._shared_detector("live").wrapped
+    detector.fail_on = {len(detector.batches) + 1}
+    with pytest.raises(RuntimeError):
+        flaky.tick()
+    session = flaky.sessions[sid]
+    assert session._pending and session.frames_processed == 4
+    # footage lands out of band (another process appended the clip)
+    repo.append_clip(80, [stationary_instance(1, 150, 20, "car")])
+    assert flaky.sync() == {}
+    flaky.tick()  # the parked batch commits over the old chunk set
+    assert session.frames_processed == 8 and session.horizon == 120
+    flaky.tick()  # and the next sync absorbs
+    assert session.horizon_log == [(0, 120), (8, 200)]
+    flaky.run_until_idle(max_ticks=10)
+    restored = service()
+    restored.restore(flaky.snapshot(sid))
+    assert fingerprint(restored, [sid]) == fingerprint(flaky, [sid])
 
 
 def test_detector_latency_does_not_change_any_session_answer():

@@ -1,17 +1,13 @@
-"""Balanced dispatch and plan-ahead: keeping the shard workers busy.
+"""Balanced dispatch: keeping the shard workers busy, answer-invisibly.
 
-Two properties of the sharded execution path, both answer-invisible:
-
-* **the even split** — a batch is deduplicated and dealt to the workers
+* **The even split** — a batch is deduplicated and dealt to the workers
   in contiguous slices whose sizes differ by at most one, from a cursor
   that keeps rotating, so a batch the sampler concentrated on one clip
-  still occupies the whole fleet;
-* **plan-ahead** — while a round's detection is in flight the tick plans
-  the next batch of the sessions that are not in the round, parks it
-  exactly as a failed tick's batch is parked, and re-offers it at the
-  session's turn.  No decision, snapshot or restore can tell, and who
-  is planned ahead is a function of the tick history alone (never of
-  how long the workers took), so sharded runs stay bit-reproducible.
+  still occupies the whole fleet.
+* **Staggered sessions** — sessions admitted a tick apart under a budget
+  of one batch per tick, so most ticks leave most sessions out of the
+  round: paused, cancelled, snapshotted and restored, or drained by
+  SIGTERM, a sharded session still ends where its local twin does.
 """
 
 import json
@@ -32,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.detection.detector import OracleDetector
-from repro.detection.execution import batch_detect, with_latency
 from repro.distributed.coordinator import ShardCoordinator
 from repro.distributed.worker import ShardWorker
 from repro.serving.scheduler import (
@@ -63,14 +58,6 @@ def _clean_global_pipeline():
 def _repository(seed=0):
     """The matrix world plus one person, so three categories share it."""
     return matrix_world(seed, stationary_instance(6, 150 + (23 * seed) % 90, 26, "person"))
-
-
-def _counter(snapshot, name):
-    return sum(
-        value
-        for key, value in snapshot["counters"].items()
-        if parse_series_key(key)[0] == name
-    )
 
 
 # ------------------------------------------------------------ the even split
@@ -199,53 +186,22 @@ def test_a_one_clip_batch_occupies_the_whole_fleet(num_shards):
         assert fleet < 0.75 * one_shard, (fleet, one_shard)
 
 
-# ------------------------------------------------------- the hook's plumbing
-
-def test_the_hook_reaches_only_a_detector_that_overlaps():
-    repo = _repository()
-    calls = []
-    plain = OracleDetector(repo)
-    delayed = with_latency(OracleDetector(repo), 1e-6)
-    for detector in (plain, delayed):  # in-process: nothing to wait for
-        assert batch_detect(detector, [5, 25], lambda: calls.append("x")) == [
-            plain.detect(5), plain.detect(25),
-        ]
-    assert calls == []
-    coordinator = _LoopbackCoordinator(repo, 2)
-    assert batch_detect(coordinator, [5, 25], lambda: calls.append("x")) == [
-        plain.detect(5), plain.detect(25),
-    ]
-    assert calls == ["x"]  # once, between send and collect
-
-
-def test_a_local_service_never_plans_ahead(monkeypatch):
-    def forbidden(*_args):
-        raise AssertionError("plan-ahead ran under local execution")
-
-    monkeypatch.setattr(QueryService, "_plan_ahead", staticmethod(forbidden))
-    service = QueryService(
-        _repository(), frames_per_tick=8, batch_size=4, detector_latency=0.0005,
-        seed=1,
-    )
-    try:
-        for category in ("bus", "car", "person"):
-            service.submit("cam0", category, max_samples=24, warm_start=False)
-        service.run_until_idle(max_ticks=40)
-        assert all(s.state.terminal for s in service.sessions.values())
-    finally:
-        service.close()
-
-
-def test_a_worker_killed_during_the_hook_is_drained_and_reissued():
+def test_a_worker_killed_in_flight_is_drained_and_reissued(monkeypatch):
     repo = _repository()
     raw = OracleDetector(repo)
     frames = [5, 145, 310, 25, 200, 330]
     with ShardCoordinator(repo, 3, latency=0.002) as coordinator:
         coordinator.warm_up()
         killed = []
-        got = coordinator.detect_many(
-            frames, lambda: killed.append(coordinator.kill_worker(1))
-        )
+        collect = coordinator._collect
+
+        def kill_then_collect(in_flight, obs):  # every slice is out
+            killed.append(coordinator.kill_worker(1))
+            return collect(in_flight, obs)
+
+        monkeypatch.setattr(coordinator, "_collect", kill_then_collect)
+        got = coordinator.detect_many(frames)
+        monkeypatch.undo()
         assert killed == [True]
         assert got == [raw.detect(f) for f in frames]
         assert coordinator.restarts == 1
@@ -257,18 +213,6 @@ def test_a_worker_killed_during_the_hook_is_drained_and_reissued():
         stats = coordinator.worker_stats()
         assert stats[0]["served"] == 4 and stats[2]["served"] == 4
         assert stats[1]["served"] == 4  # the respawn re-served the lost slice
-
-
-def test_a_raising_hook_still_drains_the_replies():
-    repo = _repository()
-    raw = OracleDetector(repo)
-    with ShardCoordinator(repo, 2) as coordinator:
-        def boom():
-            raise ValueError("hook failed")
-
-        with pytest.raises(ValueError, match="hook failed"):
-            coordinator.detect_many([5, 310], boom)
-        assert coordinator.detect_many([310, 25]) == [raw.detect(310), raw.detect(25)]
 
 
 # ----------------------------------------------------------- replica syncing
@@ -312,11 +256,10 @@ def test_append_payload_is_built_once_per_clip_for_the_whole_fleet(monkeypatch):
         service.close()
 
 
-# ------------------------------------------------------------ plan-ahead parity
+# ------------------------------------------------------- staggered-session parity
 
 def _service(seed, scheduler, execution, shards):
-    # one batch per tick: most of the time most sessions are out of budget,
-    # which is when they can be planned ahead
+    # one batch per tick: most of the time most sessions are out of budget
     return parity_service(
         _repository(seed), seed, execution, shards,
         scheduler=SCHEDULERS[scheduler](), frames_per_tick=4, batch_size=4,
@@ -326,8 +269,7 @@ def _service(seed, scheduler, execution, shards):
 
 def _submit_three(service):
     """Three sessions admitted a tick apart: sessions that start together
-    under round-robin stay in lockstep (all in the round or none), and
-    only a session outside the round can be planned ahead."""
+    under round-robin stay in lockstep (all in the round or none)."""
     first = service.submit("cam0", "bus", limit=3, max_samples=48, priority=2.0,
                            warm_start=False)
     service.tick()
@@ -350,42 +292,10 @@ def _run(seed, scheduler, execution, shards):
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_planned_ahead_sessions_match_their_local_twin(seed, scheduler):
-    def run(shards):
-        if shards == "local":
-            return _run(seed, scheduler, "local", 1)
-        tel = telemetry.enable()
-        got = _run(seed, scheduler, "sharded", shards)
-        planned_ahead = _counter(tel.snapshot(), "repro_serving_planned_ahead_total")
-        telemetry.disable()
-        assert planned_ahead > 0, "the matrix row never planned ahead"
-        return got
-
-    reference = json.loads(assert_same_decisions(run, "local", 1, 2, 4))
+    reference = json.loads(assert_same_decisions(
+        lambda leg: _run(seed, scheduler, *leg), ("local", 1), ("sharded", 2), ("sharded", 4),
+    ))
     assert all(len(s["sampled_frames"]) >= 12 for s in reference.values())
-
-
-def test_who_is_planned_ahead_does_not_depend_on_worker_speed():
-    """A parked batch defers absorption, so a rule that planned ahead
-    "until the replies are ready" would let the clock pick a session's
-    chunk set — the simulation harness caught exactly that as two runs of
-    one seed diverging.  The parked set is a function of the tick history."""
-    histories = []
-    for latency in (0.0, 0.004):
-        service = QueryService(
-            _repository(7), chunk_frames=50, execution="sharded", shards=2,
-            frames_per_tick=4, batch_size=4, detector_latency=latency, seed=7,
-        )
-        try:
-            _submit_three(service)
-            history = []
-            for _ in range(10):
-                service.tick()
-                history.append(sorted(_parked(service)))
-            histories.append(history)
-        finally:
-            service.close()
-    assert histories[0] == histories[1]
-    assert any(histories[0])
 
 
 def _oracle_check(service, sid, seed):
@@ -402,11 +312,6 @@ def _oracle_check(service, sid, seed):
     return logged
 
 
-def _parked(service):
-    """Session ids holding a planned-but-uncommitted batch."""
-    return {sid for sid, s in service.sessions.items() if s._pending}
-
-
 def test_a_paused_planned_ahead_session_keeps_its_stream():
     seed = 4
 
@@ -417,15 +322,14 @@ def test_a_paused_planned_ahead_session_keeps_its_stream():
         try:
             sids = _submit_three(service)
             service.tick()
-            parked = sorted(_parked(service))
-            assert parked, "nobody was planned ahead in the first tick"
-            victim = parked[0]
-            held = list(service.sessions[victim]._pending)
+            victim = sids[1]
+            committed = service.status(victim).frames_processed
             service.pause(victim)
             for _ in range(4):
                 service.tick()
-            # paused with its batch parked: never scheduled, never re-planned
-            assert service.sessions[victim]._pending == held
+            # paused: never scheduled, never planned
+            assert service.status(victim).frames_processed == committed
+            assert not service.sessions[victim]._pending
             service.resume(victim)
             service.run_until_idle(max_ticks=80)
             for sid in sids:
@@ -445,12 +349,12 @@ def test_a_cancelled_planned_ahead_session_stops_where_it_committed():
         sids = _submit_three(service)
         service.tick()
         service.tick()
-        victim = sorted(_parked(service))[0]
+        victim = sids[1]
         committed = service.status(victim).frames_processed
         service.cancel(victim)
         service.run_until_idle(max_ticks=80)
         streams = json.loads(fingerprint(service, sids))
-        # the parked batch was never charged, detected or committed
+        # nothing past the cancel was charged, detected or committed
         cancelled, twin = streams[victim], reference[victim]
         assert cancelled["state"] == "cancelled"
         assert len(cancelled["sampled_frames"]) == committed
@@ -475,11 +379,10 @@ def test_a_planned_ahead_session_snapshots_and_restores_exactly():
             sids = _submit_three(first)
             first.tick()
             first.tick()
-            assert _parked(first)
             # live engines replay and carry the oracle check: none may be sealed
             assert all(not s.state.terminal for s in first.sessions.values())
             snapshots = first.snapshot_all()
-            # a parked batch is not progress: the snapshot counts commits only
+            # the snapshot counts commits
             for snap in snapshots:
                 assert snap.steps_taken == first.status(snap.session_id).frames_processed
         finally:
@@ -507,18 +410,15 @@ def test_a_sigterm_drained_sharded_server_resumes_planned_ahead_sessions(tmp_pat
     from repro.video.datasets import build_dataset, scaled_chunk_frames
 
     state = str(tmp_path / "state")
-    metrics = tmp_path / "metrics.json"
     queries = [("bicycle", 11, 5.0), ("person", 12, 3.0), ("truck", 13, 2.0),
                ("bicycle", 14, 1.0)]
     # unequal shares: equal sessions under round-robin fall into lockstep
-    # (all in the round or none), and only a session outside the round
-    # can be planned ahead
+    # (all in the round or none), so priorities stagger them
     common = ("--frames-per-tick", "4", "--batch-size", "4",
               "--scheduler", "priority")
     first = ServerProcess(
         "--state-dir", state, "--datasets", "dashcam", "--scale", "0.02",
-        "--shards", "2", "--detector-latency", "0.002",
-        "--metrics-out", str(metrics), *common,
+        "--shards", "2", "--detector-latency", "0.002", *common,
     )
     try:
         with ServingClient(*first.address) as client:
@@ -537,8 +437,6 @@ def test_a_sigterm_drained_sharded_server_resumes_planned_ahead_sessions(tmp_pat
         assert code == 0 and "server drained" in out, err
     finally:
         first.kill()
-    drained = json.loads(metrics.read_text())
-    assert _counter(drained, "repro_serving_planned_ahead_total") > 0
     sessions_dir = pathlib.Path(state) / "sessions"
     mid_run = [json.loads((sessions_dir / f"{sid}.json").read_text()) for sid in sids]
     assert any(0 < snap["steps_taken"] < 200 for snap in mid_run)
@@ -567,56 +465,9 @@ def test_a_sigterm_drained_sharded_server_resumes_planned_ahead_sessions(tmp_pat
         assert reference.result_frames == served[sid]["result_frames"]
 
 
-# ------------------------------------------------- absorption is not starved
-
-def test_a_session_with_waiting_footage_is_never_planned_ahead():
-    """A parked batch defers absorption.  Were a follow session planned
-    ahead over waiting footage, the next plan-ahead would park another
-    batch before the next sync could absorb, and so on for ever."""
-    repo = empty_repository("live")
-    service = QueryService(
-        repo, execution="sharded", shards=2, frames_per_tick=4, batch_size=4,
-        detector_latency=0.0005, seed=9,
-    )
-    try:
-        service.feed("live", 120, [stationary_instance(0, 10, 20, "car")])
-        sids = []
-        for _ in range(3):  # a tick apart, or round-robin keeps them in lockstep
-            sids.append(service.submit("live", "car", follow=True, max_samples=400))
-            service.tick()
-        parked = _parked(service)
-        assert parked  # budget 4 = one batch: the others were planned ahead
-        # footage lands out of band (another process appended the clips):
-        # parked sessions cannot absorb it yet, the others do at once
-        repo.append_clip(80, [stationary_instance(1, 150, 20, "car")])
-        held = {sid: list(service.sessions[sid]._pending) for sid in sids}
-        absorbed_at = {}
-        for _tick in range(12):
-            service.tick()
-            for sid in sids:
-                session = service.sessions[sid]
-                if session.horizon == repo.horizon:
-                    absorbed_at.setdefault(sid, _tick)
-                else:
-                    # footage is waiting for it: it may still hold the batch
-                    # it had, but must not have been given a new one
-                    assert session._pending in ([], held[sid])
-                    assert not session.plannable_ahead
-        # every session absorbed — one commit of its parked batch later at
-        # most, which with three sessions sharing the tick is three ticks
-        assert sorted(absorbed_at) == sorted(sids)
-        assert max(absorbed_at.values()) <= 3
-        for sid in sids:
-            log = service.sessions[sid].horizon_log
-            assert [h for _steps, h in log] == [120, 200]
-            assert log[1][0] % 4 == 0  # absorbed between whole batches
-    finally:
-        service.close()
-
-
 # ------------------------------------------------------------------ attribution
 
-def test_planned_ahead_seconds_are_plan_seconds_and_shards_report_busy_time():
+def test_stage_seconds_and_shard_busy_time_are_attributed():
     tel = telemetry.enable(slow_tick_threshold=0.0)
     service = _service(3, "round-robin", "sharded", 2)
     try:
@@ -627,7 +478,6 @@ def test_planned_ahead_seconds_are_plan_seconds_and_shards_report_busy_time():
         snapshot = tel.snapshot()
     finally:
         service.close()
-    assert _counter(snapshot, "repro_serving_planned_ahead_total") > 0
 
     def total(name, **labels):
         return sum(
@@ -637,9 +487,7 @@ def test_planned_ahead_seconds_are_plan_seconds_and_shards_report_busy_time():
             and all(parse_series_key(key)[1].get(k) == v for k, v in labels.items())
         )
 
-    # draw + score is time inside ExSample.plan wherever it ran; were the
-    # planned-ahead share left under ``detect`` the plan stage would read
-    # less than the planning it contains
+    # draw + score is time inside ExSample.plan: the plan stage contains it
     planning = total("repro_serving_plan_seconds")
     assert planning > 0
     assert total("repro_serving_stage_seconds", stage="plan") >= planning

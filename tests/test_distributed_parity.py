@@ -7,11 +7,9 @@ decision lives in the coordinator and depends only on each session's
 seed and step count, never on where detection ran.  The matrix also
 covers the distributed fault path: a mid-run worker kill followed by a
 snapshot/restore into a fresh sharded service must land on the same
-bytes, and mid-run ingestion (a clip fed one tick in), whose known
-divergent cells ROADMAP item 8 owns.
+bytes, and so must mid-run ingestion (a clip fed one tick in): a
+sharded session absorbs footage at exactly the step its local twin does.
 """
-
-from functools import partial
 
 import pytest
 from contracts import (
@@ -23,13 +21,18 @@ from contracts import (
     stationary_instance,
 )
 
-from repro.serving.scheduler import PriorityScheduler, RoundRobinScheduler
+from repro.serving.scheduler import (
+    PriorityScheduler,
+    RoundRobinScheduler,
+    ThompsonSumScheduler,
+)
 
 SEEDS = [0, 1, 2, 3, 4]
 SHARD_COUNTS = [1, 2, 4]
 SCHEDULERS = {
     "round-robin": RoundRobinScheduler,
     "priority": PriorityScheduler,
+    "thompson-sum": ThompsonSumScheduler,
 }
 
 
@@ -49,16 +52,11 @@ def _submit_unbounded(service):
     return [a, b]
 
 
-def _submit_and_feed(service, planned_ahead=False):
-    """Mid-run ingestion (ROADMAP item 8): one tick in, a clip with one
-    more bus lands and every live session absorbs it.  ``planned_ahead``
-    asks for the precondition of item 8's cells: the lower-priority
-    session holds a planned-ahead batch when the clip lands."""
+def _submit_and_feed(service):
+    """Mid-run ingestion: one tick in, a clip with one more bus lands and
+    every live session absorbs it."""
     sids = _submit_unbounded(service)
     service.tick()
-    if planned_ahead and not service.sessions[sids[1]]._pending:
-        # pytest.fail, not an AssertionError the strict xfail would absorb
-        pytest.fail("the lower-priority session was not planned ahead at the feed")
     service.feed("cam0", 60, [stationary_instance(9, sum(MATRIX_CLIPS) + 10, 20)])
     return sids
 
@@ -122,20 +120,13 @@ def test_parity_survives_worker_kill_and_restore(seed, scheduler):
     assert_same_decisions(run, "local", "kill+restore")
 
 
-# a sharded session planned ahead absorbs the fed clip one batch late;
-# round-robin keeps these two sessions in lockstep, so none is
-ITEM_8 = pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 8")
-
-
-@pytest.mark.parametrize("scheduler", [pytest.param("priority", marks=ITEM_8), "round-robin"])
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parity_survives_a_mid_run_feed(seed, scheduler):
-    def run(leg):
-        planned_ahead = scheduler == "priority" and leg[0] == "sharded"
-        submit = partial(_submit_and_feed, planned_ahead=planned_ahead)
-        return _run_plain(seed, scheduler, *leg, submit=submit)
-
-    assert_same_decisions(run, ("local", 1), ("sharded", 2))
+    assert_same_decisions(
+        lambda leg: _run_plain(seed, scheduler, *leg, submit=_submit_and_feed),
+        ("local", 1), ("sharded", 2), ("sharded", 4),
+    )
 
 
 def test_matrix_shape_meets_the_acceptance_bar():
@@ -144,4 +135,4 @@ def test_matrix_shape_meets_the_acceptance_bar():
     {round_robin, priority} schedulers."""
     assert len(SEEDS) >= 5
     assert set(SHARD_COUNTS) == {1, 2, 4}
-    assert set(SCHEDULERS) == {"round-robin", "priority"}
+    assert set(SCHEDULERS) >= {"round-robin", "priority"}

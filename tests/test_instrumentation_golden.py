@@ -30,7 +30,6 @@ SERIES_NAMES = [
     "repro_exec_frames_total",
     "repro_serving_frames_total",
     "repro_serving_plan_seconds",
-    "repro_serving_planned_ahead_total",
     "repro_serving_session_deficit_frames",
     "repro_serving_session_grant_frames",
     "repro_serving_sessions_schedulable",

@@ -1,8 +1,7 @@
 """One Thompson draw per tick round, invisible to every decision.
 
 ``plan_many`` plans many samplers with one multi-stream
-``gamma_matrices`` call, and the serving tick (and its plan-ahead) plans
-every session of a round through it.  The contract: each engine — each
+``gamma_matrices`` call, and the serving tick plans every session of a round through it.  The contract: each engine — each
 session — ends up exactly where planning it alone would have put it.
 These tests hold the engine level, the service level (against the same
 script planned one session at a time, and against each session's solo
@@ -375,35 +374,6 @@ def test_a_restore_round_makes_one_kernel_call(counters, monkeypatch):
     assert fingerprint(restored, live.sessions) == fingerprint(live, live.sessions)
 
 
-def test_plan_ahead_makes_one_kernel_call(counters, monkeypatch):
-    calls = []
-    ahead = QueryService._plan_ahead
-
-    def counting_ahead(active, obs):
-        before = dict(counters)
-        ahead(active, obs)
-        calls.append((counters["kernel"] - before["kernel"], counters["plan"] - before["plan"]))
-
-    monkeypatch.setattr(QueryService, "_plan_ahead", staticmethod(counting_ahead))
-    service = QueryService(
-        _repository("cam0", (140, 160, 120), 0), chunk_frames=20,
-        execution="sharded", shards=2, frames_per_tick=4, batch_size=4, seed=0,
-    )
-    try:
-        # admitted a tick apart: sessions submitted together under
-        # round-robin stay in lockstep, all in the round or none
-        for k in range(4):
-            service.submit("cam0", ("bus", "car")[k % 2], max_samples=40,
-                           seed=k, warm_start=False)
-            service.tick()
-        service.run_until_idle(max_ticks=30)
-    finally:
-        service.close()
-    planned = [(kernel, plans) for kernel, plans in calls if plans]
-    assert any(plans >= 2 for _, plans in planned), calls
-    assert all(kernel == 1 for kernel, _ in planned)
-
-
 class _PlannedSession:
     """What the tick observer reads of a session that just planned."""
 
@@ -412,8 +382,7 @@ class _PlannedSession:
         self.last_plan_timings = {"draw": draw, "score": score}
 
 
-@pytest.mark.parametrize("ahead", [False, True], ids=["round", "plan_ahead"])
-def test_plan_spans_carry_each_sessions_share(monkeypatch, ahead):
+def test_plan_spans_carry_each_sessions_share(monkeypatch):
     """A round's sessions plan in one call and report afterwards: each
     ``plan`` span lasts the session's own draw + score seconds, laid end
     to end — not the whole round on the first and nothing on the rest."""
@@ -426,10 +395,8 @@ def test_plan_spans_carry_each_sessions_share(monkeypatch, ahead):
     sessions = [_PlannedSession(f"s{k}", 0.001 * k, 0.0005) for k in (1, 2, 3)]
     obs = tel.tick_observer
     obs.scheduled(1, sessions, {})
-    if ahead:
-        obs.planning_ahead()
     for session in sessions:
-        (obs.planned_ahead if ahead else obs.planned)(session, [(0, 0)])
+        obs.planned(session, [(0, 0)])
     assert [name for name, _, _ in spans] == ["plan"] * 3
     assert [duration for _, _, duration in spans] == [0.0015, 0.0025, 0.0035]
     for (_, start, duration), (_, following, _) in zip(spans, spans[1:]):

@@ -489,9 +489,9 @@ def ending(service, how):
     elif how == "cancelled behind the service":
         session.cancel()
     elif how == "cancelled holding a parked batch":
-        # what plan-ahead does while a sharded round's detection is out
+        # what a tick whose detector raised leaves behind
         assert QuerySession.plan_steps([session])[0]
-        assert not session.plannable_ahead  # parked
+        assert session._pending  # parked
         service.cancel(sid)
     while not session.state.terminal:
         service.tick()
@@ -533,6 +533,24 @@ def test_a_terminal_sessions_engine_is_collected(how):
     assert all(ref() is None for ref in engines), how
     assert session.snapshot().state == how.split()[0]
     service.close()
+
+
+def test_a_closed_service_leaves_no_session_to_the_tick_observer():
+    """The tick observer keeps the last tick's sessions for their gauges
+    and outlives the service: closing the service lets them go."""
+    telemetry.enable()
+    try:
+        service = QueryService(fixed_repo(), chunk_frames=2500, frames_per_tick=8)
+        sid = service.submit("synthetic", "bus", max_samples=64, batch_size=4,
+                             warm_start=False)
+        service.tick()
+        session = weakref.ref(service.sessions[sid])
+        service.close()
+        del service
+        gc.collect()
+        assert session() is None
+    finally:
+        telemetry.disable()
 
 
 def test_sealing_changes_nothing_a_session_reports(monkeypatch):

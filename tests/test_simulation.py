@@ -236,9 +236,9 @@ def test_sharded_run_is_bit_reproducible_across_worker_kills(tmp_path):
 
 @pytest.mark.parametrize("seed", [27, 43])
 def test_sharded_run_with_ingestion_is_bit_reproducible(seed, tmp_path):
-    """The pin for plan-ahead: these two seeds ingest footage while
-    sessions hold a planned-ahead batch, and diverged between runs when
-    who got planned ahead depended on how fast the workers answered."""
+    """These two seeds ingest footage mid-run under two shards: two runs
+    of one seed must log the same events, whatever the workers' speed,
+    since a session absorbs footage at a step count, never at a time."""
     from repro.simulation.scenario import sharded_variant
 
     scenario = sharded_variant(generate_scenario(seed, "quick"), 2)
